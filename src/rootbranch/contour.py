@@ -170,18 +170,6 @@ class MonicPoly:
     def eval(self, z) -> np.ndarray:
         return np.polyval(np.asarray(self.coeffs), np.asarray(z) - self.about)
 
-    def shifted_to(self, new_about: complex) -> "MonicPoly":
-        """Re-expand about a different center (exact Taylor shift)."""
-        # u = z - about = v + d with v = z - new_about, so p(u) -> p(v + d)
-        d = new_about - self.about
-        out = np.array([self.coeffs[0]], dtype=np.complex128)
-        for a in self.coeffs[1:]:
-            nxt = np.concatenate([out, [0j]])
-            nxt[1:] += d * out
-            nxt[-1] += a
-            out = nxt
-        return MonicPoly(tuple(out), about=new_about)
-
 
 def count_zeros(
     f: EntireFunction,
@@ -333,6 +321,37 @@ def _polish_poly_root(c, dc, u, rounds: int):
     return best
 
 
+def local_factor_data(
+    f: EntireFunction,
+    x: float,
+    circle: Circle,
+    about: complex | None = None,
+    guard: float = 0.5,
+    floor_rel: float = 1e-12,
+    margin: float = 1.0,
+) -> tuple[MonicPoly, ContourData]:
+    """The monic factor of the enclosed zeros, plus the base samples.
+
+    Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
+    taken about ``about`` (default: the circle center); guard, floor_rel and
+    margin are those of count_zeros.  The returned samples are F and F' at
+    the circle's own node count, for callers that also need |F| there.
+
+    Raises NoZerosInDiskError when the disk holds no zeros.
+    """
+    if about is None:
+        about = circle.center
+    n, data = _count_zeros_data(f, x, circle, guard, floor_rel, margin)
+    if n == 0:
+        raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
+    s = _power_sums_from(data, n, about)
+    if abs(s[0] - n) > 0.5:
+        raise NonIntegerWindingError(
+            f"s_0 = {s[0]:.6f} inconsistent with count {n}"
+        )
+    return newton_to_coeffs(PowerSums(tuple(s), about=about)), data
+
+
 def local_monic_factor(
     f: EntireFunction,
     x: float,
@@ -341,39 +360,32 @@ def local_monic_factor(
     guard: float = 0.5,
     floor_rel: float = 1e-12,
     m_floor_rel: float = 1e-13,
-    check_cofactor: bool = True,
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
 
-    Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
-    taken about ``about`` (default: the circle center).  When
-    ``check_cofactor`` is set, F/P is probed on two interior circles (radii
-    r/3 and 2r/3) and must stay above m_floor_rel * (1 + max |F/P|);
-    a dip raises CofactorVanishesError.
+    local_factor_data followed by check_cofactor, so F/P is also certified
+    free of zeros inside the disk.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    if about is None:
-        about = circle.center
-    n, data = _count_zeros_data(f, x, circle, guard, floor_rel)
-    if n == 0:
-        raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
-    s = _power_sums_from(data, n, about)
-    if abs(s[0] - n) > 0.5:
-        raise NonIntegerWindingError(
-            f"s_0 = {s[0]:.6f} inconsistent with count {n}"
-        )
-    poly = newton_to_coeffs(PowerSums(tuple(s), about=about))
-    if check_cofactor:
-        _check_cofactor(f, x, circle, poly, m_floor_rel)
+    poly, _ = local_factor_data(f, x, circle, about, guard, floor_rel)
+    check_cofactor(f, x, circle, poly, m_floor_rel)
     return poly
 
 
-def _check_cofactor(
-    f: EntireFunction, x: float, circle: Circle, poly: MonicPoly, m_floor_rel: float
+def check_cofactor(
+    f: EntireFunction,
+    x: float,
+    circle: Circle,
+    poly: MonicPoly,
+    m_floor_rel: float = 1e-13,
 ) -> None:
-    # G = F/P must be bounded away from zero inside the disk; probe two
-    # interior circles.  Points where P underflows carry no information.
+    """Raise CofactorVanishesError unless F/P stays clear of zero in the disk.
+
+    F/P is probed on two interior circles (radii r/3 and 2r/3) and must stay
+    above m_floor_rel * max |F/P| there.  Points where P underflows carry
+    no information.
+    """
     unit = _unit_nodes(circle.samples)
     zs = np.concatenate(
         [

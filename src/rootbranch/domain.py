@@ -336,14 +336,6 @@ class PathSegment:
                     return self.cum[i]
         raise OutOfDomainError("point does not lie on this segment")
 
-    def reversed(self) -> "PathSegment":
-        return PathSegment(
-            self.domain,
-            self.b,
-            self.a,
-            tuple(Piece(p.edge, p.t1, p.t0, p.length) for p in reversed(self.pieces)),
-        )
-
 
 @dataclass(frozen=True)
 class SweepSegment:
@@ -351,10 +343,3 @@ class SweepSegment:
 
     segment: PathSegment
     resume_arc: float
-
-
-def advance(seg: PathSegment, p: DomainPoint, h: float) -> DomainPoint:
-    """Move distance h >= 0 along the segment from p, clamping at the end."""
-    if h < 0:
-        raise ValueError("advance distance must be nonnegative")
-    return seg.point_at(seg.arc_of(p) + h)

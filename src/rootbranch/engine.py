@@ -13,8 +13,9 @@ DegenerateBarrier, NonConvergent, or SeedInvalid.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe, polish_root
-from .localize import select_radius, validate_step
+from .localize import LocalFactorization, select_radius, validate_step
 
 _STEP_ERRORS = (
     ZeroOnContourError,
@@ -95,6 +96,20 @@ class RootMatch:
     ambiguous: bool
 
 
+# Fixed tuning of the step loop (not configurable).
+GROW_AFTER = 3  # clean accepts in a row before the step grows
+GROW_FACTOR = 1.5
+TIE_BREAK_AFTER = 12  # ambiguous matches in a row before the tie-break
+WINDOW = 16  # recent samples the stall classifier looks at
+SNAP_EPS = 1e-9  # a stall this close to the segment end may snap onto it
+R_MAX_BASE = 1.0  # certificate radii start at max(R_MAX_BASE, R_MAX_REL * |w|)
+R_MAX_REL = 0.5
+SOFT_CHECK_EVERY = 256  # accepted steps between mid-run soft blowup checks
+STALL_RETRIES = 2  # fresh-step retries of a converged, nondegenerate stall
+
+_FRACTIONS = ("h0_frac", "h_max_frac")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Tuning knobs of the continuation. Defaults suit well-scaled problems.
@@ -102,69 +117,58 @@ class EngineConfig:
     Distances along the domain are in arc units; h0/h_max are fractions of
     the active segment length.  max_steps bounds ACCEPTED steps per
     segment; rejected proposals are separately bounded by h halving down
-    to h_min.
+    to h_min.  Every other tolerance is a module constant above or the
+    keyword default of the routine that uses it.
     """
 
     contour_samples: int = 128
     h0_frac: float = 1.0 / 64.0
     h_min: float = 1e-12
     h_max_frac: float = 0.125
-    grow_after: int = 3
-    grow_factor: float = 1.5
-    safety: float = 0.5
     seed_tol: float = 1e-9
     residual_tol: float = 1e-8
     blowup_threshold: float = 1e8
     blowup_soft: float = 500.0
     osc_tol: float = 1e-6
-    ambiguity_ratio: float = 0.5
-    cluster_tol: float = 1e-4
-    tie_break_after: int = 12
-    window: int = 16
-    snap_eps: float = 1e-9
-    r_max_base: float = 1.0
-    r_max_rel: float = 0.5
-    radius_halvings: int = 40
-    center_frac: float = 0.1
-    m_floor_rel: float = 1e-13
-    contour_guard: float = 0.5
-    contour_floor_rel: float = 1e-12
-    select_clear_margin: float = 2.0
-    probe_radii: tuple[float, ...] = (1.0, 10.0)
-    probe_samples: int = 64
-    probe_tol: float = 1e-10
     max_steps: int = 8000
-    soft_check_every: int = 256
-    stall_retries: int = 2
-    polish_iters: int = 8
     certify_steps: bool = False
 
     @classmethod
     def from_mapping(cls, overrides: dict) -> "EngineConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        bad = set(overrides) - set(known)
+        """Defaults updated from problem-file overrides.
+
+        Raises ValueError for an unknown key or a value out of range:
+        certify_steps takes a JSON bool, max_steps an integer >= 1,
+        contour_samples a power of two >= 16, and the other knobs a finite
+        number > 0 (at most 1 for h0_frac and h_max_frac).
+        """
+        bad = set(overrides) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         coerced = {}
         for k, v in overrides.items():
-            if k == "probe_radii":
-                coerced[k] = tuple(float(r) for r in v)
-            elif k == "certify_steps":
-                coerced[k] = bool(v)
-            elif isinstance(getattr(cls, k), int) and not isinstance(
-                getattr(cls, k), bool
-            ):
-                coerced[k] = int(v)
+            default = getattr(cls, k)
+            is_int = isinstance(v, int) and not isinstance(v, bool)
+            if isinstance(default, bool):
+                ok, want = isinstance(v, bool), "true or false"
+            elif k == "contour_samples":
+                ok = is_int and v >= 16 and v & (v - 1) == 0
+                want = "a power of two >= 16"
+            elif isinstance(default, int):
+                ok, want = is_int and v >= 1, "an integer >= 1"
             else:
-                coerced[k] = float(v)
+                # chained comparisons are exact for huge ints and false for NaN
+                frac = k in _FRACTIONS
+                top = 1.0 if frac else sys.float_info.max
+                ok = (is_int or isinstance(v, float)) and 0 < v <= top
+                want = "a number in (0, 1]" if frac else "a finite number > 0"
+            if not ok:
+                raise ValueError(f"config {k!r} must be {want}, got {v!r}")
+            coerced[k] = float(v) if isinstance(default, float) else v
         return replace(cls(), **coerced)
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return asdict(self)
 
 
 def match_root(
@@ -220,9 +224,7 @@ def classify_termination(
                 {"max_abs_w": peak, "last_residual": window[-1].residual},
             )
     try:
-        probe = degeneracy_probe(
-            f, x_limit, cfg.probe_radii, cfg.probe_samples, cfg.probe_tol
-        )
+        probe = degeneracy_probe(f, x_limit)
     except (OutOfDomainError, NonFiniteError):
         probe = None
     if probe is not None and probe.degenerate:
@@ -295,18 +297,21 @@ def _blowup_evidence(
 
 @dataclass
 class SegmentRun:
-    """extend_segment outcome: samples plus the termination if not completed."""
+    """extend_segment outcome: samples plus the termination if not completed.
+
+    accepted counts the certified steps taken; certify_failures counts the
+    ones whose audit recount (certify_steps) disagreed with the certificate.
+    """
 
     samples: list[BranchSample]
     status: TerminationStatus
     location: Optional[DomainPoint]
+    accepted: int = 0
+    certify_failures: int = 0
 
     @property
     def completed(self) -> bool:
         return self.status.kind is Status.COMPLETED
-
-
-_RELOCALIZE = "relocalize"
 
 
 def extend_segment(
@@ -323,8 +328,18 @@ def extend_segment(
     stops are arc positions that steps must land on exactly (junctions of
     later sweep segments); the branch value there is recorded into
     ``junction`` keyed by the domain point, write-once.
+
+    One loop over explicit state: the frontier (s, pt, cx, w), the step h,
+    the certificate loc at the frontier (None: localize first), the reason
+    the frontier stalled (if it did), the recent-sample window and the
+    counters.  A pass either resolves a stall (snap onto the end, classify,
+    or retry with fresh steps), or proposes one step from the certificate.
+    A rejection halves h and keeps loc; an acceptance moves the frontier
+    and drops loc.
     """
     cfg = cfg or EngineConfig()
+    if junction is None:
+        junction = {}
     if isinstance(sweep, SweepSegment):
         seg, s = sweep.segment, sweep.resume_arc
     else:
@@ -334,259 +349,201 @@ def extend_segment(
 
     pt = seg.point_at(s)
     cx = dom.coordinate(pt)
-    w, res = polish_root(f, cx, complex(w_start), cfg.polish_iters)
+    w, res = polish_root(f, cx, complex(w_start))
     samples: list[BranchSample] = [BranchSample(seg_index, s, pt, w, res)]
-    window: deque[BranchSample] = deque(samples, maxlen=cfg.window)
-
-    def record_junction(point: DomainPoint, value: complex) -> None:
-        if junction is not None and point not in junction:
-            junction[point] = value
-
-    def finish(kind: Status, diag: dict, where: Optional[DomainPoint]) -> SegmentRun:
-        if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
-            diag = {**diag, **_endpoint_diagnostics(f, seg, cfg)}
-        if accepted:
-            diag = _with_certify(diag, cfg, accepted, certify_failures)
-        return SegmentRun(samples, TerminationStatus(kind, diag), where)
-
     if s >= length:
-        record_junction(pt, w)
+        junction.setdefault(pt, w)
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
 
+    window: deque[BranchSample] = deque(samples, maxlen=WINDOW)
     stop_arcs = sorted(a for a in set(stops) if s < a < length)
-    stop_set = set(stop_arcs)
     h = min(cfg.h0_frac * length, length - s)
     h_max = cfg.h_max_frac * length
-    grow_run = 0
-    ambiguous_streak = 0
-    accepted = 0
-    retries_left = cfg.stall_retries
-    certify_failures = 0
-
-    def stall(reason: str, allow_retry: bool = True) -> Optional[SegmentRun]:
-        """Classify a stalled segment; None means retry with fresh steps."""
-        nonlocal retries_left, h
-        rem = length - s
-        if rem <= cfg.snap_eps:
-            run = _try_snap(f, seg, seg_index, s, w, cfg, samples, record_junction)
-            if run is not None:
-                if accepted:
-                    run.status = TerminationStatus(
-                        run.status.kind,
-                        _with_certify(run.status.diagnostics, cfg, accepted, certify_failures),
-                    )
-                return run
-        if _blowup_evidence(window, length, cfg):
-            return finish(
-                Status.ASYMPTOTIC_BLOWUP,
-                {"max_abs_w": abs(w), "reason": reason, "soft": True},
-                pt,
-            )
-        ts = classify_termination(f, window, cx, cfg)
-        if ts is None:
-            if allow_retry and retries_left > 0:
+    loc = None
+    stalled: Optional[str] = None
+    grow_run = ambiguous_streak = accepted = certify_failures = 0
+    retries_left = STALL_RETRIES
+    while True:
+        if stalled is not None:
+            rem = length - s
+            end = None
+            if rem <= SNAP_EPS:
+                end = _snap_to_end(f, seg, seg_index, w, cfg.residual_tol)
+            if end is not None:
+                samples.append(end)
+                junction.setdefault(end.point, end.w)
+                kind, diag = Status.COMPLETED, {"snapped": True, "snap_gap": rem}
+                break
+            if _blowup_evidence(window, length, cfg):
+                kind = Status.ASYMPTOTIC_BLOWUP
+                diag = {"max_abs_w": abs(w), "reason": stalled, "soft": True}
+                break
+            ts = classify_termination(f, window, cx, cfg)
+            # a converged, nondegenerate window retries with fresh steps,
+            # unless the stall is the exhausted step budget
+            if ts is None and accepted < cfg.max_steps and retries_left > 0:
                 retries_left -= 1
                 h = max(1000.0 * cfg.h_min, min(cfg.h0_frac * rem, h_max))
-                return None
-            ts = TerminationStatus(
-                Status.NON_CONVERGENT,
-                {
-                    "window_diameter": _window_diameter([sm.w for sm in window]),
-                    "converged_window": True,
-                },
-            )
-        return finish(ts.kind, {**ts.diagnostics, "reason": reason}, pt)
+                loc = stalled = None
+                continue
+            if ts is None:
+                ts = TerminationStatus(
+                    Status.NON_CONVERGENT,
+                    {
+                        "window_diameter": _window_diameter([sm.w for sm in window]),
+                        "converged_window": True,
+                    },
+                )
+            kind, diag = ts.kind, {**ts.diagnostics, "reason": stalled}
+            break
 
-    def reject():
-        """Halve the step. Returns None (keep proposing), a SegmentRun
-        (terminate), or _RELOCALIZE (stall retry wants a fresh certificate)."""
-        nonlocal h, grow_run
-        h *= 0.5
-        grow_run = 0
-        if h < cfg.h_min:
-            run = stall("step size underflow")
-            return run if run is not None else _RELOCALIZE
-        return None
+        if loc is None:
+            r_max = max(R_MAX_BASE, R_MAX_REL * abs(w))
+            try:
+                loc = select_radius(f, cx, w, r_max, samples=cfg.contour_samples)
+            except DegenerateAtPointError as e:
+                kind = Status.DEGENERATE_BARRIER
+                diag = {"constant": getattr(e, "constant", None), "at_frontier": True}
+                break
+            except (NoRadiusFoundError, NonFiniteError, OutOfDomainError):
+                stalled = "no admissible radius at frontier"
+                continue
 
-    while True:
-        # fresh certificate at the current frontier
-        r_max = max(cfg.r_max_base, cfg.r_max_rel * abs(w))
-        try:
-            loc = select_radius(
-                f,
-                cx,
-                w,
-                r_max,
-                samples=cfg.contour_samples,
-                halvings=cfg.radius_halvings,
-                center_frac=cfg.center_frac,
-                m_floor_rel=cfg.m_floor_rel,
-                guard=cfg.contour_guard,
-                floor_rel=cfg.contour_floor_rel,
-                probe_on_failure=True,
-                probe_radii=cfg.probe_radii,
-                probe_samples=cfg.probe_samples,
-                probe_tol=cfg.probe_tol,
-                clear_margin=cfg.select_clear_margin,
-            )
-        except DegenerateAtPointError as e:
-            return finish(
-                Status.DEGENERATE_BARRIER,
-                {"constant": getattr(e, "constant", None), "at_frontier": True},
-                pt,
-            )
-        except (NoRadiusFoundError, NonFiniteError, OutOfDomainError):
-            run = stall("no admissible radius at frontier")
-            if run is not None:
-                return run
+        target = min(s + h, next((a for a in stop_arcs if a > s), length))
+        pt1 = seg.point_at(target)
+        cx1 = dom.coordinate(pt1)
+        w1, res1, ambiguous_streak = _step_root(
+            f, loc, cx1, w, ambiguous_streak, cfg.residual_tol
+        )
+        if w1 is None:
+            h *= 0.5
+            grow_run = 0
+            if h < cfg.h_min:
+                stalled = "step size underflow"
             continue
 
-        outcome = None  # set to a SegmentRun to return, _RELOCALIZE to loop
-        while outcome is None:
-            t_next = length
-            for a in stop_arcs:
-                if a > s:
-                    t_next = a
-                    break
-            target = min(s + h, t_next)
-            pt1 = seg.point_at(target)
-            cx1 = dom.coordinate(pt1)
-
-            check = validate_step(f, loc, cx1, cfg.safety)
-            if not check.accepted:
-                outcome = reject()
-                continue
-
+        s, pt, cx, w = target, pt1, cx1, w1
+        smp = BranchSample(seg_index, s, pt, w, res1)
+        samples.append(smp)
+        window.append(smp)
+        accepted += 1
+        if cfg.certify_steps:
             try:
-                poly1 = local_monic_factor(
-                    f,
-                    cx1,
-                    loc.circle,
-                    about=loc.z0,
-                    guard=cfg.contour_guard,
-                    floor_rel=cfg.contour_floor_rel,
-                    m_floor_rel=cfg.m_floor_rel,
-                    check_cofactor=True,
-                )
-                if poly1.degree != loc.n:
-                    raise NonIntegerWindingError(
-                        f"count changed {loc.n} -> {poly1.degree} despite certificate"
-                    )
-                roots = poly_roots(poly1, tol=cfg.residual_tol)
+                n_after = count_zeros(f, cx, loc.circle)
             except _STEP_ERRORS:
-                outcome = reject()
-                continue
+                n_after = -1
+            if n_after != loc.n:
+                certify_failures += 1
+        if s in stop_arcs:
+            junction.setdefault(pt, w)
+        if abs(w) > cfg.blowup_threshold:
+            kind = Status.ASYMPTOTIC_BLOWUP
+            diag = {"max_abs_w": abs(w), "last_residual": res1}
+            break
+        if s >= length:
+            junction.setdefault(pt, w)
+            kind, diag = Status.COMPLETED, {}
+            break
+        if accepted % SOFT_CHECK_EVERY == 0 and _blowup_evidence(
+            window, length, cfg, h=h, steps_left=cfg.max_steps - accepted
+        ):
+            kind, diag = Status.ASYMPTOTIC_BLOWUP, {"max_abs_w": abs(w), "soft": True}
+            break
+        if accepted >= cfg.max_steps:
+            stalled = "step budget exhausted"
+            continue
+        grow_run += 1
+        if grow_run >= GROW_AFTER:
+            h = min(h * GROW_FACTOR, h_max)
+            grow_run = 0
+        loc = None
 
-            m = match_root(roots, w, cfg.ambiguity_ratio, cfg.cluster_tol)
-            if m.ambiguous:
-                ambiguous_streak += 1
-                if ambiguous_streak < cfg.tie_break_after:
-                    outcome = reject()
-                    continue
-                # persistent symmetric tie (e.g. stepping off a multiple
-                # root): deterministic lexicographic escape
-                d = np.abs(roots - w)
-                near = roots[d <= d.min() * (1.0 + 1e-12)]
-                w1 = complex(near[0])
-            else:
-                w1 = m.value
-            ambiguous_streak = 0
-
-            w1, res1 = polish_root(f, cx1, w1, cfg.polish_iters)
-            # if the incumbent is still a bit-exact root (F flushed to zero,
-            # e.g. exp(u)-1 with u below cancellation scale) the matched
-            # candidate only adds quadrature noise; keep the incumbent
-            try:
-                if abs(f.eval(cx1, w)) == 0.0:
-                    w1, res1 = w, 0.0
-            except NonFiniteError:
-                pass
-            if res1 > cfg.residual_tol or abs(w1 - w) > 2.0 * loc.r:
-                outcome = reject()
-                continue
-
-            # accepted
-            s, pt, cx, w = target, pt1, cx1, w1
-            smp = BranchSample(seg_index, s, pt, w, res1)
-            samples.append(smp)
-            window.append(smp)
-            accepted += 1
-            if cfg.certify_steps:
-                try:
-                    n_after = count_zeros(
-                        f, cx, loc.circle, cfg.contour_guard, cfg.contour_floor_rel
-                    )
-                except _STEP_ERRORS:
-                    n_after = -1
-                if n_after != loc.n:
-                    certify_failures += 1
-            if s in stop_set:
-                record_junction(pt, w)
-            if abs(w) > cfg.blowup_threshold:
-                return finish(
-                    Status.ASYMPTOTIC_BLOWUP,
-                    {"max_abs_w": abs(w), "last_residual": res1},
-                    pt,
-                )
-            if s >= length:
-                record_junction(pt, w)
-                return finish(Status.COMPLETED, {}, None)
-            if accepted % cfg.soft_check_every == 0 and _blowup_evidence(
-                window, length, cfg, h=h, steps_left=cfg.max_steps - accepted
-            ):
-                return finish(
-                    Status.ASYMPTOTIC_BLOWUP, {"max_abs_w": abs(w), "soft": True}, pt
-                )
-            if accepted >= cfg.max_steps:
-                run = stall("step budget exhausted", allow_retry=False)
-                if run is None:
-                    raise SolverError("internal: budget stall must classify")
-                return run
-            grow_run += 1
-            if grow_run >= cfg.grow_after:
-                h = min(h * cfg.grow_factor, h_max)
-                grow_run = 0
-            outcome = _RELOCALIZE
-        if outcome is not _RELOCALIZE:
-            return outcome
+    if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
+        diag = {**diag, **_endpoint_diagnostics(f, seg)}
+    where = None if kind is Status.COMPLETED else pt
+    return SegmentRun(
+        samples, TerminationStatus(kind, diag), where, accepted, certify_failures
+    )
 
 
-def _with_certify(diag: dict, cfg: EngineConfig, accepted: int, failures: int) -> dict:
-    diag = dict(diag)
-    diag["accepted_steps"] = accepted
-    if cfg.certify_steps:
-        diag["certify_checked"] = accepted
-        diag["certify_failures"] = failures
-    return diag
+def _step_root(
+    f: EntireFunction,
+    loc: LocalFactorization,
+    x1: float,
+    w: complex,
+    ambiguous_streak: int,
+    residual_tol: float,
+) -> tuple[Optional[complex], float, int]:
+    """Propose the step from loc.x0 to x1; return (w1, residual, streak).
+
+    w1 is None when the step is rejected: the Rouche check fails, the factor
+    at x1 does not carry the certified count or its roots fail, the match
+    is ambiguous, or the polished root misses residual_tol or jumps out of
+    the certificate.  streak counts the ambiguous matches in a row.
+    """
+    if not validate_step(f, loc, x1).accepted:
+        return None, 0.0, ambiguous_streak
+    try:
+        poly1 = local_monic_factor(f, x1, loc.circle, about=loc.z0)
+        if poly1.degree != loc.n:
+            raise NonIntegerWindingError(
+                f"count changed {loc.n} -> {poly1.degree} despite certificate"
+            )
+        roots = poly_roots(poly1, tol=residual_tol)
+    except _STEP_ERRORS:
+        return None, 0.0, ambiguous_streak
+
+    m = match_root(roots, w)
+    if not m.ambiguous:
+        w1 = m.value
+    elif ambiguous_streak + 1 < TIE_BREAK_AFTER:
+        return None, 0.0, ambiguous_streak + 1
+    else:
+        # persistent symmetric tie (e.g. stepping off a multiple root):
+        # deterministic lexicographic escape
+        d = np.abs(roots - w)
+        w1 = complex(roots[d <= d.min() * (1.0 + 1e-12)][0])
+
+    w1, res1 = polish_root(f, x1, w1)
+    # if the incumbent is still a bit-exact root (F flushed to zero,
+    # e.g. exp(u)-1 with u below cancellation scale) the matched
+    # candidate only adds quadrature noise; keep the incumbent
+    try:
+        if abs(f.eval(x1, w)) == 0.0:
+            w1, res1 = w, 0.0
+    except NonFiniteError:
+        pass
+    if res1 > residual_tol or abs(w1 - w) > 2.0 * loc.r:
+        return None, 0.0, 0
+    return w1, res1, 0
 
 
-def _try_snap(f, seg, seg_index, s, w, cfg, samples, record_junction):
-    """Stalled within snap_eps of the segment end: accept the endpoint if
-    the branch value still solves there."""
+def _snap_to_end(
+    f: EntireFunction,
+    seg: PathSegment,
+    seg_index: int,
+    w: complex,
+    residual_tol: float,
+) -> Optional[BranchSample]:
+    """The segment end as a sample, if the branch value still solves there
+    (used when stalled within SNAP_EPS of it)."""
     end = seg.point_at(seg.length)
     cx_end = seg.domain.coordinate(end)
     try:
-        wb, resb = polish_root(f, cx_end, w, cfg.polish_iters)
+        wb, resb = polish_root(f, cx_end, w)
     except OutOfDomainError:
         return None
-    if resb <= cfg.residual_tol and abs(wb - w) <= max(1.0, abs(w)):
-        smp = BranchSample(seg_index, seg.length, end, wb, resb)
-        samples.append(smp)
-        record_junction(end, wb)
-        return SegmentRun(
-            samples,
-            TerminationStatus(Status.COMPLETED, {"snapped": True, "snap_gap": seg.length - s}),
-            None,
-        )
+    if resb <= residual_tol and abs(wb - w) <= max(1.0, abs(w)):
+        return BranchSample(seg_index, seg.length, end, wb, resb)
     return None
 
 
-def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment, cfg: EngineConfig) -> dict:
+def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     """Probe the unreached segment end for degeneracy (diagnostic only)."""
     end = seg.point_at(seg.length)
     cx = seg.domain.coordinate(end)
     try:
-        pr = degeneracy_probe(f, cx, cfg.probe_radii, cfg.probe_samples, cfg.probe_tol)
+        pr = degeneracy_probe(f, cx)
     except (OutOfDomainError, NonFiniteError):
         return {}
     out = {"endpoint_degenerate": pr.degenerate, "endpoint_coordinate": cx}
@@ -614,26 +571,26 @@ def continue_branch(
     """
     cfg = cfg or EngineConfig()
     cx0 = domain.coordinate(x0)
-    w0, res0 = polish_root(f, cx0, complex(z0), cfg.polish_iters)
+    w0, res0 = polish_root(f, cx0, complex(z0))
     tol0 = cfg.seed_tol * (1.0 + _seed_scale(f, cx0, w0))
     if not np.isfinite(res0) or res0 > tol0:
         return RootBranch(
             (),
             TerminationStatus(
                 Status.SEED_INVALID,
-                {"seed_residual": res0, "seed_tolerance": tol0},
+                {"seed_residual": res0, "seed_tolerance": tol0, "accepted_steps": 0},
             ),
             x0,
             (),
             domain,
         )
-    probe = degeneracy_probe(f, cx0, cfg.probe_radii, cfg.probe_samples, cfg.probe_tol)
+    probe = degeneracy_probe(f, cx0)
     if probe.degenerate:
         return RootBranch(
             (BranchSample(0, 0.0, x0, w0, res0),),
             TerminationStatus(
                 Status.DEGENERATE_BARRIER,
-                {"constant": probe.constant, "at_seed": True},
+                {"constant": probe.constant, "at_seed": True, "accepted_steps": 0},
             ),
             x0,
             (),
@@ -644,7 +601,9 @@ def continue_branch(
     if not sweeps:
         return RootBranch(
             (BranchSample(0, 0.0, x0, w0, res0),),
-            TerminationStatus(Status.COMPLETED, {"trivial_domain": True}),
+            TerminationStatus(
+                Status.COMPLETED, {"trivial_domain": True, "accepted_steps": 0}
+            ),
             None,
             (),
             domain,
@@ -684,14 +643,12 @@ def continue_branch(
             status, where = run.status, run.location
             break
 
+    # roll the step tallies of every segment that ran up to the branch status
+    diag = {**status.diagnostics, "accepted_steps": sum(r.accepted for r in runs)}
     if cfg.certify_steps:
-        # roll segment-level recount tallies up to the branch status
-        checked = sum(r.status.diagnostics.get("certify_checked", 0) for r in runs)
-        failed = sum(r.status.diagnostics.get("certify_failures", 0) for r in runs)
-        status = TerminationStatus(
-            status.kind,
-            {**status.diagnostics, "certify_checked": checked, "certify_failures": failed},
-        )
+        diag["certify_checked"] = diag["accepted_steps"]
+        diag["certify_failures"] = sum(r.certify_failures for r in runs)
+    status = TerminationStatus(status.kind, diag)
     return RootBranch(tuple(all_samples), status, where, sweeps, domain)
 
 
@@ -720,9 +677,9 @@ def resample_branch(
     Newton-polished; residuals are reported honestly (no filtering).  When
     arcs_by_segment is given those arcs are used verbatim (oracle tests);
     otherwise ``total`` samples are distributed across segments
-    proportionally to covered length, at least two per segment.
+    proportionally to covered length, at least two per segment.  cfg is
+    accepted for symmetry with continue_branch; resampling has no knobs.
     """
-    cfg = cfg or EngineConfig()
     by_seg: dict[int, list[BranchSample]] = {}
     for smp in branch.samples:
         by_seg.setdefault(smp.segment, []).append(smp)
@@ -770,6 +727,6 @@ def resample_branch(
             else:
                 point = raws[j].point
                 cx = branch.domain.coordinate(point)
-            w, res = polish_root(f, cx, w_guess, cfg.polish_iters)
+            w, res = polish_root(f, cx, w_guess)
             out.append(BranchSample(i, float(arc), point, w, res))
     return out

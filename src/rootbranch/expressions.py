@@ -342,14 +342,6 @@ def contains_z(e: Expr) -> bool:
     return any(contains_z(c) for c in e.children())
 
 
-def contains_x(e: Expr) -> bool:
-    if isinstance(e, X):
-        return True
-    if isinstance(e, (Guard, Split)):
-        return True
-    return any(contains_x(c) for c in e.children())
-
-
 # ---------------------------------------------------------------------------
 # rendering (matches the problem-file grammar, see problem.py)
 
@@ -511,14 +503,6 @@ class SeriesForm:
                 for c in self.coeffs
             ]
         return np.asarray(vals, dtype=np.complex128)
-
-    def horner(self, x: float, z: complex) -> complex:
-        """Reference evaluation by Horner's rule (used to cross-check eval)."""
-        a = self.coeff_values(x)
-        acc = 0j
-        for c in a[::-1]:
-            acc = acc * z + c
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (
-    Circle,
-    MonicPoly,
-    PowerSums,
-    _check_cofactor,
-    _count_zeros_data,
-    _power_sums_from,
-    newton_to_coeffs,
-)
+from .contour import Circle, MonicPoly, check_cofactor, local_factor_data
 from .errors import (
     CofactorVanishesError,
     DegenerateAtPointError,
     NonFiniteError,
     NonIntegerWindingError,
     NoRadiusFoundError,
+    NoZerosInDiskError,
     ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe
@@ -87,7 +80,6 @@ def select_radius(
     m_floor_rel: float = 1e-13,
     guard: float = 0.5,
     floor_rel: float = 1e-12,
-    probe_on_failure: bool = True,
     probe_radii=(1.0, 10.0),
     probe_samples: int = 64,
     probe_tol: float = 1e-10,
@@ -119,14 +111,11 @@ def select_radius(
         if loc is not None:
             return loc
         r *= 0.5
-    if probe_on_failure:
-        pr = degeneracy_probe(f, x0, probe_radii, probe_samples, probe_tol)
-        if pr.degenerate:
-            err = DegenerateAtPointError(
-                f"z -> F({x0}, z) is constant ({pr.constant})"
-            )
-            err.constant = pr.constant
-            raise err
+    pr = degeneracy_probe(f, x0, probe_radii, probe_samples, probe_tol)
+    if pr.degenerate:
+        err = DegenerateAtPointError(f"z -> F({x0}, z) is constant ({pr.constant})")
+        err.constant = pr.constant
+        raise err
     raise NoRadiusFoundError(
         f"no admissible radius in [{r_max * 0.5 ** halvings:.3e}, {r_max:.3e}] at x={x0}"
     )
@@ -135,22 +124,19 @@ def select_radius(
 def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_rel, margin):
     try:
         circle = Circle(z0, r, samples)
-        n, data = _count_zeros_data(f, x0, circle, guard, floor_rel, margin)
-    except (ZeroOnContourError, NonIntegerWindingError, NonFiniteError, ValueError):
-        return None
-    if n == 0:
+        poly, data = local_factor_data(f, x0, circle, z0, guard, floor_rel, margin)
+    except (
+        ZeroOnContourError,
+        NonIntegerWindingError,
+        NoZerosInDiskError,
+        NonFiniteError,
+        ValueError,
+    ):
         return None
     absf = np.abs(data.f)
     m = float(absf.min())
     maxf = float(absf.max())
     if m < max(m_floor_rel * maxf, 1e-300):
-        return None
-    s = _power_sums_from(data, n, z0)
-    if abs(s[0] - n) > 0.5:
-        return None
-    try:
-        poly = newton_to_coeffs(PowerSums(tuple(s), about=z0))
-    except (NonIntegerWindingError, ValueError):
         return None
     # containment: every root of the factor must hug the center
     bound = 2.0 * max(
@@ -159,7 +145,7 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
     if bound > center_frac * r:
         return None
     try:
-        _check_cofactor(f, x0, circle, poly, m_floor_rel)
+        check_cofactor(f, x0, circle, poly, m_floor_rel)
     except (CofactorVanishesError, NonFiniteError):
         return None
     return LocalFactorization(
@@ -167,7 +153,7 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
         z0=z0,
         r=r,
         m=m,
-        n=n,
+        n=poly.degree,
         poly=poly,
         circle=circle,
         f_nodes=data.f,

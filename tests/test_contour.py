@@ -127,16 +127,6 @@ def test_newton_round_trip_random():
         assert np.max(np.abs(np.array(p.coeffs) - expect)) < 1e-10
 
 
-def test_monic_poly_shift_is_exact():
-    p = MonicPoly((1.0, -2.0, 1.0), 0j)  # (z - 1)^2
-    q = p.shifted_to(1.0 + 0j)
-    assert np.allclose(q.coeffs, [1.0, 0.0, 0.0], atol=1e-15)
-    assert q.about == 1.0
-    # values agree everywhere
-    zs = np.array([0.3 + 0.4j, -1.0, 2.5j])
-    assert np.allclose(p.eval(zs), q.eval(zs), atol=1e-13)
-
-
 def test_poly_roots_quadratic_and_polish():
     p = MonicPoly((1.0, -3.0, 2.0), 0j)
     r = poly_roots(p)

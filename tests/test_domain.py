@@ -52,17 +52,6 @@ def test_path_arc_of_inverts_point_at():
         assert seg.arc_of(p) == pytest.approx(float(arc), abs=1e-12)
 
 
-def test_path_reversal():
-    dom = ytree()
-    seg = dom.path_between(dom.vertex_point("a"), dom.vertex_point("b"))
-    rev = seg.reversed()
-    assert rev.length == pytest.approx(seg.length)
-    for arc in (0.0, 0.25, 0.5, 1.0):
-        pf = seg.point_at(arc)
-        pr = rev.point_at(seg.length - arc)
-        assert dom.coordinate(pf) == pytest.approx(dom.coordinate(pr))
-
-
 def test_sweeps_cover_domain_once():
     dom = ytree()
     for seed in (dom.vertex_point("c"), dom.edge_point(0, 0.5), dom.vertex_point("a")):

@@ -187,5 +187,7 @@ def test_certify_steps_recount():
     cfg = EngineConfig(certify_steps=True)
     br = continue_branch(f, dom, dom.interval_point(0.5), z0, cfg)
     assert br.status.kind is Status.COMPLETED
-    assert br.status.diagnostics["certify_checked"] > 0
-    assert br.status.diagnostics["certify_failures"] == 0
+    d = br.status.diagnostics
+    assert d["certify_checked"] > 0
+    assert d["certify_failures"] == 0
+    assert d["accepted_steps"] == d["certify_checked"]

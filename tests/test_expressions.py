@@ -12,7 +12,6 @@ from rootbranch.expressions import (
     X,
     Z,
     add,
-    contains_x,
     contains_z,
     cos,
     exp,
@@ -180,9 +179,7 @@ def test_parse_errors_carry_position():
 
 
 def test_contains_flags():
-    e = parse_expression("x*z + exp(z)")
-    assert contains_x(e) and contains_z(e)
-    assert not contains_x(parse_expression("z + 1"))
+    assert contains_z(parse_expression("x*z + exp(z)"))
     assert not contains_z(parse_expression("x + 1"))
 
 

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -129,8 +131,38 @@ def test_fixture_excludes_domain_and_seed():
 
 
 def test_unknown_config_key_rejected():
-    with pytest.raises(ValueError):
-        parse_problem(interval_problem(config={"no_such_knob": 1}))
+    bad = [
+        {"no_such_knob": 1},
+        {"r_max_rel": 0.1},  # a fixed constant now, no longer a key
+        {"certify_steps": "false"},
+        {"certify_steps": 1},
+        {"max_steps": 40.9},
+        {"max_steps": True},
+        {"max_steps": 0},
+        {"contour_samples": 100},
+        {"contour_samples": 8},
+        {"residual_tol": float("nan")},
+        {"residual_tol": float("inf")},
+        {"residual_tol": "1e-8"},
+        {"h_min": 0.0},
+        {"h0_frac": -0.1},
+        {"h_max_frac": 1.5},
+        {"blowup_threshold": 10**400},
+    ]
+    for config in bad:
+        with pytest.raises(ValueError):
+            parse_problem(interval_problem(config=config))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = {
+        line.split("`")[1]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    }
+    assert keys == {f.name for f in fields(EngineConfig)}
 
 
 def test_seed_out_of_range_rejected():
