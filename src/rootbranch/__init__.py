@@ -50,6 +50,7 @@ from .expressions import (
     SeriesForm,
     degeneracy_probe,
     polish_root,
+    polish_roots,
 )
 from .fixtures import Fixture, fixture_names, get_fixture, list_fixtures
 from .localize import LocalFactorization, StepValidation, select_radius, validate_step
@@ -105,6 +106,7 @@ __all__ = [
     "parse_problem",
     "poly_roots",
     "polish_root",
+    "polish_roots",
     "power_sums",
     "build",
     "render",

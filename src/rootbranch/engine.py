@@ -34,7 +34,7 @@ from .errors import (
     SolverError,
     ZeroOnContourError,
 )
-from .expressions import EntireFunction, degeneracy_probe, polish_root
+from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_roots
 from .localize import LocalFactorization, select_radius, validate_step
 
 _STEP_ERRORS = (
@@ -645,6 +645,10 @@ def continue_branch(
 
     # roll the step tallies of every segment that ran up to the branch status
     diag = {**status.diagnostics, "accepted_steps": sum(r.accepted for r in runs)}
+    snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
+    if status.kind is Status.COMPLETED and snaps:
+        diag["snapped"] = True
+        diag["snap_gap"] = max(d["snap_gap"] for d in snaps)
     if cfg.certify_steps:
         diag["certify_checked"] = diag["accepted_steps"]
         diag["certify_failures"] = sum(r.certify_failures for r in runs)
@@ -674,11 +678,12 @@ def resample_branch(
     """Evenly spaced output samples along the covered part of the branch.
 
     Raw adaptive samples are linearly interpolated at the target arcs and
-    Newton-polished; residuals are reported honestly (no filtering).  When
-    arcs_by_segment is given those arcs are used verbatim (oracle tests);
-    otherwise ``total`` samples are distributed across segments
-    proportionally to covered length, at least two per segment.  cfg is
-    accepted for symmetry with continue_branch; resampling has no knobs.
+    Newton-polished, all rows in one polish_roots call; residuals are
+    reported honestly (no filtering).  When arcs_by_segment is given those
+    arcs are used verbatim (oracle tests); otherwise ``total`` samples are
+    distributed across segments proportionally to covered length, at least
+    two per segment.  cfg is accepted for symmetry with continue_branch;
+    resampling has no knobs.
     """
     by_seg: dict[int, list[BranchSample]] = {}
     for smp in branch.samples:
@@ -700,33 +705,38 @@ def resample_branch(
             order = sorted(live, key=lambda i: raw[i] - int(raw[i]), reverse=True)
             for j in range(short):
                 quota[order[j % len(order)]] += 1
-    out: list[BranchSample] = []
+    rows: list[tuple[int, float, DomainPoint]] = []
+    xs: list[np.ndarray] = []
+    guesses: list[np.ndarray] = []
     for i in sorted(by_seg):
         raws = by_seg[i]
         lo, hi, span = spans[i]
         seg = branch.sweeps[i].segment if i < len(branch.sweeps) else None
         if arcs_by_segment is not None:
-            targets = list(arcs_by_segment.get(i, ()))
+            targets = np.asarray(arcs_by_segment.get(i, ()), dtype=np.float64)
         elif span == 0.0 or total_len == 0.0:
-            targets = [lo]
+            targets = np.array([lo])
         else:
-            targets = list(np.linspace(lo, hi, quota[i]))
-        arcs = [r.arc for r in raws]
-        for arc in targets:
-            arc = min(max(arc, lo), hi)
-            j = int(np.searchsorted(arcs, arc, side="right")) - 1
-            j = min(max(j, 0), len(raws) - 1)
-            if j + 1 < len(raws) and raws[j + 1].arc > raws[j].arc and arc > raws[j].arc:
-                t = (arc - raws[j].arc) / (raws[j + 1].arc - raws[j].arc)
-                w_guess = raws[j].w * (1.0 - t) + raws[j + 1].w * t
-            else:
-                w_guess = raws[j].w
-            if seg is not None:
-                point = seg.point_at(arc)
-                cx = branch.domain.coordinate(point)
-            else:
-                point = raws[j].point
-                cx = branch.domain.coordinate(point)
-            w, res = polish_root(f, cx, w_guess)
-            out.append(BranchSample(i, float(arc), point, w, res))
-    return out
+            targets = np.linspace(lo, hi, quota[i])
+        targets = np.clip(targets, lo, hi)
+        # interpolate between the raw samples around each target
+        arcs = np.array([r.arc for r in raws])
+        ws = np.array([r.w for r in raws], dtype=np.complex128)
+        j = np.clip(np.searchsorted(arcs, targets, side="right") - 1, 0, len(raws) - 1)
+        k = np.minimum(j + 1, len(raws) - 1)
+        inside = (arcs[k] > arcs[j]) & (targets > arcs[j])
+        t = (targets - arcs[j]) / np.where(inside, arcs[k] - arcs[j], 1.0)
+        guesses.append(np.where(inside, ws[j] * (1.0 - t) + ws[k] * t, ws[j]))
+        x = np.empty(len(targets))
+        for n, (arc, jn) in enumerate(zip(targets.tolist(), j.tolist())):
+            point = seg.point_at(arc) if seg is not None else raws[jn].point
+            x[n] = branch.domain.coordinate(point)
+            rows.append((i, arc, point))
+        xs.append(x)
+    if not rows:
+        return []
+    w, res = polish_roots(f, np.concatenate(xs), np.concatenate(guesses))
+    return [
+        BranchSample(i, arc, point, wn, rn)
+        for (i, arc, point), wn, rn in zip(rows, w.tolist(), res.tolist())
+    ]

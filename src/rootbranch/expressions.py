@@ -1,8 +1,10 @@
 """Parametrized entire functions F(x, z) as small expression trees.
 
-The parameter x is a real scalar (the arc coordinate of a domain point), z is
-complex.  Trees evaluate vectorized over numpy arrays of z values, and carry
-an exact symbolic d/dz so contour integrands need no finite differences.
+The parameter x is real (the arc coordinate of a domain point), z is
+complex.  Trees evaluate vectorized over numpy arrays of z values, and x may
+be a float array that broadcasts against z (one parameter per row).  Trees
+carry an exact symbolic d/dz so contour integrands need no finite
+differences.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from .errors import NonFiniteError, OutOfDomainError
 
 
 class Expr:
-    """Base expression node. Subclasses implement ev / dz / children."""
+    """Base expression node. Subclasses implement ev / dz / children.
 
-    def ev(self, x: float, z):
+    ``ev(x, z)`` takes a float x or a float ndarray x that broadcasts
+    against z.
+    """
+
+    def ev(self, x, z):
         raise NotImplementedError
 
     def dz(self) -> "Expr":
@@ -74,6 +80,8 @@ class Const(Expr):
 @dataclass(frozen=True, repr=False)
 class X(Expr):
     def ev(self, x, z):
+        if isinstance(x, np.ndarray):
+            return x.astype(np.complex128)
         return complex(x)
 
     def dz(self):
@@ -213,8 +221,9 @@ class Guard(Expr):
     """Piecewise value pinned at one parameter point.
 
     Evaluates ``at_value`` when x equals x0 exactly, ``elsewhere`` otherwise.
-    Only the selected branch is evaluated, so the other branch may be
-    singular at x0 (the usual use: removable limits at a domain boundary).
+    Only the selected branch is evaluated (row by row for an array x), so
+    the other branch may be singular at x0 (the usual use: removable limits
+    at a domain boundary).
     """
 
     x0: float
@@ -222,6 +231,8 @@ class Guard(Expr):
     elsewhere: Expr
 
     def ev(self, x, z):
+        if isinstance(x, np.ndarray):
+            return _select(x == self.x0, x, z, self.at_value, self.elsewhere)
         if x == self.x0:
             return self.at_value.ev(x, z)
         return self.elsewhere.ev(x, z)
@@ -246,6 +257,8 @@ class Split(Expr):
     right: Expr
 
     def ev(self, x, z):
+        if isinstance(x, np.ndarray):
+            return _select(x <= self.xc, x, z, self.left, self.right)
         if x <= self.xc:
             return self.left.ev(x, z)
         return self.right.ev(x, z)
@@ -255,6 +268,20 @@ class Split(Expr):
 
     def children(self):
         return (self.left, self.right)
+
+
+def _select(mask: np.ndarray, x: np.ndarray, z, a: Expr, b: Expr):
+    """``a`` on the rows where mask holds, ``b`` on the others; each side is
+    evaluated only on its own rows."""
+    if mask.all():
+        return a.ev(x, z)
+    if not mask.any():
+        return b.ev(x, z)
+    x, z, mask = np.broadcast_arrays(x, z, mask)
+    out = np.empty(x.shape, dtype=np.complex128)
+    out[mask] = a.ev(x[mask], z[mask])
+    out[~mask] = b.ev(x[~mask], z[~mask])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +464,20 @@ class EntireFunction:
         self.x_range = x_range
         self._dz = expr.dz()
 
-    def _check_x(self, x: float) -> float:
-        x = float(x)
+    def _check_x(self, x):
+        """x as a float, or as a float array when x is an ndarray.
+
+        Raises OutOfDomainError naming the first x outside x_range (a NaN x
+        is outside).
+        """
+        array = isinstance(x, np.ndarray)
+        x = x.astype(np.float64, copy=False) if array else float(x)
         if self.x_range is not None:
             lo, hi = self.x_range
-            if not (lo <= x <= hi):
-                raise OutOfDomainError(f"x={x} outside [{lo}, {hi}]")
+            inside = (lo <= x) & (x <= hi) if array else lo <= x <= hi
+            if not (inside.all() if array else inside):
+                bad = float(x.ravel()[np.argmin(inside.ravel())]) if array else x
+                raise OutOfDomainError(f"x={bad} outside [{lo}, {hi}]")
         return x
 
     def eval(self, x: float, z: complex) -> complex:
@@ -465,8 +500,7 @@ class EntireFunction:
         x = self._check_x(x)
         z = np.asarray(z, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out = np.asarray(expr.ev(x, z), dtype=np.complex128)
-        out = np.broadcast_to(out, z.shape).copy() if out.shape != z.shape else out
+            out = _ev_rows(expr, x, z)
         if not np.isfinite(out).all():
             bad = z.ravel()[int(np.flatnonzero(~np.isfinite(out.ravel()))[0])]
             raise NonFiniteError(f"F(x={x}, z={bad}) is not finite")
@@ -544,8 +578,7 @@ def degeneracy_probe(
     zs = np.concatenate(pts)
     x0 = f._check_x(x0)
     with np.errstate(all="ignore"):
-        vals = np.asarray(f.expr.ev(x0, zs), dtype=np.complex128)
-    vals = np.broadcast_to(vals, zs.shape)
+        vals = _ev_rows(f.expr, x0, zs)
     finite = np.isfinite(vals)
     if not finite.all():
         zb = complex(zs[int(np.flatnonzero(~finite)[0])])
@@ -569,8 +602,12 @@ def degeneracy_probe(
     )
 
 
+# Newton iterations of polish_root by default, and of every polish_roots row
+POLISH_MAX_ITER = 8
+
+
 def polish_root(
-    f: EntireFunction, x: float, z0: complex, max_iter: int = 8
+    f: EntireFunction, x: float, z0: complex, max_iter: int = POLISH_MAX_ITER
 ) -> tuple[complex, float]:
     """Newton-refine an approximate root of z -> F(x, z).
 
@@ -579,11 +616,11 @@ def polish_root(
     """
     best_z = complex(z0)
     try:
-        best_r = abs(f.eval(x, best_z))
+        fz = f.eval(x, best_z)
     except NonFiniteError:
         return best_z, float("inf")
     z = best_z
-    r = best_r
+    r = best_r = abs(fz)
     for _ in range(max_iter):
         if r == 0.0:
             break
@@ -593,14 +630,60 @@ def polish_root(
             break
         if d == 0 or not np.isfinite(abs(d)):
             break
-        step = f.eval(x, z) / d
-        z = z - step
+        z = z - fz / d
         try:
-            r = abs(f.eval(x, z))
+            fz = f.eval(x, z)
         except NonFiniteError:
             break
+        r = abs(fz)
         if r < best_r:
             best_z, best_r = z, r
         elif r > 2.0 * best_r:
             break
     return best_z, best_r
+
+
+def polish_roots(
+    f: EntireFunction, x: np.ndarray, z0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """polish_root for many rows at once: row k refines z0[k] at x[k].
+
+    x and z0 are arrays of one shape.  Every row follows polish_root's
+    rules with its default iteration count, but all rows share one Newton
+    loop over arrays.  Returns the arrays (z, residual).
+    """
+    z0 = np.asarray(z0, dtype=np.complex128)
+    x = f._check_x(np.asarray(x, dtype=np.float64))
+    if x.shape != z0.shape:
+        raise ValueError(f"x has shape {x.shape}, z0 has shape {z0.shape}")
+    best_z = z0.copy()
+    with np.errstate(all="ignore"):
+        fz = _ev_rows(f.expr, x, z0)
+        start_ok = np.isfinite(fz)
+        best_r = np.where(start_ok, np.abs(fz), np.inf)
+        # rows still iterating, with their current iterate and F there
+        live = np.flatnonzero(start_ok & (best_r != 0.0))
+        z, fz = z0[live], fz[live]
+        for _ in range(POLISH_MAX_ITER):
+            if live.size == 0:
+                break
+            d = _ev_rows(f._dz, x[live], z)
+            ok = (d != 0) & np.isfinite(np.abs(d))
+            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
+            z = z - fz / d
+            fz = _ev_rows(f.expr, x[live], z)
+            ok = np.isfinite(fz)
+            live, z, fz = live[ok], z[ok], fz[ok]
+            r = np.abs(fz)
+            better = r < best_r[live]
+            best_z[live[better]] = z[better]
+            best_r[live[better]] = r[better]
+            keep = (r <= 2.0 * best_r[live]) & (r != 0.0)
+            live, z, fz = live[keep], z[keep], fz[keep]
+    return best_z, best_r
+
+
+def _ev_rows(expr: Expr, x, z: np.ndarray) -> np.ndarray:
+    """expr at (x, z) as a complex array of z's shape (a constant broadcasts)."""
+    out = np.asarray(expr.ev(x, z), dtype=np.complex128)
+    return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()

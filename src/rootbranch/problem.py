@@ -26,8 +26,10 @@ Expression grammar (infix, whitespace-insensitive)::
 
 ``guard(x0; v; e)`` evaluates to ``v`` exactly at x = x0 and to ``e``
 elsewhere (v may use z); ``split(xc; l; r)`` selects ``l`` for x <= xc and
-``r`` beyond.  ``pow`` takes an integer exponent (negative allowed; the
-result must stay finite on the domain except where masked by a guard).
+``r`` beyond.  ``pow`` takes an integer exponent; a negative one parses
+anywhere, but ``build`` accepts it only on a base free of z (F must be
+entire in z), and the result must stay finite on the domain except where
+masked by a guard.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .expressions import (
     EntireFunction,
     Expr,
     Guard,
+    Pow,
     Split,
     X,
     Z,
@@ -61,6 +64,7 @@ from .expressions import (
     powi,
     sin,
     sub,
+    to_text,
 )
 
 __all__ = [
@@ -443,6 +447,16 @@ _CONT_PROBES = np.array(
 )
 
 
+def _validate_entire(e: Expr) -> None:
+    """Reject a negative power of a z-dependent base: F has poles in z."""
+    if isinstance(e, Pow) and e.n < 0 and contains_z(e.base):
+        raise ProblemValidationError(
+            f"{to_text(e)} is not entire in z: a negative power needs a base free of z"
+        )
+    for c in e.children():
+        _validate_entire(c)
+
+
 def _validate_piecewise(expr: Expr, dom: ParamDomain) -> None:
     lo, hi = dom.coordinate_range()
     vertex_coords = {dom.coordinate(dom.vertex_point(i)) for i in range(len(dom.vertex_names))}
@@ -517,6 +531,7 @@ def build(spec: ProblemSpec):
 
     if spec.function is not None:
         expr = parse_expression(spec.function)
+        _validate_entire(expr)
         _validate_piecewise(expr, dom)
         f = EntireFunction(expr, x_range=x_range)
     else:

@@ -7,10 +7,12 @@ from rootbranch import (
     EntireFunction,
     ParamDomain,
     Status,
+    build,
     classify_termination,
     continue_branch,
     match_root,
     parse_expression,
+    parse_problem,
     polish_root,
     resample_branch,
 )
@@ -191,3 +193,14 @@ def test_certify_steps_recount():
     assert d["certify_checked"] > 0
     assert d["certify_failures"] == 0
     assert d["accepted_steps"] == d["certify_checked"]
+
+
+def test_completed_run_keeps_snap_diagnostics():
+    # remark-exp stalls 2.8e-12 short of x = 0 and snaps onto the end
+    f, dom, x0, z0, cfg = build(parse_problem({"fixture": "remark-exp"}))
+    br = continue_branch(f, dom, x0, z0, cfg)
+    assert br.status.kind is Status.COMPLETED
+    d = br.status.diagnostics
+    assert d["snapped"] is True
+    assert 0.0 < d["snap_gap"] <= 1e-9
+    assert d["accepted_steps"] == 79

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rootbranch import EntireFunction, NonFiniteError, OutOfDomainError, SeriesForm
-from rootbranch import degeneracy_probe, parse_expression
+from rootbranch import build, degeneracy_probe, parse_expression, parse_problem
+from rootbranch import polish_root, polish_roots
+from rootbranch.fixtures import fixture_names
 from rootbranch.expressions import (
     Const,
     Guard,
@@ -119,6 +121,86 @@ def test_guard_selects_branch_without_evaluating_other():
     f = EntireFunction(e)
     assert f.eval(1.0, 3.0) == 3.0
     assert f.eval(0.5, 3.0) == pytest.approx(2.0)
+
+
+def test_guard_array_x_evaluates_each_side_on_its_own_rows():
+    # the elsewhere-side would divide by zero on the x0 row: under
+    # errstate(all="raise") evaluating it there raises
+    e = Guard(1.0, Z(), powi(sub(Const(1.0), X()), -1))
+    x = np.array([1.0, 0.5, 1.0, 0.75])
+    z = np.array([3.0, 3.0, 2.0 - 1.0j, 0.0])
+    with np.errstate(all="raise"):
+        vals = e.ev(x, z)
+        assert np.array_equal(vals, [3.0, 2.0, 2.0 - 1.0j, 4.0])
+        with pytest.raises(FloatingPointError):
+            e.elsewhere.ev(np.array([1.0]), np.array([3.0]))
+
+
+def test_split_array_x_evaluates_each_side_on_its_own_rows():
+    # the right side is singular at x = 0, a left-side row
+    e = Split(0.5, X(), powi(X(), -1))
+    x = np.array([0.0, 0.5, 1.0, 0.25, 2.0])
+    with np.errstate(all="raise"):
+        vals = e.ev(x, np.zeros(5, dtype=np.complex128))
+    assert np.array_equal(vals, [0.0, 0.5, 1.0, 0.25, 0.5])
+    assert np.array_equal(X().ev(x, 0j), x.astype(np.complex128))
+
+
+def test_polish_roots_matches_polish_root_row_for_row():
+    rng = np.random.default_rng(2009)
+    # guard point of example1-sin, split and guard points of example2-phi
+    special = {"example1-sin": [0.0], "example2-phi": [0.5, 1.0]}
+    eps = np.finfo(float).eps
+    for name in fixture_names():
+        f, dom, *_ = build(parse_problem({"fixture": name}))
+        lo, hi = dom.coordinate_range()
+        rows = []
+        for x in [float(x) for x in np.linspace(lo, hi, 7)] + special.get(name, []):
+            # each root found, and a start 1e-3 off it: near a root Newton
+            # does not amplify rounding differences
+            for _ in range(3):
+                g = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                w, r = polish_root(f, x, g, max_iter=40)
+                if r < 1e-9:
+                    off = 1e-3 * (1.0 + abs(w)) * np.exp(2j * np.pi * rng.uniform())
+                    rows += [(x, w), (x, w + off)]
+        x = np.array([r[0] for r in rows])
+        z0 = np.array([r[1] for r in rows])
+        zv, rv = polish_roots(f, x, z0)
+        assert zv.shape == rv.shape == z0.shape
+        for k, (xk, zk) in enumerate(rows):
+            zs, rs = polish_root(f, xk, zk)
+            # numpy's array loops may round a last bit differently
+            assert abs(zv[k] - zs) <= 4 * eps * (1.0 + abs(zs)), (name, xk, zk)
+            # the residual agrees to 4 ulp relative, except at a root, where
+            # it is the rounding noise of F: that noise, and the change of
+            # |F| over the 4 ulp allowed in z, scale with |F_z| (1 + |z|)
+            scale = abs(f.eval_dz(xk, zs)) * (1.0 + abs(zs))
+            assert abs(rv[k] - rs) <= 4 * eps * max(rs, scale), (name, xk, zk)
+        assert set(special.get(name, [])) <= set(x.tolist())
+
+
+def test_polish_roots_edge_rows():
+    f = f_of("exp(z) - x")
+    zs, rs = polish_roots(f, np.array([1.0, 1.0, 2.0]), np.array([1e9, 0.0, 0.1]))
+    # non-finite start: kept with residual inf; exact root: kept as is
+    assert zs[0] == 1e9 and rs[0] == np.inf
+    assert zs[1] == 0.0 and rs[1] == 0.0
+    assert zs[2] == pytest.approx(math.log(2.0), rel=1e-15) and rs[2] < 1e-15
+    assert polish_root(f, 1.0, 1e9) == (1e9, np.inf)
+    # Newton cycles 0 -> 1 -> 0 on z^3 - 2z + 2: the worse iterate 0 is
+    # never adopted again
+    c = f_of("pow(z, 3) - 2.0*z + 2.0")
+    assert polish_root(c, 0.0, 0j) == (1.0, 1.0)
+    zs, rs = polish_roots(c, np.zeros(1), np.zeros(1))
+    assert (zs[0], rs[0]) == (1.0, 1.0)
+    g = EntireFunction(parse_expression("z - x"), x_range=(0.0, 1.0))
+    with pytest.raises(OutOfDomainError, match="x=1.5 outside"):
+        polish_roots(g, np.array([0.5, 1.5]), np.zeros(2))
+    with pytest.raises(OutOfDomainError, match="x=nan outside"):
+        polish_roots(g, np.array([np.nan]), np.zeros(1))
+    with pytest.raises(ValueError):
+        polish_roots(g, 0.5, np.zeros(2))
 
 
 def test_split_switches_at_cut():

@@ -198,3 +198,19 @@ def test_fixture_config_override_merges():
     spec = parse_problem({"fixture": "remark-exp", "config": {"max_steps": 123}})
     f, dom, x0, z0, cfg = build(spec)
     assert cfg.max_steps == 123
+
+
+def test_negative_power_of_z_fails_validation(tmp_path, capsys):
+    from rootbranch.cli import main
+
+    # 1/z - x has a pole at z = 0: the argument principle would count it
+    for fn in ("pow(z, -1) - x", "exp(pow(z + x, -2)) - 2.0"):
+        with pytest.raises(ProblemValidationError, match="not entire in z"):
+            build(parse_problem(interval_problem(fn, x=0.5, z=(2.0, 0.0))))
+    pf = tmp_path / "pole.json"
+    pf.write_text(json.dumps(interval_problem("pow(z, -1) - x", x=0.5, z=(2.0, 0.0))))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    assert "not entire" in capsys.readouterr().err
+    # negative powers of bases free of z stay legal
+    f, *_ = build(parse_problem(interval_problem("pow(1 - x, -1)*z - pow(x, -2)", x=0.5)))
+    assert f.eval(0.5, 2.0) == 0.0
