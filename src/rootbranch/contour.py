@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     NoZerosInDiskError,
     ZeroOnContourError,
 )
-from .expressions import EntireFunction
+from .expressions import EntireFunction, require_finite, x_key
 
 WINDING_SLACK = 0.25  # max distance of a trapezoid winding from its integer
 
@@ -65,17 +66,48 @@ class Circle:
 
 @dataclass(frozen=True)
 class ContourData:
-    """Sampled F and dF/dz on a circle (internal plumbing, reused upstream)."""
+    """F and dF/dz sampled at x on a circle's nodes.
 
+    The arrays are made read-only: certificates and step checks keep them
+    and hand them on instead of sampling the same nodes again.
+    """
+
+    x: float
     circle: Circle
     z: np.ndarray
     f: np.ndarray
     fz: np.ndarray
 
+    def __post_init__(self):
+        for a in (self.z, self.f, self.fz):
+            a.flags.writeable = False
+
+
+def sample_contour_unchecked(f: EntireFunction, x: float, circle: Circle) -> ContourData:
+    """F and dF/dz on the circle's nodes from one kernel call; values may be
+    non-finite."""
+    z = circle.nodes()
+    fv, fz = f.kernel(x, z)
+    return ContourData(x, circle, z, fv, fz)
+
 
 def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
-    z = circle.nodes()
-    return ContourData(circle, z, f.eval_many(x, z), f.eval_dz_many(x, z))
+    """F and dF/dz on the circle's nodes; NonFiniteError if either is not
+    finite at some node."""
+    data = sample_contour_unchecked(f, x, circle)
+    require_finite(x, data.z, data.f, data.fz)
+    return data
+
+
+def _sample(
+    f: EntireFunction, x: float, circle: Circle, samples: Sequence[ContourData]
+) -> ContourData:
+    """sample_contour, served from ``samples`` when they hold this x and circle."""
+    for data in samples:
+        if data.circle == circle and x_key(data.x) == x_key(x):
+            require_finite(x, data.z, data.f, data.fz)
+            return data
+    return sample_contour(f, x, circle)
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
@@ -196,14 +228,16 @@ def _count_zeros_data(
     guard: float = 0.5,
     floor_rel: float = 1e-12,
     margin: float = 1.0,
-) -> tuple[int, ContourData]:
-    """count_zeros plus the base-resolution samples, for reuse downstream."""
-    base = sample_contour(f, x, circle)
-    check_contour_clear(base, guard, floor_rel, margin)
-    w_prev = _winding(base)
-    data = base
+    samples: Sequence[ContourData] = (),
+) -> tuple[int, tuple[ContourData, ...]]:
+    """count_zeros plus the samples it took (M nodes, 2M, maybe 4M), for
+    reuse downstream; node sets found in ``samples`` are not sampled again."""
+    levels = [_sample(f, x, circle, samples)]
+    check_contour_clear(levels[0], guard, floor_rel, margin)
+    w_prev = _winding(levels[0])
     for _ in range(2):
-        data = sample_contour(f, x, data.circle.doubled())
+        data = _sample(f, x, levels[-1].circle.doubled(), samples)
+        levels.append(data)
         check_contour_clear(data, guard, floor_rel, margin)
         w_next = _winding(data)
         n = int(round(w_next.real))
@@ -212,7 +246,7 @@ def _count_zeros_data(
                 raise NonIntegerWindingError(
                     f"winding settled on negative count {n}"
                 )
-            return n, base
+            return n, tuple(levels)
         w_prev = w_next
     raise NonIntegerWindingError(
         f"winding did not settle: last two estimates {w_prev:.6f}, {w_next:.6f}"
@@ -329,27 +363,31 @@ def local_factor_data(
     guard: float = 0.5,
     floor_rel: float = 1e-12,
     margin: float = 1.0,
-) -> tuple[MonicPoly, ContourData]:
-    """The monic factor of the enclosed zeros, plus the base samples.
+    samples: Sequence[ContourData] = (),
+) -> tuple[MonicPoly, tuple[ContourData, ...]]:
+    """The monic factor of the enclosed zeros, plus the samples taken.
 
     Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
     taken about ``about`` (default: the circle center); guard, floor_rel and
     margin are those of count_zeros.  The returned samples are F and F' at
-    the circle's own node count, for callers that also need |F| there.
+    the circle's own node count, then at 2M (and 4M if the count needed
+    it), for callers that also need |F| there.  ``samples`` are F and F'
+    already taken at this x (validate_step's); a node set found among them
+    is not sampled again.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
     if about is None:
         about = circle.center
-    n, data = _count_zeros_data(f, x, circle, guard, floor_rel, margin)
+    n, levels = _count_zeros_data(f, x, circle, guard, floor_rel, margin, samples)
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
-    s = _power_sums_from(data, n, about)
+    s = _power_sums_from(levels[0], n, about)
     if abs(s[0] - n) > 0.5:
         raise NonIntegerWindingError(
             f"s_0 = {s[0]:.6f} inconsistent with count {n}"
         )
-    return newton_to_coeffs(PowerSums(tuple(s), about=about)), data
+    return newton_to_coeffs(PowerSums(tuple(s), about=about)), levels
 
 
 def local_monic_factor(
@@ -360,15 +398,19 @@ def local_monic_factor(
     guard: float = 0.5,
     floor_rel: float = 1e-12,
     m_floor_rel: float = 1e-13,
+    samples: Sequence[ContourData] = (),
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
 
     local_factor_data followed by check_cofactor, so F/P is also certified
-    free of zeros inside the disk.
+    free of zeros inside the disk.  ``samples`` are passed on to
+    local_factor_data.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    poly, _ = local_factor_data(f, x, circle, about, guard, floor_rel)
+    poly, _ = local_factor_data(
+        f, x, circle, about, guard, floor_rel, samples=samples
+    )
     check_cofactor(f, x, circle, poly, m_floor_rel)
     return poly
 

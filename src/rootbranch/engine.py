@@ -481,10 +481,14 @@ def _step_root(
     is ambiguous, or the polished root misses residual_tol or jumps out of
     the certificate.  streak counts the ambiguous matches in a row.
     """
-    if not validate_step(f, loc, x1).accepted:
+    check = validate_step(f, loc, x1)
+    if not check.accepted:
         return None, 0.0, ambiguous_streak
     try:
-        poly1 = local_monic_factor(f, x1, loc.circle, about=loc.z0)
+        # the factor at x1 reuses the F(x1) samples the Rouche check took
+        poly1 = local_monic_factor(
+            f, x1, loc.circle, about=loc.z0, samples=check.samples
+        )
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"

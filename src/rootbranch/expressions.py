@@ -4,11 +4,14 @@ The parameter x is real (the arc coordinate of a domain point), z is
 complex.  Trees evaluate vectorized over numpy arrays of z values, and x may
 be a float array that broadcasts against z (one parameter per row).  Trees
 carry an exact symbolic d/dz so contour integrands need no finite
-differences.
+differences.  For a float x, EntireFunction evaluates F and dF/dz through
+compiled straight-line code (see _Kernel) that gives the tree walk's
+results bit for bit.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,8 +28,12 @@ class Expr:
     """Base expression node. Subclasses implement ev / dz / children.
 
     ``ev(x, z)`` takes a float x or a float ndarray x that broadcasts
-    against z.
+    against z.  ``code`` is ev for a float x as a Python expression over
+    the children's values {0}, {1} (and {n} for Pow's exponent); _Kernel
+    compiles it, so the two must compute the same operation.
     """
+
+    code = ""
 
     def ev(self, x, z):
         raise NotImplementedError
@@ -79,6 +86,8 @@ class Const(Expr):
 
 @dataclass(frozen=True, repr=False)
 class X(Expr):
+    code = "complex(x)"
+
     def ev(self, x, z):
         if isinstance(x, np.ndarray):
             return x.astype(np.complex128)
@@ -102,6 +111,8 @@ class Add(Expr):
     a: Expr
     b: Expr
 
+    code = "{0} + {1}"
+
     def ev(self, x, z):
         return self.a.ev(x, z) + self.b.ev(x, z)
 
@@ -116,6 +127,8 @@ class Add(Expr):
 class Sub(Expr):
     a: Expr
     b: Expr
+
+    code = "{0} - {1}"
 
     def ev(self, x, z):
         return self.a.ev(x, z) - self.b.ev(x, z)
@@ -132,6 +145,8 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
+    code = "{0} * {1}"
+
     def ev(self, x, z):
         return self.a.ev(x, z) * self.b.ev(x, z)
 
@@ -145,6 +160,8 @@ class Mul(Expr):
 @dataclass(frozen=True, repr=False)
 class Neg(Expr):
     a: Expr
+
+    code = "-{0}"
 
     def ev(self, x, z):
         return -self.a.ev(x, z)
@@ -163,6 +180,8 @@ class Pow(Expr):
     base: Expr
     n: int
 
+    code = "asarray({0}, dtype=complex128) ** {n}"
+
     def ev(self, x, z):
         b = np.asarray(self.base.ev(x, z), dtype=np.complex128)
         return b ** self.n
@@ -178,6 +197,8 @@ class Pow(Expr):
 class Exp(Expr):
     a: Expr
 
+    code = "exp({0})"
+
     def ev(self, x, z):
         return np.exp(self.a.ev(x, z))
 
@@ -192,6 +213,8 @@ class Exp(Expr):
 class Sin(Expr):
     a: Expr
 
+    code = "sin({0})"
+
     def ev(self, x, z):
         return np.sin(self.a.ev(x, z))
 
@@ -205,6 +228,8 @@ class Sin(Expr):
 @dataclass(frozen=True, repr=False)
 class Cos(Expr):
     a: Expr
+
+    code = "cos({0})"
 
     def ev(self, x, z):
         return np.cos(self.a.ev(x, z))
@@ -463,6 +488,7 @@ class EntireFunction:
         self.expr = expr
         self.x_range = x_range
         self._dz = expr.dz()
+        self._compiled: Optional[_Kernel] = None  # built on first use
 
     def _check_x(self, x):
         """x as a float, or as a float array when x is an ndarray.
@@ -480,6 +506,21 @@ class EntireFunction:
                 raise OutOfDomainError(f"x={bad} outside [{lo}, {hi}]")
         return x
 
+    def kernel(
+        self, x: float, z: np.ndarray, dz: bool = True
+    ) -> tuple[np.ndarray, ...]:
+        """(F, dF/dz) at a float x, or (F,) when dz is False, unchecked.
+
+        Each value is a complex array of z's shape, from one call of the
+        compiled kernel (see _Kernel); non-finite values are returned as
+        they are.  Equal bit for bit to the tree walk.
+        """
+        x = self._check_x(x)
+        z = np.asarray(z, dtype=np.complex128)
+        if self._compiled is None:
+            self._compiled = _Kernel(self.expr, self._dz)
+        return self._compiled(x, z, dz)
+
     def eval(self, x: float, z: complex) -> complex:
         """Evaluate F(x, z) for scalar z. Raises NonFiniteError on overflow."""
         return complex(self.eval_many(x, np.asarray([z], dtype=np.complex128))[0])
@@ -490,21 +531,190 @@ class EntireFunction:
 
     def eval_many(self, x: float, z: np.ndarray) -> np.ndarray:
         """Vectorized F(x, z) over an array of z values."""
-        return self._ev_checked(self.expr, x, z)
+        return self._ev_checked(0, x, z)
 
     def eval_dz_many(self, x: float, z: np.ndarray) -> np.ndarray:
         """Vectorized dF/dz over an array of z values."""
-        return self._ev_checked(self._dz, x, z)
+        return self._ev_checked(1, x, z)
 
-    def _ev_checked(self, expr: Expr, x: float, z: np.ndarray) -> np.ndarray:
-        x = self._check_x(x)
+    def _ev_checked(self, k: int, x, z: np.ndarray) -> np.ndarray:
+        """F (k = 0) or dF/dz (k = 1), finite or NonFiniteError.  A float x
+        goes through the kernel, an array x through the tree walk."""
         z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            out = _ev_rows(expr, x, z)
-        if not np.isfinite(out).all():
-            bad = z.ravel()[int(np.flatnonzero(~np.isfinite(out.ravel()))[0])]
-            raise NonFiniteError(f"F(x={x}, z={bad}) is not finite")
+        if isinstance(x, np.ndarray):
+            x = self._check_x(x)
+            with np.errstate(all="ignore"):
+                out = _ev_rows((self.expr, self._dz)[k], x, z)
+        else:
+            out = self.kernel(x, z, dz=k == 1)[k]
+        require_finite(x, z, out)
         return out
+
+
+def require_finite(x, z: np.ndarray, *values: np.ndarray) -> None:
+    """Raise NonFiniteError naming the first z where a value is not finite."""
+    for v in values:
+        ok = np.isfinite(v)
+        if not ok.all():
+            bad = z.ravel()[int(np.flatnonzero(~ok.ravel())[0])]
+            raise NonFiniteError(f"F(x={x}, z={bad}) is not finite")
+
+
+def x_key(x: float) -> bytes:
+    """The exact bits of a float x: 0.0 and -0.0 are different keys."""
+    return _F64.pack(x)
+
+
+_F64 = struct.Struct("<d")
+_X_CACHE = 8  # x values whose x-only part one kernel keeps
+
+
+class _Kernel:
+    """F and dF/dz of one function as compiled straight-line numpy code.
+
+    The value tree and the dz tree are hash-consed into one DAG, so each
+    distinct subexpression is computed once per call.  Constants and switch
+    points are keyed on their type and repr, which tell -0.0 from 0.0, so
+    merged nodes always compute the same bits.  A float x fixes every
+    guard/split choice; each choice signature gets its own code, compiled
+    on first use.  The nodes that do not read z are computed once per x
+    (cached on the bits of x) and shared by every later call at that x.
+    Each node runs its ``Expr.code`` on operands of the same types as in
+    the tree walk, so the results equal ``_ev_rows`` bit for bit.
+    """
+
+    def __init__(self, expr: Expr, dz: Expr):
+        self.nodes: list[Expr] = []  # the DAG: distinct nodes, children first
+        self.kids: list[tuple[int, ...]] = []  # their children's ids
+        ids: dict[tuple, int] = {}
+        seen: dict[int, int] = {}
+        self.roots = (self._intern(expr, ids, seen), self._intern(dz, ids, seen))
+        self.switches = [
+            i for i, e in enumerate(self.nodes) if isinstance(e, (Guard, Split))
+        ]
+        self.names = {
+            "asarray": np.asarray, "complex128": np.complex128, "rows": _as_rows,
+            "exp": np.exp, "sin": np.sin, "cos": np.cos,
+        }
+        for i, e in enumerate(self.nodes):
+            if isinstance(e, Const):
+                self.names[f"c{i}"] = e.value
+            elif isinstance(e, Pow):
+                self.names[f"n{i}"] = e.n
+        # signature -> its (x part, z part); x bits -> (those parts, the x
+        # part's values at x)
+        self.codes: dict[tuple[bool, ...], tuple] = {}
+        self.by_x: dict[bytes, tuple] = {}
+
+    def _intern(self, e: Expr, ids: dict, seen: dict) -> int:
+        i = seen.get(id(e))
+        if i is None:
+            kids = tuple(self._intern(c, ids, seen) for c in e.children())
+            if isinstance(e, Const):
+                payload = (type(e.value), repr(e.value))
+            elif isinstance(e, Pow):
+                payload = (type(e.n), repr(e.n))
+            elif isinstance(e, (Guard, Split)):
+                payload = repr(e.x0 if isinstance(e, Guard) else e.xc)
+            else:
+                payload = None
+            i = ids.setdefault((type(e), payload, kids), len(self.nodes))
+            if i == len(self.nodes):
+                self.nodes.append(e)
+                self.kids.append(kids)
+            seen[id(e)] = i
+        return i
+
+    def __call__(self, x: float, z: np.ndarray, dz: bool):
+        key = x_key(x)
+        hit = self.by_x.get(key)
+        with np.errstate(all="ignore"):
+            if hit is None:
+                sig = tuple(
+                    x == e.x0 if isinstance(e, Guard) else x <= e.xc
+                    for e in (self.nodes[i] for i in self.switches)
+                )
+                parts = self.codes.get(sig) or self._compile(sig)
+                if len(self.by_x) >= _X_CACHE:
+                    del self.by_x[next(iter(self.by_x))]
+                hit = self.by_x[key] = (parts, parts[0](x))
+            (_, zpart), xvals = hit
+            return zpart(xvals, z, dz)
+
+    def _compile(self, sig: tuple[bool, ...]) -> tuple:
+        """The x part and the z part for one choice signature.
+
+        The z part computes F's nodes first and returns (F,) there unless
+        dz is asked for; then the rest of dF/dz's nodes."""
+        chosen = dict(zip(self.switches, sig))
+
+        def pick(i):
+            # a guard/split is its chosen side: at_value / left when True
+            while i in chosen:
+                i = self.kids[i][0 if chosen[i] else 1]
+            return i
+
+        roots = tuple(pick(r) for r in self.roots)
+        kids = {}
+        todo = list(roots)
+        while todo:
+            i = todo.pop()
+            if i not in kids:
+                kids[i] = tuple(pick(c) for c in self.kids[i])
+                todo.extend(kids[i])
+        reads_z = {}
+        for i in sorted(kids):  # children have smaller ids than parents
+            e = self.nodes[i]
+            reads_z[i] = isinstance(e, Z) or any(reads_z[c] for c in kids[i])
+        # x-only values the z part reads (operands of z nodes, and roots);
+        # constants are global names already
+        shared = sorted(
+            i
+            for i in {c for i in kids if reads_z[i] for c in kids[i]} | set(roots)
+            if not reads_z[i] and not isinstance(self.nodes[i], Const)
+        )
+        xvals = "(" + "".join(f"v{i}, " for i in shared) + ")"
+        f_nodes = _reached(roots[:1], kids, reads_z)
+        dz_nodes = _reached(roots[1:], kids, reads_z) - f_nodes
+        f, d = (f"rows({self._name(r)}, z)" for r in roots)
+        src = [
+            "def xpart(x):",
+            *self._lines([i for i in kids if not reads_z[i]], kids),
+            f"return {xvals}",
+            "def zpart(xvals, z, dz):",
+            *([f"{xvals} = xvals"] if shared else []),
+            *self._lines(f_nodes, kids),
+            f"if not dz: return ({f},)",
+            *self._lines(dz_nodes, kids),
+            f"return ({f}, {d})",
+        ]
+        # every line but the def lines is a function body
+        code = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in src)
+        scope: dict = {}
+        exec(compile(code, "<rootbranch kernel>", "exec"), self.names, scope)
+        if not self.switches:
+            # the only signature there is: the DAG is not needed again
+            self.nodes = self.kids = []
+        return self.codes.setdefault(sig, (scope["xpart"], scope["zpart"]))
+
+    def _name(self, i: int) -> str:
+        e = self.nodes[i]
+        if isinstance(e, Z):
+            return "z"
+        return f"c{i}" if isinstance(e, Const) else f"v{i}"
+
+    def _lines(self, ids, kids: dict) -> list[str]:
+        """One assignment per node, children first; constants and z are
+        names already."""
+        lines = []
+        for i in sorted(ids):
+            e = self.nodes[i]
+            if isinstance(e, (Const, Z)):
+                continue
+            if not e.code:
+                raise TypeError(f"no compiled form for node {type(e).__name__}")
+            lines.append(f"v{i} = " + e.code.format(*map(self._name, kids[i]), n=f"n{i}"))
+        return lines
 
 
 @dataclass(frozen=True)
@@ -527,16 +737,6 @@ class SeriesForm:
         for k, c in enumerate(self.coeffs):
             total = add(total, mul(c, powi(Z(), k)))
         return EntireFunction(total, x_range=x_range)
-
-    def coeff_values(self, x: float) -> np.ndarray:
-        """Numeric coefficients [a0, ..., aN] at parameter x."""
-        zdummy = np.zeros(1, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            vals = [
-                complex(np.asarray(c.ev(float(x), zdummy)).ravel()[0])
-                for c in self.coeffs
-            ]
-        return np.asarray(vals, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +776,7 @@ def degeneracy_probe(
         ang = 2.0 * np.pi * np.arange(samples_per_circle) / samples_per_circle
         pts.append(r * np.exp(1j * ang))
     zs = np.concatenate(pts)
-    x0 = f._check_x(x0)
-    with np.errstate(all="ignore"):
-        vals = _ev_rows(f.expr, x0, zs)
+    (vals,) = f.kernel(x0, zs, dz=False)
     finite = np.isfinite(vals)
     if not finite.all():
         zb = complex(zs[int(np.flatnonzero(~finite)[0])])
@@ -612,28 +810,21 @@ def polish_root(
     """Newton-refine an approximate root of z -> F(x, z).
 
     Returns the best iterate and its residual |F(x, z)|.  Stops early when
-    the residual stops improving; never moves to a worse iterate.
+    the residual stops improving; never moves to a worse iterate.  Each
+    iterate costs one kernel call for F and dF/dz together.
     """
-    best_z = complex(z0)
-    try:
-        fz = f.eval(x, best_z)
-    except NonFiniteError:
+    z = best_z = complex(z0)
+    fz, d = _pair_at(f, x, z)
+    if not np.isfinite(fz):
         return best_z, float("inf")
-    z = best_z
     r = best_r = abs(fz)
     for _ in range(max_iter):
-        if r == 0.0:
-            break
-        try:
-            d = f.eval_dz(x, z)
-        except NonFiniteError:
-            break
-        if d == 0 or not np.isfinite(abs(d)):
+        # a non-finite d is a break as well
+        if r == 0.0 or d == 0 or not np.isfinite(abs(d)):
             break
         z = z - fz / d
-        try:
-            fz = f.eval(x, z)
-        except NonFiniteError:
+        fz, d = _pair_at(f, x, z)
+        if not np.isfinite(fz):
             break
         r = abs(fz)
         if r < best_r:
@@ -641,6 +832,11 @@ def polish_root(
         elif r > 2.0 * best_r:
             break
     return best_z, best_r
+
+
+def _pair_at(f: EntireFunction, x: float, z: complex) -> tuple[complex, complex]:
+    fv, dv = f.kernel(x, np.asarray([z], dtype=np.complex128))
+    return complex(fv[0]), complex(dv[0])
 
 
 def polish_roots(
@@ -685,5 +881,21 @@ def polish_roots(
 
 def _ev_rows(expr: Expr, x, z: np.ndarray) -> np.ndarray:
     """expr at (x, z) as a complex array of z's shape (a constant broadcasts)."""
-    out = np.asarray(expr.ev(x, z), dtype=np.complex128)
+    return _as_rows(expr.ev(x, z), z)
+
+
+def _reached(roots, kids: dict, reads_z: dict) -> set[int]:
+    """The nodes reading z that the roots depend on."""
+    seen: set[int] = set()
+    todo = list(roots)
+    while todo:
+        i = todo.pop()
+        if reads_z[i] and i not in seen:
+            seen.add(i)
+            todo.extend(kids[i])
+    return seen
+
+
+def _as_rows(value, z: np.ndarray) -> np.ndarray:
+    out = np.asarray(value, dtype=np.complex128)
     return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()

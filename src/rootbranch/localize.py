@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Circle, MonicPoly, check_cofactor, local_factor_data
+from .contour import (
+    Circle,
+    ContourData,
+    MonicPoly,
+    check_cofactor,
+    local_factor_data,
+    sample_contour_unchecked,
+)
 from .errors import (
     CofactorVanishesError,
     DegenerateAtPointError,
@@ -43,6 +50,8 @@ class LocalFactorization:
         i.e. P is (z - z0)**n to quadrature accuracy.
     circle : the contour itself (center z0, radius r)
     f_nodes : cached F(x0, .) on the circle nodes, reused by validate_step
+    f_nodes2 : cached F(x0, .) on the doubled circle's nodes, reused by
+        validate_step's thin-margin re-check
     """
 
     x0: float
@@ -53,6 +62,7 @@ class LocalFactorization:
     poly: MonicPoly
     circle: Circle
     f_nodes: np.ndarray
+    f_nodes2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,11 +72,14 @@ class StepValidation:
     excess is max |F(x1) - F(x0)| over the contour nodes divided by
     safety * m; values <= 1 are accepted.  resolution records the node
     count of the deciding comparison (doubled when the margin was thin).
+    samples (on acceptance) are F and F' at x1 on the nodes compared, for
+    the factor at x1 to reuse.
     """
 
     accepted: bool
     excess: float
     resolution: int
+    samples: tuple[ContourData, ...] = ()
 
 
 def select_radius(
@@ -124,7 +137,7 @@ def select_radius(
 def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_rel, margin):
     try:
         circle = Circle(z0, r, samples)
-        poly, data = local_factor_data(f, x0, circle, z0, guard, floor_rel, margin)
+        poly, levels = local_factor_data(f, x0, circle, z0, guard, floor_rel, margin)
     except (
         ZeroOnContourError,
         NonIntegerWindingError,
@@ -133,7 +146,7 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
         ValueError,
     ):
         return None
-    absf = np.abs(data.f)
+    absf = np.abs(levels[0].f)
     m = float(absf.min())
     maxf = float(absf.max())
     if m < max(m_floor_rel * maxf, 1e-300):
@@ -156,7 +169,8 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
         n=poly.degree,
         poly=poly,
         circle=circle,
-        f_nodes=data.f,
+        f_nodes=levels[0].f,
+        f_nodes2=levels[1].f,
     )
 
 
@@ -171,15 +185,15 @@ def validate_step(
 
     Accepted iff max node |F(x1, z) - F(x0, z)| <= safety * m on the
     certificate circle.  When the margin lands within ``margin_band`` of
-    the threshold on the accept side, both functions are resampled at twice
-    the node count and the refined comparison decides (node sets nest, so
-    refinement can only tighten).
+    the threshold on the accept side, F(x1) is resampled at twice the node
+    count and compared with the certificate's F(x0) there (node sets nest,
+    so refinement can only tighten).  A non-finite F(x1) rejects the step;
+    F'(x1) is sampled along, unchecked, for the factor at x1.
     """
-    try:
-        f1 = f.eval_many(x1, loc.circle.nodes())
-    except NonFiniteError:
+    d1 = sample_contour_unchecked(f, x1, loc.circle)
+    if not np.isfinite(d1.f).all():
         return StepValidation(False, float("inf"), loc.circle.samples)
-    diff = float(np.abs(f1 - loc.f_nodes).max())
+    diff = float(np.abs(d1.f - loc.f_nodes).max())
     thr = safety * loc.m
     if thr <= 0:
         return StepValidation(False, float("inf"), loc.circle.samples)
@@ -187,17 +201,15 @@ def validate_step(
     if excess > 1.0:
         return StepValidation(False, excess, loc.circle.samples)
     if excess < 1.0 / margin_band:
-        return StepValidation(True, excess, loc.circle.samples)
+        return StepValidation(True, excess, loc.circle.samples, (d1,))
     # thin margin: double the nodes and re-decide
-    dbl = loc.circle.doubled()
-    try:
-        f0d = f.eval_many(loc.x0, dbl.nodes())
-        f1d = f.eval_many(x1, dbl.nodes())
-    except NonFiniteError:
-        return StepValidation(False, float("inf"), dbl.samples)
-    m2 = float(np.abs(f0d).min())
-    thr2 = safety * m2
+    d2 = sample_contour_unchecked(f, x1, loc.circle.doubled())
+    if not np.isfinite(d2.f).all():
+        return StepValidation(False, float("inf"), d2.circle.samples)
+    thr2 = safety * float(np.abs(loc.f_nodes2).min())
     if thr2 <= 0:
-        return StepValidation(False, float("inf"), dbl.samples)
-    excess2 = float(np.abs(f1d - f0d).max()) / thr2
-    return StepValidation(excess2 <= 1.0, excess2, dbl.samples)
+        return StepValidation(False, float("inf"), d2.circle.samples)
+    excess2 = float(np.abs(d2.f - loc.f_nodes2).max()) / thr2
+    if not excess2 <= 1.0:
+        return StepValidation(False, excess2, d2.circle.samples)
+    return StepValidation(True, excess2, d2.circle.samples, (d1, d2))

@@ -2,17 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootbranch import EntireFunction, NonFiniteError, OutOfDomainError, SeriesForm
 from rootbranch import build, degeneracy_probe, parse_expression, parse_problem
 from rootbranch import polish_root, polish_roots
 from rootbranch.fixtures import fixture_names
 from rootbranch.expressions import (
+    Add,
     Const,
+    Cos,
+    Exp,
     Guard,
+    Mul,
+    Neg,
+    Pow,
+    Sin,
     Split,
+    Sub,
     X,
     Z,
+    _ev_rows,
     add,
     contains_z,
     cos,
@@ -111,8 +122,6 @@ def test_series_form_matches_entire_function():
         direct = (0.5 * x - 1.0) + (x * x) * z + z**3
         got = f.eval(x, z)
         assert abs(got - direct) <= 1e-12 * (1.0 + abs(direct))
-    vals = sf.coeff_values(0.5)
-    assert np.allclose(vals, [-0.75, 0.25, 0.0, 1.0])
 
 
 def test_guard_selects_branch_without_evaluating_other():
@@ -291,6 +300,15 @@ def test_degeneracy_probe_nondegenerate_on_polynomials():
         assert res.witness is not None
 
 
+def test_degeneracy_probe_nonfinite_sample_is_evidence():
+    # exp(exp(z)) overflows on |z| = 10 first at z = 10: the probe reports
+    # that node against the origin's value instead of raising
+    f = f_of("exp(exp(z)) - x")
+    res = degeneracy_probe(f, 0.5)
+    assert not res.degenerate
+    assert res.witness == ((0j, f.eval(0.5, 0j)), (10 + 0j, complex("inf")))
+
+
 def test_expression_builders_compose():
     e = sub(exp(mul(X(), Z())), Const(1.0))
     f = EntireFunction(e)
@@ -299,3 +317,83 @@ def test_expression_builders_compose():
     e2 = neg(sin(cos(Z())))
     v = EntireFunction(e2).eval(0.0, 0.3)
     assert abs(v + np.sin(np.cos(0.3))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against the tree walk
+
+SWITCH_POINTS = (0.0, -0.0, 0.25, 0.5, 1.0)
+# float, int and complex constants with equal values, and both signed zeros:
+# the kernel must not merge any of them
+CONSTANTS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0.0, 1.0, 1 + 0j, 2,
+             -2.5 + 0.5j, 1e200 + 0j)
+NODES_Z = np.array([0j, complex(-0.0, -0.0), 0.5 + 0.5j, -1.25 + 0.1j, 2j, 40.0])
+
+
+def _extend(kids):
+    switch = st.sampled_from(SWITCH_POINTS)
+    return st.one_of(
+        st.builds(Add, kids, kids),
+        st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Exp, kids),
+        st.builds(Sin, kids),
+        st.builds(Cos, kids),
+        st.builds(Guard, switch, kids, kids),
+        st.builds(Split, switch, kids, kids),
+        # negative powers only of x-only bases, as build() requires
+        kids.flatmap(
+            lambda b: st.builds(
+                Pow, st.just(b), st.integers(0 if contains_z(b) else -3, 4)
+            )
+        ),
+    )
+
+
+TREES = st.recursive(
+    st.one_of(st.builds(Const, st.sampled_from(CONSTANTS)), st.just(X()), st.just(Z())),
+    _extend,
+    max_leaves=14,
+)
+# switch points hit exactly, both zeros, and their neighbours; the sequence
+# is walked forward and back, so every x comes again after more than the
+# kernel's x cache holds
+X_SEQUENCES = st.lists(
+    st.one_of(
+        st.sampled_from(SWITCH_POINTS + (0.5000000000000001, 0.49999999999999994)),
+        st.floats(-1.5, 1.5),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda xs: xs + xs[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=TREES, xs=X_SEQUENCES)
+def test_kernel_matches_tree_walk_bit_for_bit(expr, xs):
+    f = EntireFunction(expr)
+    for x in xs:
+        with np.errstate(all="ignore"):
+            walk = (_ev_rows(f.expr, x, NODES_Z), _ev_rows(f._dz, x, NODES_Z))
+        got = f.kernel(x, NODES_Z)
+        for g, w in zip(got, walk):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            assert g.tobytes() == w.tobytes()  # signed zeros too
+        for ev, w in ((f.eval_many, walk[0]), (f.eval_dz_many, walk[1])):
+            if np.isfinite(w).all():
+                assert ev(x, NODES_Z).tobytes() == w.tobytes()
+            else:
+                with pytest.raises(NonFiniteError):
+                    ev(x, NODES_Z)
+
+
+def test_kernel_keys_x_on_its_bits():
+    # x*z at x = -0.0 and at 0.0 differ only in the sign of zero
+    f = EntireFunction(Mul(X(), Z()))
+    z = np.array([1.0 + 1.0j])
+    neg0 = f.kernel(-0.0, z)[0]
+    pos0 = f.kernel(0.0, z)[0]
+    assert np.signbit(neg0.real[0]) and not np.signbit(pos0.real[0])
+    assert f.kernel(-0.0, z)[0].tobytes() == neg0.tobytes()

@@ -6,6 +6,7 @@ from rootbranch import (
     EntireFunction,
     NoRadiusFoundError,
     count_zeros,
+    local_monic_factor,
     parse_expression,
     poly_roots,
     select_radius,
@@ -126,3 +127,41 @@ def test_select_radius_halving_budget():
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.4, halvings=40)
     assert loc.r > 0.4 * 0.5**40
+
+
+def test_accepted_step_reuses_the_check_samples(monkeypatch):
+    # the thin-margin check takes F(x0) at 2M nodes from the certificate,
+    # and the factor at x1 takes F(x1) on the M- and 2M-node circles from
+    # the check: none of those node sets is evaluated again
+    f = f_of("pow(z, 2) - x")
+    loc = select_radius(f, 0.25, 0.5, r_max=0.2)
+    m = loc.circle.samples
+    calls = []
+    kernel = f.kernel
+
+    def counting(x, z, **kw):
+        calls.append((x, np.array(z)))
+        return kernel(x, z, **kw)
+
+    monkeypatch.setattr(f, "kernel", counting)
+    for x1 in 0.25 + np.geomspace(1e-4, 0.2, 80):
+        calls.clear()
+        v = validate_step(f, loc, float(x1))
+        if v.accepted and v.resolution == 2 * m:
+            break
+    else:
+        pytest.fail("no step was decided at doubled resolution")
+    assert [x for x, _ in calls] == [x1, x1]
+    reused = (loc.circle.nodes(), loc.circle.doubled().nodes())
+    assert [d.z.size for d in v.samples] == [m, 2 * m]
+
+    calls.clear()
+    poly = local_monic_factor(f, x1, loc.circle, about=loc.z0, samples=v.samples)
+    assert calls  # the cofactor probe inside the disk still samples
+    assert not any(np.array_equal(z, nodes) for _, z in calls for nodes in reused)
+    monkeypatch.undo()
+    assert poly == local_monic_factor(f, x1, loc.circle, about=loc.z0)
+
+    kept = [loc.f_nodes, loc.f_nodes2]
+    kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
+    assert not any(a.flags.writeable for a in kept)
