@@ -5,6 +5,8 @@ The loop alternates certified localization (select_radius at the current
 refactors F at the new parameter, re-roots the local monic factor, matches
 the nearest root to the incoming value, and Newton-polishes it.  Step size
 halves on rejection or ambiguity and grows after a run of clean accepts.
+Every LADDER_EVERY accepted steps a radius ladder (ladder_radius) sets
+where the following localizations start halving.
 
 Termination is classified, never silent: Completed, AsymptoticBlowup,
 DegenerateBarrier, NonConvergent, or SeedInvalid.
@@ -13,6 +15,7 @@ DegenerateBarrier, NonConvergent, or SeedInvalid.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -35,7 +38,13 @@ from .errors import (
     ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_roots
-from .localize import LocalFactorization, select_radius, validate_step
+from .localize import (
+    RADIUS_HALVINGS,
+    LocalFactorization,
+    ladder_radius,
+    select_radius,
+    validate_step,
+)
 
 _STEP_ERRORS = (
     ZeroOnContourError,
@@ -102,8 +111,9 @@ GROW_FACTOR = 1.5
 TIE_BREAK_AFTER = 12  # ambiguous matches in a row before the tie-break
 WINDOW = 16  # recent samples the stall classifier looks at
 SNAP_EPS = 1e-9  # a stall this close to the segment end may snap onto it
-R_MAX_BASE = 1.0  # certificate radii start at max(R_MAX_BASE, R_MAX_REL * |w|)
+R_MAX_BASE = 1.0  # certificate radii never start above max(R_MAX_BASE, R_MAX_REL * |w|)
 R_MAX_REL = 0.5
+LADDER_EVERY = 8  # accepted steps between radius-ladder comparisons
 SOFT_CHECK_EVERY = 256  # accepted steps between mid-run soft blowup checks
 STALL_RETRIES = 2  # fresh-step retries of a converged, nondegenerate stall
 
@@ -300,7 +310,9 @@ class SegmentRun:
     """extend_segment outcome: samples plus the termination if not completed.
 
     accepted counts the certified steps taken; certify_failures counts the
-    ones whose audit recount (certify_steps) disagreed with the certificate.
+    ones whose audit recount (certify_steps) disagreed with the certificate;
+    localizations counts the select_radius calls and radius_tries the radii
+    they tried.
     """
 
     samples: list[BranchSample]
@@ -308,6 +320,8 @@ class SegmentRun:
     location: Optional[DomainPoint]
     accepted: int = 0
     certify_failures: int = 0
+    localizations: int = 0
+    radius_tries: int = 0
 
     @property
     def completed(self) -> bool:
@@ -336,6 +350,11 @@ def extend_segment(
     or retry with fresh steps), or proposes one step from the certificate.
     A rejection halves h and keeps loc; an acceptance moves the frontier
     and drops loc.
+
+    Localization halves from r_max * scale, where r_max =
+    max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
+    every LADDER_EVERY accepted steps to the ladder_radius winner at the
+    step just taken, as a fraction of that step's r_max, at most 1.
     """
     cfg = cfg or EngineConfig()
     if junction is None:
@@ -362,6 +381,8 @@ def extend_segment(
     loc = None
     stalled: Optional[str] = None
     grow_run = ambiguous_streak = accepted = certify_failures = 0
+    localizations = radius_tries = 0
+    scale = 1.0
     retries_left = STALL_RETRIES
     while True:
         if stalled is not None:
@@ -399,20 +420,27 @@ def extend_segment(
 
         if loc is None:
             r_max = max(R_MAX_BASE, R_MAX_REL * abs(w))
+            start = r_max * scale
+            localizations += 1
             try:
-                loc = select_radius(f, cx, w, r_max, samples=cfg.contour_samples)
+                loc = select_radius(f, cx, w, start, samples=cfg.contour_samples)
             except DegenerateAtPointError as e:
+                radius_tries += RADIUS_HALVINGS + 1
                 kind = Status.DEGENERATE_BARRIER
                 diag = {"constant": getattr(e, "constant", None), "at_frontier": True}
                 break
             except (NoRadiusFoundError, NonFiniteError, OutOfDomainError):
+                # select_radius raises only after trying every halving
+                radius_tries += RADIUS_HALVINGS + 1
                 stalled = "no admissible radius at frontier"
                 continue
+            # the kept radius is start * 2**-k, found on try k + 1
+            radius_tries += 1 + round(math.log2(start / loc.r))
 
         target = min(s + h, next((a for a in stop_arcs if a > s), length))
         pt1 = seg.point_at(target)
         cx1 = dom.coordinate(pt1)
-        w1, res1, ambiguous_streak = _step_root(
+        w1, res1, ambiguous_streak, f1 = _step_root(
             f, loc, cx1, w, ambiguous_streak, cfg.residual_tol
         )
         if w1 is None:
@@ -456,13 +484,21 @@ def extend_segment(
         if grow_run >= GROW_AFTER:
             h = min(h * GROW_FACTOR, h_max)
             grow_run = 0
+        if accepted % LADDER_EVERY == 0:
+            scale = min(1.0, ladder_radius(f, loc, cx, f1) / r_max)
         loc = None
 
     if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
         diag = {**diag, **_endpoint_diagnostics(f, seg)}
     where = None if kind is Status.COMPLETED else pt
     return SegmentRun(
-        samples, TerminationStatus(kind, diag), where, accepted, certify_failures
+        samples,
+        TerminationStatus(kind, diag),
+        where,
+        accepted,
+        certify_failures,
+        localizations,
+        radius_tries,
     )
 
 
@@ -473,17 +509,18 @@ def _step_root(
     w: complex,
     ambiguous_streak: int,
     residual_tol: float,
-) -> tuple[Optional[complex], float, int]:
-    """Propose the step from loc.x0 to x1; return (w1, residual, streak).
+) -> tuple[Optional[complex], float, int, Optional[np.ndarray]]:
+    """Propose the step from loc.x0 to x1; return (w1, residual, streak, f1).
 
     w1 is None when the step is rejected: the Rouche check fails, the factor
     at x1 does not carry the certified count or its roots fail, the match
     is ambiguous, or the polished root misses residual_tol or jumps out of
-    the certificate.  streak counts the ambiguous matches in a row.
+    the certificate.  streak counts the ambiguous matches in a row.  f1 is
+    F(x1) on loc.circle's nodes from the Rouche check, on acceptance.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
-        return None, 0.0, ambiguous_streak
+        return None, 0.0, ambiguous_streak, None
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
         poly1 = local_monic_factor(
@@ -495,13 +532,13 @@ def _step_root(
             )
         roots = poly_roots(poly1, tol=residual_tol)
     except _STEP_ERRORS:
-        return None, 0.0, ambiguous_streak
+        return None, 0.0, ambiguous_streak, None
 
     m = match_root(roots, w)
     if not m.ambiguous:
         w1 = m.value
     elif ambiguous_streak + 1 < TIE_BREAK_AFTER:
-        return None, 0.0, ambiguous_streak + 1
+        return None, 0.0, ambiguous_streak + 1, None
     else:
         # persistent symmetric tie (e.g. stepping off a multiple root):
         # deterministic lexicographic escape
@@ -518,8 +555,8 @@ def _step_root(
     except NonFiniteError:
         pass
     if res1 > residual_tol or abs(w1 - w) > 2.0 * loc.r:
-        return None, 0.0, 0
-    return w1, res1, 0
+        return None, 0.0, 0, None
+    return w1, res1, 0, check.samples[0].f
 
 
 def _snap_to_end(
@@ -556,6 +593,9 @@ def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     return out
 
 
+_NO_STEPS = {"accepted_steps": 0, "localizations": 0, "radius_tries": 0}
+
+
 def continue_branch(
     f: EntireFunction,
     domain: ParamDomain,
@@ -582,7 +622,7 @@ def continue_branch(
             (),
             TerminationStatus(
                 Status.SEED_INVALID,
-                {"seed_residual": res0, "seed_tolerance": tol0, "accepted_steps": 0},
+                {"seed_residual": res0, "seed_tolerance": tol0, **_NO_STEPS},
             ),
             x0,
             (),
@@ -594,7 +634,7 @@ def continue_branch(
             (BranchSample(0, 0.0, x0, w0, res0),),
             TerminationStatus(
                 Status.DEGENERATE_BARRIER,
-                {"constant": probe.constant, "at_seed": True, "accepted_steps": 0},
+                {"constant": probe.constant, "at_seed": True, **_NO_STEPS},
             ),
             x0,
             (),
@@ -606,7 +646,7 @@ def continue_branch(
         return RootBranch(
             (BranchSample(0, 0.0, x0, w0, res0),),
             TerminationStatus(
-                Status.COMPLETED, {"trivial_domain": True, "accepted_steps": 0}
+                Status.COMPLETED, {"trivial_domain": True, **_NO_STEPS}
             ),
             None,
             (),
@@ -648,7 +688,12 @@ def continue_branch(
             break
 
     # roll the step tallies of every segment that ran up to the branch status
-    diag = {**status.diagnostics, "accepted_steps": sum(r.accepted for r in runs)}
+    diag = {
+        **status.diagnostics,
+        "accepted_steps": sum(r.accepted for r in runs),
+        "localizations": sum(r.localizations for r in runs),
+        "radius_tries": sum(r.radius_tries for r in runs),
+    }
     snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
     if status.kind is Status.COMPLETED and snaps:
         diag["snapped"] = True

@@ -372,7 +372,10 @@ def powi(base: Expr, n: int) -> Expr:
     if n == 1:
         return base
     if _is_const(base) and (base.value != 0 or n > 0):
-        return Const(base.value ** n)
+        try:
+            return Const(base.value ** n)
+        except OverflowError:
+            pass  # complex ** int raises here; evaluation overflows to inf
     return Pow(base, n)
 
 

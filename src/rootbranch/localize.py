@@ -6,6 +6,11 @@ count n inside, and the monic factor P carrying exactly those zeros.  A
 parameter step x0 -> x1 keeps the count (and hence the tracked root inside
 Gamma) whenever max over Gamma of |F(x1, z) - F(x0, z)| < m: that is
 Rouche's theorem applied to the pair (F(x0, .), F(x1, .)).
+
+The step a circle certifies grows with its Rouche ratio
+min |F(x0)| / max |F(x1) - F(x0)|, which peaks at an interior radius:
+ladder_radius compares a short ladder of radii at an accepted step, and
+the engine starts the next select_radius calls from the winner.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .errors import (
     ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe
+
+RADIUS_HALVINGS = 40  # select_radius: halvings of the start radius before giving up
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +95,7 @@ def select_radius(
     z0: complex,
     r_max: float,
     samples: int = 128,
-    halvings: int = 40,
+    halvings: int = RADIUS_HALVINGS,
     center_frac: float = 0.1,
     m_floor_rel: float = 1e-13,
     guard: float = 0.5,
@@ -100,6 +107,9 @@ def select_radius(
 ) -> LocalFactorization:
     """Find a certified circle about z0 by halving from r_max.
 
+    r_max is the start radius the caller gives (the engine passes a
+    fraction of its cap, set by ladder_radius), not a fixed cap: the
+    first k with an admissible r_max * 2**-k wins, after k + 1 tries.
     A radius is accepted when the contour is clear of zeros with a stable
     integer count n >= 1, min node |F| clears the relative floor, the
     factor's roots hug the center (within center_frac * r, by the Cauchy
@@ -213,3 +223,39 @@ def validate_step(
     if not excess2 <= 1.0:
         return StepValidation(False, excess2, d2.circle.samples)
     return StepValidation(True, excess2, d2.circle.samples, (d1, d2))
+
+
+def ladder_radius(
+    f: EntireFunction, loc: LocalFactorization, x1: float, f1: np.ndarray
+) -> float:
+    """The radius among loc.r / 2, loc.r and 2 * loc.r that certifies the
+    step loc.x0 -> x1 with the most headroom.
+
+    Each rung is a circle about loc.z0 with loc.circle.samples nodes,
+    scored by its Rouche ratio min |F(x0)| / max |F(x1) - F(x0)|: the step
+    a circle certifies scales with it.  The loc.r rung reuses loc.f_nodes
+    and f1, F(x1) on loc.circle's nodes; the other two cost one F-only
+    kernel call each at x0 and at x1.  A rung with a non-finite sample
+    drops out, and loc.r stays unless another rung beats it strictly.
+    """
+    best_r, best = loc.r, _rouche_ratio(loc.f_nodes, f1)
+    for r in (0.5 * loc.r, 2.0 * loc.r):
+        z = Circle(loc.z0, r, loc.circle.samples).nodes()
+        (g0,) = f.kernel(loc.x0, z, dz=False)
+        (g1,) = f.kernel(x1, z, dz=False)
+        ratio = _rouche_ratio(g0, g1)
+        if ratio > best:
+            best_r, best = r, ratio
+    return best_r
+
+
+def _rouche_ratio(g0: np.ndarray, g1: np.ndarray) -> float:
+    """min |g0| / max |g1 - g0|; -inf (never chosen) unless every sample is
+    finite and the ratio is defined."""
+    if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
+        return -np.inf
+    m = float(np.abs(g0).min())
+    d = float(np.abs(g1 - g0).max())
+    if d == 0.0:
+        return np.inf if m > 0.0 else -np.inf
+    return m / d

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from rootbranch import (
     polish_root,
     resample_branch,
 )
+from rootbranch import engine
+from rootbranch.cli import main
 
 
 def f_of(text):
@@ -203,4 +208,89 @@ def test_completed_run_keeps_snap_diagnostics():
     d = br.status.diagnostics
     assert d["snapped"] is True
     assert 0.0 < d["snap_gap"] <= 1e-9
-    assert d["accepted_steps"] == 79
+    assert d["accepted_steps"] == 74
+
+
+def test_step_budget_does_not_decide_the_exp_blowup():
+    # exp(x*z) - 1 from 2*pi*i: 2*pi*i/x reaches |w| > 1e8 well within a
+    # 2000-step budget, so the verdict must not turn into NonConvergent
+    spec = parse_problem(
+        {"fixture": "remark-exp-asymptotic", "config": {"max_steps": 2000}}
+    )
+    f, dom, x0, z0, cfg = build(spec)
+    br = continue_branch(f, dom, x0, z0, cfg)
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert br.status.diagnostics["max_abs_w"] > cfg.blowup_threshold
+    assert br.status.diagnostics["accepted_steps"] < 2000
+
+
+def _recording_select_radius(monkeypatch):
+    calls = []
+    select = engine.select_radius
+
+    def recording(f, x0, z0, r_max, **kw):
+        loc = select(f, x0, z0, r_max, **kw)
+        calls.append((x0, z0, r_max, loc.r))
+        return loc
+
+    monkeypatch.setattr(engine, "select_radius", recording)
+    return calls
+
+
+def test_radius_ladder_settles_on_the_closed_form_rung(monkeypatch):
+    # F = exp(x*z) - 1 about its root 2*pi*i/x, in u = x*(z - z0) = rho*e^it:
+    # min |F(x0)| on the circle is 1 - e^-rho and the variation over a step
+    # h is h*|z|*e^rho to first order, so the Rouche ratio goes like
+    # (1 - e^-rho)*e^-rho, largest at rho = ln 2.  The radius cap starts the
+    # ladder at rho = pi; among the rungs pi*2**-k the best is pi/4.
+    calls = _recording_select_radius(monkeypatch)
+    f = f_of("exp(x*z) - 1")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(1.0), 2j * math.pi)
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert len(calls) > 100
+
+    def gain(rho):
+        return (1.0 - math.exp(-rho)) * math.exp(-rho)
+
+    rungs = [math.pi * 0.5**k for k in range(6)]
+    assert max(rungs, key=gain) == math.pi / 4
+    for x0, _, _, r in calls[50:]:
+        assert x0 * r == pytest.approx(math.pi / 4, rel=1e-9)
+    # the ladder only moves where halving starts, never above the cap
+    for _, z0, start, _ in calls:
+        assert start <= max(engine.R_MAX_BASE, engine.R_MAX_REL * abs(z0))
+
+
+def test_radius_start_stays_under_the_cap(monkeypatch):
+    # for z - x the Rouche ratio grows with the radius, so the ladder always
+    # asks for 2r; the start radius must still stop at the cap
+    calls = _recording_select_radius(monkeypatch)
+    f = f_of("z - x")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(0.0), 0j)
+    assert br.status.kind is Status.COMPLETED
+    assert len(calls) > engine.LADDER_EVERY
+    for _, z0, start, _ in calls:
+        assert start <= max(engine.R_MAX_BASE, engine.R_MAX_REL * abs(z0))
+
+
+def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
+    calls = _recording_select_radius(monkeypatch)
+    runs = []
+    extend = engine.extend_segment
+
+    def keeping(*args, **kw):
+        runs.append(extend(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(engine, "extend_segment", keeping)
+    assert main(["--fixture", "monic-cubic-ytree", "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    assert len(runs) > 1
+    # select_radius keeps start * 2**-k after k + 1 tries
+    tries = [1 + round(math.log2(start / r)) for _, _, start, r in calls]
+    assert d["localizations"] == len(calls) == sum(r.localizations for r in runs)
+    assert d["radius_tries"] == sum(tries) == sum(r.radius_tries for r in runs)
+    assert d["accepted_steps"] == sum(r.accepted for r in runs)
+    assert d["localizations"] >= d["accepted_steps"]

@@ -397,3 +397,13 @@ def test_kernel_keys_x_on_its_bits():
     pos0 = f.kernel(0.0, z)[0]
     assert np.signbit(neg0.real[0]) and not np.signbit(pos0.real[0])
     assert f.kernel(-0.0, z)[0].tobytes() == neg0.tobytes()
+
+
+def test_overflowing_constant_power_is_left_to_evaluation():
+    # folding 1e200**3 raises OverflowError in Python; the node stays and
+    # evaluates to inf like any other overflow, for F and for dF/dz
+    for text in ("pow(1e200, 3) + z", "pow(pow(z, 0)*1e200, 3)*z"):
+        f = f_of(text)
+        with pytest.raises(NonFiniteError):
+            f.eval(0.5, 1j)
+        assert not np.isfinite(f.kernel(0.5, np.array([1j]))[0]).any()

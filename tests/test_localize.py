@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
+from rootbranch.localize import ladder_radius
 
 
 def f_of(text):
@@ -165,3 +168,36 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     kept = [loc.f_nodes, loc.f_nodes2]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
     assert not any(a.flags.writeable for a in kept)
+
+
+def test_ladder_moves_toward_the_best_rouche_ratio():
+    # exp(x*z) - 1 about 2*pi*i at x = 1: the ratio goes like
+    # (1 - e^-r)*e^-r, so from r = pi the ladder halves, from pi/4 it stays
+    # and from pi/8 it doubles
+    f = f_of("exp(x*z) - 1")
+    z0 = 2j * math.pi
+    for r, best in [(math.pi, math.pi / 2), (math.pi / 4, math.pi / 4),
+                    (math.pi / 8, math.pi / 4)]:
+        loc = select_radius(f, 1.0, z0, r_max=r)
+        assert loc.r == r
+        x1 = 1.0 - 1e-3
+        (f1,) = f.kernel(x1, loc.circle.nodes(), dz=False)
+        assert ladder_radius(f, loc, x1, f1) == best
+
+
+def test_ladder_drops_nonfinite_rungs_and_keeps_ties():
+    # z - x: the ratio grows with the radius, so 2r wins while it is finite
+    x1 = 1e-3
+    for text, best in [("z - x", 8.0), ("z - x + 1e-300*exp(exp(z))", 4.0)]:
+        f = f_of(text)
+        loc = select_radius(f, 0.0, 0.0, r_max=4.0)
+        assert loc.r == 4.0
+        (f1,) = f.kernel(x1, loc.circle.nodes(), dz=False)
+        # exp(exp(z)) overflows on the 2r circle (Re z up to 8) only
+        assert np.isfinite(f1).all()
+        assert ladder_radius(f, loc, x1, f1) == best
+    # F that does not move with x: every rung's ratio is infinite, r stays
+    f = f_of("pow(z, 2) - 0.25 + 0*x")
+    loc = select_radius(f, 0.0, 0.5, r_max=0.2)
+    (f1,) = f.kernel(0.5, loc.circle.nodes(), dz=False)
+    assert ladder_radius(f, loc, 0.5, f1) == loc.r
