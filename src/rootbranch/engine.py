@@ -6,7 +6,9 @@ refactors F at the new parameter, re-roots the local monic factor, matches
 the nearest root to the incoming value, and Newton-polishes it.  Step size
 halves on rejection or ambiguity and grows after a run of clean accepts.
 Every LADDER_EVERY accepted steps a radius ladder (ladder_radius) sets
-where the following localizations start halving.
+where the following localizations start halving, and the endgame record
+(Endgame) checks whether the branch oscillates without a limit at the
+segment end.
 
 Termination is classified, never silent: Completed, AsymptoticBlowup,
 DegenerateBarrier, NonConvergent, or SeedInvalid.
@@ -113,9 +115,18 @@ WINDOW = 16  # recent samples the stall classifier looks at
 SNAP_EPS = 1e-9  # a stall this close to the segment end may snap onto it
 R_MAX_BASE = 1.0  # certificate radii never start above max(R_MAX_BASE, R_MAX_REL * |w|)
 R_MAX_REL = 0.5
-LADDER_EVERY = 8  # accepted steps between radius-ladder comparisons
-SOFT_CHECK_EVERY = 256  # accepted steps between mid-run soft blowup checks
+LADDER_EVERY = 8  # accepted steps between radius-ladder and oscillation checks
 STALL_RETRIES = 2  # fresh-step retries of a converged, nondegenerate stall
+ENDGAME_SHELLS = 3  # consecutive completed shells the endgame rules read
+# an oscillating shell keeps more than this share of the previous shell's
+# diameter; a branch converging like |x - x*|**a keeps about 2**-a, so this
+# passes no convergence with a >= 0.42 (x*sin(1/x) keeps just over 1/2)
+AMPLITUDE_KEEP = 0.75
+# smallest fitted pole order read as blowup when the step budget runs out:
+# |w| must grow by at least 2**(3 * 0.25) over the fitted shells, so a
+# branch that merely drifts upward toward a finite limit stays unresolved
+POLE_ORDER_MIN = 0.25
+BUDGET_EXHAUSTED = "step budget exhausted"
 
 _FRACTIONS = ("h0_frac", "h_max_frac")
 
@@ -266,16 +277,10 @@ def _blowup_evidence(
     window: Sequence[BranchSample],
     length: float,
     cfg: EngineConfig,
-    h: Optional[float] = None,
-    steps_left: Optional[int] = None,
 ) -> bool:
-    """Soft asymptote test: |w| large, monotone growth, and 1/|w| heading
-    linearly to zero at (or just past) the segment end.
-
-    When h and steps_left are given (periodic mid-run checks) the test also
-    requires the remaining arc to be unreachable within the step budget, so
-    healthy branches are never cut short.
-    """
+    """Soft asymptote test of a stalled window: |w| above blowup_soft,
+    monotone growth, and 1/|w| heading linearly to zero at (or just past)
+    the segment end."""
     if len(window) < 8:
         return False
     mags = np.array([abs(s.w) for s in window])
@@ -287,9 +292,6 @@ def _blowup_evidence(
     if mags[-1] <= mags[0] * (1.0 + 1e-9):
         return False
     rem = length - float(arcs[-1])
-    if h is not None and steps_left is not None:
-        if h <= 0 or rem / h <= steps_left:
-            return False
     y = 1.0 / mags
     sb = arcs - arcs.mean()
     denom = float(np.dot(sb, sb))
@@ -303,6 +305,124 @@ def _blowup_evidence(
     lo = float(arcs[-1]) - 0.25 * rem
     hi = length + 0.75 * rem + 1e-12 * max(length, 1.0)
     return lo <= s_star <= hi
+
+
+class _Shell:
+    """Running summary of the samples of one endgame shell."""
+
+    __slots__ = ("lo", "hi", "extrema", "n", "su", "sv", "suu", "suv")
+
+    def __init__(self) -> None:
+        self.lo = [math.inf, math.inf]  # per coordinate (Re w, Im w)
+        self.hi = [-math.inf, -math.inf]
+        self.extrema = [0, 0]
+        # least-squares sums of u = log(length - s), v = log|w| (w != 0)
+        self.n = 0
+        self.su = self.sv = self.suu = self.suv = 0.0
+
+    def diameter(self) -> float:
+        return math.hypot(self.hi[0] - self.lo[0], self.hi[1] - self.lo[1])
+
+
+class Endgame:
+    """How w behaves on geometric shells of the distance to the segment end.
+
+    Shell k holds the accepted samples with length / (length - s) in
+    [2**k, 2**(k+1)).  Each shell keeps the range of Re w and Im w, the
+    extrema (direction reversals by more than osc_tol) of each coordinate,
+    attributed to the shell of the extreme sample, and the sums of a
+    least-squares fit of log|w| against log(length - s).  add() is O(1)
+    and the state is O(number of shells); no per-sample history is kept.
+    The rules read the last ENDGAME_SHELLS completed shells, those below
+    the shell of the latest sample.  The record starts from the sample
+    (s, w), which must lie before the segment end.
+    """
+
+    def __init__(self, length: float, osc_tol: float, s: float, w: complex) -> None:
+        self.length = length
+        self.osc_tol = osc_tol
+        self.shells: dict[int, _Shell] = {}
+        self.k = 0  # shell of the latest sample
+        # per coordinate: the running extreme since the last reversal, the
+        # direction of travel (0 before the first move) and the extreme's shell
+        self._extreme = [w.real, w.imag]
+        self._dir = [0, 0]
+        self._at = [0, 0]
+        self.add(s, w)
+
+    def add(self, s: float, w: complex) -> None:
+        rem = self.length - s
+        if rem <= 0.0:
+            return
+        k = math.floor(math.log2(self.length / rem))
+        sh = self.shells.get(k)
+        if sh is None:
+            sh = self.shells[k] = _Shell()
+        self.k = k
+        for c, v in enumerate((w.real, w.imag)):
+            sh.lo[c] = min(sh.lo[c], v)
+            sh.hi[c] = max(sh.hi[c], v)
+            move = v - self._extreme[c]
+            if self._dir[c] * move > 0.0:
+                self._extreme[c], self._at[c] = v, k
+            elif abs(move) > self.osc_tol:
+                if self._dir[c]:
+                    self.shells[self._at[c]].extrema[c] += 1
+                self._dir[c] = 1 if move > 0.0 else -1
+                self._extreme[c], self._at[c] = v, k
+        if w != 0:
+            u, v = math.log(rem), math.log(abs(w))
+            sh.n += 1
+            sh.su += u
+            sh.sv += v
+            sh.suu += u * u
+            sh.suv += u * v
+
+    def _completed(self) -> Optional[list[_Shell]]:
+        ks = range(self.k - ENDGAME_SHELLS, self.k)
+        got = [self.shells.get(k) for k in ks]
+        return None if None in got else got
+
+    def oscillation(self) -> Optional[dict]:
+        """Diagnostics when the completed shells show no limit, else None.
+
+        Each of them must hold a full turn (two extrema of Re w or of
+        Im w), the extrema count must not fall from shell to shell, and
+        each diameter must exceed osc_tol and AMPLITUDE_KEEP times the
+        previous shell's.
+        """
+        got = self._completed()
+        if got is None:
+            return None
+        ext = [max(sh.extrema) for sh in got]
+        if min(ext) < 2 or any(b < a for a, b in zip(ext, ext[1:])):
+            return None
+        diam = [sh.diameter() for sh in got]
+        if min(diam) <= self.osc_tol:
+            return None
+        ratio = min(b / a for a, b in zip(diam, diam[1:]))
+        if ratio <= AMPLITUDE_KEEP:
+            return None
+        return {
+            "reason": "oscillation",
+            "shells": list(range(self.k - ENDGAME_SHELLS, self.k)),
+            "turns": [e / 2 for e in ext],
+            "amplitude_ratio": ratio,
+        }
+
+    def pole_order(self) -> Optional[float]:
+        """Least-squares p in |w| ~ (length - s)**-p over the completed
+        shells, or None without them or without spread in length - s."""
+        got = self._completed()
+        if got is None:
+            return None
+        n = sum(sh.n for sh in got)
+        su = sum(sh.su for sh in got)
+        den = n * sum(sh.suu for sh in got) - su * su
+        if den <= 0.0:
+            return None
+        num = n * sum(sh.suv for sh in got) - su * sum(sh.sv for sh in got)
+        return -num / den
 
 
 @dataclass
@@ -355,6 +475,13 @@ def extend_segment(
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
     every LADDER_EVERY accepted steps to the ladder_radius winner at the
     step just taken, as a fraction of that step's r_max, at most 1.
+
+    Every accepted sample goes into an Endgame record.  Every LADDER_EVERY
+    accepted steps the segment ends NonConvergent when the record shows
+    oscillation.  When the step budget runs out the record decides:
+    oscillation gives NonConvergent, a fitted pole order of at least
+    POLE_ORDER_MIN a soft AsymptoticBlowup, anything else NonConvergent
+    with unresolved: true.
     """
     cfg = cfg or EngineConfig()
     if junction is None:
@@ -375,6 +502,7 @@ def extend_segment(
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
 
     window: deque[BranchSample] = deque(samples, maxlen=WINDOW)
+    endgame = Endgame(length, cfg.osc_tol, s, w)
     stop_arcs = sorted(a for a in set(stops) if s < a < length)
     h = min(cfg.h0_frac * length, length - s)
     h_max = cfg.h_max_frac * length
@@ -395,14 +523,16 @@ def extend_segment(
                 junction.setdefault(end.point, end.w)
                 kind, diag = Status.COMPLETED, {"snapped": True, "snap_gap": rem}
                 break
+            if stalled == BUDGET_EXHAUSTED:
+                kind, diag = _budget_verdict(endgame, w)
+                break
             if _blowup_evidence(window, length, cfg):
                 kind = Status.ASYMPTOTIC_BLOWUP
                 diag = {"max_abs_w": abs(w), "reason": stalled, "soft": True}
                 break
             ts = classify_termination(f, window, cx, cfg)
-            # a converged, nondegenerate window retries with fresh steps,
-            # unless the stall is the exhausted step budget
-            if ts is None and accepted < cfg.max_steps and retries_left > 0:
+            # a converged, nondegenerate window retries with fresh steps
+            if ts is None and retries_left > 0:
                 retries_left -= 1
                 h = max(1000.0 * cfg.h_min, min(cfg.h0_frac * rem, h_max))
                 loc = stalled = None
@@ -454,6 +584,7 @@ def extend_segment(
         smp = BranchSample(seg_index, s, pt, w, res1)
         samples.append(smp)
         window.append(smp)
+        endgame.add(s, w)
         accepted += 1
         if cfg.certify_steps:
             try:
@@ -472,13 +603,13 @@ def extend_segment(
             junction.setdefault(pt, w)
             kind, diag = Status.COMPLETED, {}
             break
-        if accepted % SOFT_CHECK_EVERY == 0 and _blowup_evidence(
-            window, length, cfg, h=h, steps_left=cfg.max_steps - accepted
-        ):
-            kind, diag = Status.ASYMPTOTIC_BLOWUP, {"max_abs_w": abs(w), "soft": True}
-            break
+        if accepted % LADDER_EVERY == 0:
+            osc = endgame.oscillation()
+            if osc is not None:
+                kind, diag = Status.NON_CONVERGENT, osc
+                break
         if accepted >= cfg.max_steps:
-            stalled = "step budget exhausted"
+            stalled = BUDGET_EXHAUSTED
             continue
         grow_run += 1
         if grow_run >= GROW_AFTER:
@@ -500,6 +631,22 @@ def extend_segment(
         localizations,
         radius_tries,
     )
+
+
+def _budget_verdict(endgame: Endgame, w: complex) -> tuple[Status, dict]:
+    """Classify a segment whose step budget ran out from its endgame record."""
+    osc = endgame.oscillation()
+    if osc is not None:
+        return Status.NON_CONVERGENT, osc
+    order = endgame.pole_order()
+    if order is not None and order >= POLE_ORDER_MIN:
+        return Status.ASYMPTOTIC_BLOWUP, {
+            "max_abs_w": abs(w),
+            "pole_order": order,
+            "reason": BUDGET_EXHAUSTED,
+            "soft": True,
+        }
+    return Status.NON_CONVERGENT, {"reason": BUDGET_EXHAUSTED, "unresolved": True}
 
 
 def _step_root(

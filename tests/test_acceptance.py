@@ -237,10 +237,13 @@ def test_criterion_5_fixture_statuses(cli_runs):
     )
     assert sup <= 1e-12
 
-    # the sin example's unreachable endpoint x=0 is flagged degenerate
+    # the sin example's unreachable endpoint x=0 is flagged degenerate, and
+    # the run ends on the oscillation it shows, not on the step budget
     diag = cli_runs["example1-sin"][0][3]["diagnostics"]
     assert diag["endpoint_degenerate"] is True
     assert diag["endpoint_coordinate"] == 0.0
+    assert diag["reason"] == "oscillation"
+    assert diag["accepted_steps"] <= 1000
 
     # blowup locations sit at the expected domain ends
     loc = cli_runs["counterexample-x2z-x"][0][3]["status_location"]

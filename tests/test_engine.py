@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootbranch import (
     BranchSample,
@@ -13,6 +15,8 @@ from rootbranch import (
     build,
     classify_termination,
     continue_branch,
+    fixture_names,
+    get_fixture,
     match_root,
     parse_expression,
     parse_problem,
@@ -294,3 +298,124 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     assert d["radius_tries"] == sum(tries) == sum(r.radius_tries for r in runs)
     assert d["accepted_steps"] == sum(r.accepted for r in runs)
     assert d["localizations"] >= d["accepted_steps"]
+
+
+def test_fixture_verdicts_do_not_depend_on_the_step_budget():
+    # only example1-sin may end on the oscillation rule; the blowups and the
+    # Completed fixtures must not, at any budget
+    for name in fixture_names():
+        for max_steps in (500, 2000, 8000):
+            spec = parse_problem({"fixture": name, "config": {"max_steps": max_steps}})
+            br = continue_branch(*build(spec))
+            assert br.status.kind.value == get_fixture(name).expected_status, (
+                name,
+                max_steps,
+            )
+            oscillation = br.status.diagnostics.get("reason") == "oscillation"
+            assert oscillation == (name == "example1-sin"), (name, max_steps)
+
+
+def test_step_budget_exhaustion_reads_the_pole_order():
+    # example2-phi at 500 steps stops near x = 0.995 on the branch
+    # w = 1/(1 - x), below blowup_soft; the shell fit finds the pole order 1
+    spec = parse_problem({"fixture": "example2-phi", "config": {"max_steps": 500}})
+    f, dom, x0, z0, cfg = build(spec)
+    br = continue_branch(f, dom, x0, z0, cfg)
+    d = br.status.diagnostics
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert d["reason"] == "step budget exhausted" and d["soft"] is True
+    assert d["pole_order"] == pytest.approx(1.0, abs=1e-6)
+    assert d["max_abs_w"] < cfg.blowup_soft
+
+
+def test_step_budget_exhaustion_without_evidence_is_unresolved():
+    f, dom, x0, z0, _ = build(parse_problem({"fixture": "monic-cubic-interval"}))
+    br = continue_branch(f, dom, x0, z0, EngineConfig(max_steps=5))
+    d = br.status.diagnostics
+    assert br.status.kind is Status.NON_CONVERGENT
+    assert d["reason"] == "step budget exhausted"
+    assert d["unresolved"] is True
+    assert d["accepted_steps"] == 5
+
+
+def _endgame_of(w_of, inv_x):
+    """An Endgame fed w_of(x) at x = 1/inv_x, on the segment from x = 1 to 0,
+    and every oscillation() verdict taken after a multiple of 8 samples."""
+    xs = 1.0 / np.asarray(inv_x)
+    eg = engine.Endgame(1.0, EngineConfig().osc_tol, 1.0 - xs[0], complex(w_of(xs[0])))
+    verdicts = []
+    for n, x in enumerate(xs[1:], 2):
+        eg.add(1.0 - x, complex(w_of(x)))
+        if n % engine.LADDER_EVERY == 0:
+            verdicts.append(eg.oscillation())
+    return eg, verdicts
+
+
+def test_endgame_tells_oscillation_from_decaying_oscillation():
+    # densely sampled closed forms, 1/x from 1 to 256 in steps of 0.02
+    inv_x = np.arange(1.0, 256.0, 0.02)
+    _, verdicts = _endgame_of(lambda x: math.sin(1.0 / x), inv_x)
+    fired = next(v for v in verdicts if v is not None)
+    assert fired["reason"] == "oscillation"
+    assert fired["amplitude_ratio"] > engine.AMPLITUDE_KEEP
+    assert all(t >= 1.0 for t in fired["turns"])
+    # x*sin(1/x) converges to 0; its shell diameters shrink by 0.5 to 0.54,
+    # which a fraction of 1/2 would read as oscillation
+    _, verdicts = _endgame_of(lambda x: x * math.sin(1.0 / x), inv_x)
+    assert verdicts and all(v is None for v in verdicts)
+
+
+def test_endgame_pole_order_fits_closed_forms():
+    inv_x = np.geomspace(1.0, 1e4, 400)
+    eg, _ = _endgame_of(lambda x: 3.0j * x**-0.5, inv_x)
+    assert eg.pole_order() == pytest.approx(0.5, abs=1e-9)
+    # a branch drifting up to the limit 2 is no pole
+    eg, _ = _endgame_of(lambda x: 2.0 - x, inv_x)
+    assert 0.0 < eg.pole_order() < engine.POLE_ORDER_MIN
+    # too few shells for a fit
+    eg, _ = _endgame_of(lambda x: 1.0 / x, inv_x[:50])
+    assert eg.k < engine.ENDGAME_SHELLS and eg.pole_order() is None
+
+
+def _rows_against(f, br, closed_form, tol):
+    dom = br.domain
+    rows = resample_branch(f, br, 1200)
+    assert len(rows) == 1200
+    worst = max(abs(s.w - closed_form(dom.coordinate(s.point))) for s in rows)
+    assert worst <= tol
+    return worst
+
+
+def test_decaying_oscillation_is_not_read_as_oscillation():
+    # w = x*sin(1/x) has the limit 0 at x = 0
+    f = f_of("guard(0; 0; x*(exp(z) - exp(x*sin(pow(x, -1)))))")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(1.0), math.sin(1.0))
+    assert br.status.diagnostics.get("reason") != "oscillation"
+    assert br.status.kind is Status.COMPLETED
+    _rows_against(f, br, lambda x: x * math.sin(1.0 / x) if x > 0.0 else 0.0, 1e-8)
+
+
+def test_constant_amplitude_rotation_is_not_read_as_oscillation():
+    # w = 2*exp(i*pi*16*x) turns 8 times at constant amplitude; its turns
+    # per shell of 1 - x fall from shell to shell
+    f = f_of("pow(z, 2) - 4*exp(2*pi*i*16*x)")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(0.0), 2.0)
+    assert br.status.diagnostics.get("reason") != "oscillation"
+    assert br.status.kind is Status.COMPLETED
+    _rows_against(f, br, lambda x: 2.0 * np.exp(1j * np.pi * 16.0 * x), 1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=st.floats(0.5, 4.0))
+def test_sin_family_ends_on_oscillation(a):
+    # w = sin(a/x) has no limit at x = 0
+    f = f_of(f"guard(0; 0; x*(exp(z) - exp(sin({a!r}*pow(x, -1)))))")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(1.0), math.sin(a))
+    d = br.status.diagnostics
+    assert br.status.kind is Status.NON_CONVERGENT
+    assert d["reason"] == "oscillation"
+    assert d["accepted_steps"] <= 1000
+    assert d["endpoint_degenerate"] is True
