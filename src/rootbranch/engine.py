@@ -517,7 +517,7 @@ def extend_segment(
             rem = length - s
             end = None
             if rem <= SNAP_EPS:
-                end = _snap_to_end(f, seg, seg_index, w, cfg.residual_tol)
+                end = _snap_to_end(f, seg, seg_index, w, cfg.residual_tol, endgame)
             if end is not None:
                 samples.append(end)
                 junction.setdefault(end.point, end.w)
@@ -712,12 +712,21 @@ def _snap_to_end(
     seg_index: int,
     w: complex,
     residual_tol: float,
+    endgame: Endgame,
 ) -> Optional[BranchSample]:
     """The segment end as a sample, if the branch value still solves there
-    (used when stalled within SNAP_EPS of it)."""
+    (used when stalled within SNAP_EPS of it).
+
+    Where z -> F(x_end, z) is constant every w solves, so there a branch
+    whose shell fit shows a pole (order >= POLE_ORDER_MIN) is not snapped.
+    """
     end = seg.point_at(seg.length)
     cx_end = seg.domain.coordinate(end)
+    order = endgame.pole_order()
+    pole = order is not None and order >= POLE_ORDER_MIN
     try:
+        if pole and degeneracy_probe(f, cx_end).degenerate:
+            return None
         wb, resb = polish_root(f, cx_end, w)
     except OutOfDomainError:
         return None

@@ -1,12 +1,11 @@
 """Parametrized entire functions F(x, z) as small expression trees.
 
 The parameter x is real (the arc coordinate of a domain point), z is
-complex.  Trees evaluate vectorized over numpy arrays of z values, and x may
-be a float array that broadcasts against z (one parameter per row).  Trees
-carry an exact symbolic d/dz so contour integrands need no finite
-differences.  For a float x, EntireFunction evaluates F and dF/dz through
-compiled straight-line code (see _Kernel) that gives the tree walk's
-results bit for bit.
+complex.  Trees are data: EntireFunction evaluates F and its exact symbolic
+dF/dz (so contour integrands need no finite differences) through one path,
+compiled straight-line numpy code (see _Kernel), vectorized over an array
+of z values at a float x, or over rows (x[k], z[k]) for a float array x of
+z's shape.
 """
 
 from __future__ import annotations
@@ -25,18 +24,15 @@ from .errors import NonFiniteError, OutOfDomainError
 
 
 class Expr:
-    """Base expression node. Subclasses implement ev / dz / children.
+    """Base expression node. Subclasses implement dz / children / code.
 
-    ``ev(x, z)`` takes a float x or a float ndarray x that broadcasts
-    against z.  ``code`` is ev for a float x as a Python expression over
-    the children's values {0}, {1} (and {n} for Pow's exponent); _Kernel
-    compiles it, so the two must compute the same operation.
+    ``code`` is the node's operation as a Python expression over the
+    children's values {0}, {1} (and {n} for Pow's exponent); _Kernel
+    compiles it.  Const and Z need none: they are names in the compiled
+    code.  Guard and Split have none either: a value of x picks one side.
     """
 
     code = ""
-
-    def ev(self, x, z):
-        raise NotImplementedError
 
     def dz(self) -> "Expr":
         raise NotImplementedError
@@ -77,21 +73,14 @@ class Expr:
 class Const(Expr):
     value: complex
 
-    def ev(self, x, z):
-        return self.value
-
     def dz(self):
         return Const(0j)
 
 
 @dataclass(frozen=True, repr=False)
 class X(Expr):
-    code = "complex(x)"
-
-    def ev(self, x, z):
-        if isinstance(x, np.ndarray):
-            return x.astype(np.complex128)
-        return complex(x)
+    # the kernel's caller passes x already converted to complex
+    code = "x"
 
     def dz(self):
         return Const(0j)
@@ -99,9 +88,6 @@ class X(Expr):
 
 @dataclass(frozen=True, repr=False)
 class Z(Expr):
-    def ev(self, x, z):
-        return z
-
     def dz(self):
         return Const(1 + 0j)
 
@@ -112,9 +98,6 @@ class Add(Expr):
     b: Expr
 
     code = "{0} + {1}"
-
-    def ev(self, x, z):
-        return self.a.ev(x, z) + self.b.ev(x, z)
 
     def dz(self):
         return add(self.a.dz(), self.b.dz())
@@ -130,9 +113,6 @@ class Sub(Expr):
 
     code = "{0} - {1}"
 
-    def ev(self, x, z):
-        return self.a.ev(x, z) - self.b.ev(x, z)
-
     def dz(self):
         return sub(self.a.dz(), self.b.dz())
 
@@ -147,9 +127,6 @@ class Mul(Expr):
 
     code = "{0} * {1}"
 
-    def ev(self, x, z):
-        return self.a.ev(x, z) * self.b.ev(x, z)
-
     def dz(self):
         return add(mul(self.a.dz(), self.b), mul(self.a, self.b.dz()))
 
@@ -162,9 +139,6 @@ class Neg(Expr):
     a: Expr
 
     code = "-{0}"
-
-    def ev(self, x, z):
-        return -self.a.ev(x, z)
 
     def dz(self):
         return neg(self.a.dz())
@@ -182,10 +156,6 @@ class Pow(Expr):
 
     code = "asarray({0}, dtype=complex128) ** {n}"
 
-    def ev(self, x, z):
-        b = np.asarray(self.base.ev(x, z), dtype=np.complex128)
-        return b ** self.n
-
     def dz(self):
         return mul(mul(Const(complex(self.n)), powi(self.base, self.n - 1)), self.base.dz())
 
@@ -198,9 +168,6 @@ class Exp(Expr):
     a: Expr
 
     code = "exp({0})"
-
-    def ev(self, x, z):
-        return np.exp(self.a.ev(x, z))
 
     def dz(self):
         return mul(Exp(self.a), self.a.dz())
@@ -215,9 +182,6 @@ class Sin(Expr):
 
     code = "sin({0})"
 
-    def ev(self, x, z):
-        return np.sin(self.a.ev(x, z))
-
     def dz(self):
         return mul(Cos(self.a), self.a.dz())
 
@@ -230,9 +194,6 @@ class Cos(Expr):
     a: Expr
 
     code = "cos({0})"
-
-    def ev(self, x, z):
-        return np.cos(self.a.ev(x, z))
 
     def dz(self):
         return neg(mul(Sin(self.a), self.a.dz()))
@@ -255,13 +216,6 @@ class Guard(Expr):
     at_value: Expr
     elsewhere: Expr
 
-    def ev(self, x, z):
-        if isinstance(x, np.ndarray):
-            return _select(x == self.x0, x, z, self.at_value, self.elsewhere)
-        if x == self.x0:
-            return self.at_value.ev(x, z)
-        return self.elsewhere.ev(x, z)
-
     def dz(self):
         return Guard(self.x0, self.at_value.dz(), self.elsewhere.dz())
 
@@ -273,40 +227,20 @@ class Guard(Expr):
 class Split(Expr):
     """Two-sided piecewise switch at a parameter value.
 
-    Evaluates ``left`` for x <= xc and ``right`` for x > xc.  Problem
-    validation checks the two sides agree at xc so F stays continuous.
+    Evaluates ``left`` for x <= xc and ``right`` for x > xc, each only on
+    its own rows for an array x.  Problem validation checks the two sides
+    agree at xc so F stays continuous.
     """
 
     xc: float
     left: Expr
     right: Expr
 
-    def ev(self, x, z):
-        if isinstance(x, np.ndarray):
-            return _select(x <= self.xc, x, z, self.left, self.right)
-        if x <= self.xc:
-            return self.left.ev(x, z)
-        return self.right.ev(x, z)
-
     def dz(self):
         return Split(self.xc, self.left.dz(), self.right.dz())
 
     def children(self):
         return (self.left, self.right)
-
-
-def _select(mask: np.ndarray, x: np.ndarray, z, a: Expr, b: Expr):
-    """``a`` on the rows where mask holds, ``b`` on the others; each side is
-    evaluated only on its own rows."""
-    if mask.all():
-        return a.ev(x, z)
-    if not mask.any():
-        return b.ev(x, z)
-    x, z, mask = np.broadcast_arrays(x, z, mask)
-    out = np.empty(x.shape, dtype=np.complex128)
-    out[mask] = a.ev(x[mask], z[mask])
-    out[~mask] = b.ev(x[~mask], z[~mask])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +424,6 @@ class EntireFunction:
     def __init__(self, expr: Expr, x_range: Optional[tuple[float, float]] = None):
         self.expr = expr
         self.x_range = x_range
-        self._dz = expr.dz()
         self._compiled: Optional[_Kernel] = None  # built on first use
 
     def _check_x(self, x):
@@ -509,19 +442,20 @@ class EntireFunction:
                 raise OutOfDomainError(f"x={bad} outside [{lo}, {hi}]")
         return x
 
-    def kernel(
-        self, x: float, z: np.ndarray, dz: bool = True
-    ) -> tuple[np.ndarray, ...]:
-        """(F, dF/dz) at a float x, or (F,) when dz is False, unchecked.
+    def kernel(self, x, z: np.ndarray, dz: bool = True) -> tuple[np.ndarray, ...]:
+        """(F, dF/dz) at x, or (F,) when dz is False, unchecked.
 
-        Each value is a complex array of z's shape, from one call of the
-        compiled kernel (see _Kernel); non-finite values are returned as
-        they are.  Equal bit for bit to the tree walk.
+        x is a float, or a float array of z's shape that gives each z its
+        own x.  Each value is a complex array of z's shape, from one call
+        of the compiled kernel (see _Kernel); non-finite values are
+        returned as they are.
         """
         x = self._check_x(x)
         z = np.asarray(z, dtype=np.complex128)
+        if isinstance(x, np.ndarray) and x.shape != z.shape:
+            raise ValueError(f"x has shape {x.shape}, z has shape {z.shape}")
         if self._compiled is None:
-            self._compiled = _Kernel(self.expr, self._dz)
+            self._compiled = _Kernel(self.expr)
         return self._compiled(x, z, dz)
 
     def eval(self, x: float, z: complex) -> complex:
@@ -541,15 +475,9 @@ class EntireFunction:
         return self._ev_checked(1, x, z)
 
     def _ev_checked(self, k: int, x, z: np.ndarray) -> np.ndarray:
-        """F (k = 0) or dF/dz (k = 1), finite or NonFiniteError.  A float x
-        goes through the kernel, an array x through the tree walk."""
+        """F (k = 0) or dF/dz (k = 1), finite or NonFiniteError."""
         z = np.asarray(z, dtype=np.complex128)
-        if isinstance(x, np.ndarray):
-            x = self._check_x(x)
-            with np.errstate(all="ignore"):
-                out = _ev_rows((self.expr, self._dz)[k], x, z)
-        else:
-            out = self.kernel(x, z, dz=k == 1)[k]
+        out = self.kernel(x, z, dz=k == 1)[k]
         require_finite(x, z, out)
         return out
 
@@ -575,26 +503,41 @@ _X_CACHE = 8  # x values whose x-only part one kernel keeps
 class _Kernel:
     """F and dF/dz of one function as compiled straight-line numpy code.
 
-    The value tree and the dz tree are hash-consed into one DAG, so each
-    distinct subexpression is computed once per call.  Constants and switch
-    points are keyed on their type and repr, which tell -0.0 from 0.0, so
-    merged nodes always compute the same bits.  A float x fixes every
-    guard/split choice; each choice signature gets its own code, compiled
-    on first use.  The nodes that do not read z are computed once per x
-    (cached on the bits of x) and shared by every later call at that x.
-    Each node runs its ``Expr.code`` on operands of the same types as in
-    the tree walk, so the results equal ``_ev_rows`` bit for bit.
+    The value tree and its symbolic dz tree are hash-consed into one DAG,
+    so each distinct subexpression is computed once per call.  Constants
+    and switch points are keyed on their type and repr, which tell -0.0
+    from 0.0, so merged nodes always compute the same bits.  A value of x
+    fixes every guard/split choice; each choice signature gets its own
+    code, compiled on first use: an x part (the nodes that do not read z)
+    and a z part.  Each node runs its ``Expr.code``, on complex(x) for a
+    float x and on x.astype(complex128) for an array x.
+
+    A float x runs the x part once and caches its values on the bits of
+    x, for every later call at that x.  An array x (one x per z) splits
+    its rows into groups of one signature, each run through its own code
+    on its own rows; when all rows share a signature (always, for a
+    function without guard or split) there is one group and no split.
+    A row's signature depends only on where its x lies among the switch
+    points, so a group is one cell between them, numbered by the count of
+    points <= x plus the count of points < x.  (np.unique is avoided: its
+    first call imports numpy.ma.)
     """
 
-    def __init__(self, expr: Expr, dz: Expr):
+    def __init__(self, expr: Expr):
         self.nodes: list[Expr] = []  # the DAG: distinct nodes, children first
         self.kids: list[tuple[int, ...]] = []  # their children's ids
         ids: dict[tuple, int] = {}
         seen: dict[int, int] = {}
-        self.roots = (self._intern(expr, ids, seen), self._intern(dz, ids, seen))
+        self.roots = (
+            self._intern(expr, ids, seen), self._intern(expr.dz(), ids, seen)
+        )
         self.switches = [
             i for i, e in enumerate(self.nodes) if isinstance(e, (Guard, Split))
         ]
+        self.points = np.sort([
+            e.x0 if isinstance(e, Guard) else e.xc
+            for e in (self.nodes[i] for i in self.switches)
+        ])
         self.names = {
             "asarray": np.asarray, "complex128": np.complex128, "rows": _as_rows,
             "exp": np.exp, "sin": np.sin, "cos": np.cos,
@@ -604,7 +547,7 @@ class _Kernel:
                 self.names[f"c{i}"] = e.value
             elif isinstance(e, Pow):
                 self.names[f"n{i}"] = e.n
-        # signature -> its (x part, z part); x bits -> (those parts, the x
+        # signature -> its (x part, z part); x bits -> (its z part, the x
         # part's values at x)
         self.codes: dict[tuple[bool, ...], tuple] = {}
         self.by_x: dict[bytes, tuple] = {}
@@ -628,21 +571,45 @@ class _Kernel:
             seen[id(e)] = i
         return i
 
-    def __call__(self, x: float, z: np.ndarray, dz: bool):
-        key = x_key(x)
-        hit = self.by_x.get(key)
+    def __call__(self, x, z: np.ndarray, dz: bool):
         with np.errstate(all="ignore"):
+            if isinstance(x, np.ndarray):
+                return self._rows(x, z, dz)
+            key = x_key(x)
+            hit = self.by_x.get(key)
             if hit is None:
-                sig = tuple(
-                    x == e.x0 if isinstance(e, Guard) else x <= e.xc
-                    for e in (self.nodes[i] for i in self.switches)
-                )
-                parts = self.codes.get(sig) or self._compile(sig)
+                xpart, zpart = self._parts(self._signature(x))
                 if len(self.by_x) >= _X_CACHE:
                     del self.by_x[next(iter(self.by_x))]
-                hit = self.by_x[key] = (parts, parts[0](x))
-            (_, zpart), xvals = hit
+                hit = self.by_x[key] = (zpart, xpart(complex(x)))
+            zpart, xvals = hit
             return zpart(xvals, z, dz)
+
+    def _rows(self, x: np.ndarray, z: np.ndarray, dz: bool):
+        """Row k at (x[k], z[k]); each cell's code runs on its rows."""
+        xc = x.astype(np.complex128)
+        pts = self.points
+        cell = np.searchsorted(pts, x, "right") + np.searchsorted(pts, x, "left")
+        if x.size and (cell == cell.flat[0]).all():
+            xpart, zpart = self._parts(self._signature(float(x.flat[0])))
+            return zpart(xpart(xc), z, dz)
+        out = tuple(np.empty(z.shape, dtype=np.complex128) for _ in range(1 + dz))
+        for c in np.flatnonzero(np.bincount(cell.ravel())).tolist():
+            rows = cell == c
+            xpart, zpart = self._parts(self._signature(float(x[rows][0])))
+            for o, v in zip(out, zpart(xpart(xc[rows]), z[rows], dz)):
+                o[rows] = v
+        return out
+
+    def _signature(self, x: float) -> tuple[bool, ...]:
+        """Per guard/split, whether x takes at_value / left."""
+        return tuple(
+            x == e.x0 if isinstance(e, Guard) else x <= e.xc
+            for e in (self.nodes[i] for i in self.switches)
+        )
+
+    def _parts(self, sig: tuple[bool, ...]) -> tuple:
+        return self.codes.get(sig) or self._compile(sig)
 
     def _compile(self, sig: tuple[bool, ...]) -> tuple:
         """The x part and the z part for one choice signature.
@@ -680,15 +647,16 @@ class _Kernel:
         f_nodes = _reached(roots[:1], kids, reads_z)
         dz_nodes = _reached(roots[1:], kids, reads_z) - f_nodes
         f, d = (f"rows({self._name(r)}, z)" for r in roots)
+        dz_reads = {c for i in dz_nodes for c in kids[i]}
         src = [
             "def xpart(x):",
-            *self._lines([i for i in kids if not reads_z[i]], kids),
+            *self._lines([i for i in kids if not reads_z[i]], kids, set(shared)),
             f"return {xvals}",
             "def zpart(xvals, z, dz):",
             *([f"{xvals} = xvals"] if shared else []),
-            *self._lines(f_nodes, kids),
+            *self._lines(f_nodes, kids, dz_reads | set(roots)),
             f"if not dz: return ({f},)",
-            *self._lines(dz_nodes, kids),
+            *self._lines(dz_nodes, kids, set(roots)),
             f"return ({f}, {d})",
         ]
         # every line but the def lines is a function body
@@ -706,17 +674,25 @@ class _Kernel:
             return "z"
         return f"c{i}" if isinstance(e, Const) else f"v{i}"
 
-    def _lines(self, ids, kids: dict) -> list[str]:
+    def _lines(self, ids, kids: dict, keep: set[int]) -> list[str]:
         """One assignment per node, children first; constants and z are
-        names already."""
+        names already.  A value not in keep is deleted after its last read
+        here, so that rows of an array x do not keep every intermediate
+        array alive until the function returns."""
+        order = [i for i in sorted(ids) if not isinstance(self.nodes[i], (Const, Z))]
+        last = {c: i for i in order for c in kids[i]}
         lines = []
-        for i in sorted(ids):
+        for i in order:
             e = self.nodes[i]
-            if isinstance(e, (Const, Z)):
-                continue
             if not e.code:
                 raise TypeError(f"no compiled form for node {type(e).__name__}")
             lines.append(f"v{i} = " + e.code.format(*map(self._name, kids[i]), n=f"n{i}"))
+            dead = sorted(
+                f"v{c}" for c in set(kids[i]) if last[c] == i and c not in keep
+                and not isinstance(self.nodes[c], (Const, Z))
+            )
+            if dead:
+                lines.append("del " + ", ".join(dead))
         return lines
 
 
@@ -847,44 +823,39 @@ def polish_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """polish_root for many rows at once: row k refines z0[k] at x[k].
 
-    x and z0 are arrays of one shape.  Every row follows polish_root's
-    rules with its default iteration count, but all rows share one Newton
-    loop over arrays.  Returns the arrays (z, residual).
+    x and z0 are arrays of one shape, of any number of dimensions; each
+    element is a row.  Every row follows polish_root's rules with its
+    default iteration count, but all rows share one Newton loop over
+    arrays, with one kernel call for F and dF/dz per iteration.  Returns
+    the arrays (z, residual), of that shape.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
-    x = f._check_x(np.asarray(x, dtype=np.float64))
-    if x.shape != z0.shape:
-        raise ValueError(f"x has shape {x.shape}, z0 has shape {z0.shape}")
-    best_z = z0.copy()
+    x = np.asarray(x, dtype=np.float64)
+    fz, d = f.kernel(x, z0)  # checks x's range and shape
+    x, fz, d = x.ravel(), fz.ravel(), d.ravel()
+    best_z = z0.ravel().copy()
     with np.errstate(all="ignore"):
-        fz = _ev_rows(f.expr, x, z0)
         start_ok = np.isfinite(fz)
         best_r = np.where(start_ok, np.abs(fz), np.inf)
-        # rows still iterating, with their current iterate and F there
+        # rows still iterating, with their current iterate and F, F_z there
         live = np.flatnonzero(start_ok & (best_r != 0.0))
-        z, fz = z0[live], fz[live]
+        z, fz, d = best_z[live], fz[live], d[live]
         for _ in range(POLISH_MAX_ITER):
             if live.size == 0:
                 break
-            d = _ev_rows(f._dz, x[live], z)
             ok = (d != 0) & np.isfinite(np.abs(d))
             live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
             z = z - fz / d
-            fz = _ev_rows(f.expr, x[live], z)
+            fz, d = f.kernel(x[live], z)
             ok = np.isfinite(fz)
-            live, z, fz = live[ok], z[ok], fz[ok]
+            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
             r = np.abs(fz)
             better = r < best_r[live]
             best_z[live[better]] = z[better]
             best_r[live[better]] = r[better]
             keep = (r <= 2.0 * best_r[live]) & (r != 0.0)
-            live, z, fz = live[keep], z[keep], fz[keep]
-    return best_z, best_r
-
-
-def _ev_rows(expr: Expr, x, z: np.ndarray) -> np.ndarray:
-    """expr at (x, z) as a complex array of z's shape (a constant broadcasts)."""
-    return _as_rows(expr.ev(x, z), z)
+            live, z, fz, d = live[keep], z[keep], fz[keep], d[keep]
+    return best_z.reshape(z0.shape), best_r.reshape(z0.shape)
 
 
 def _reached(roots, kids: dict, reads_z: dict) -> set[int]:

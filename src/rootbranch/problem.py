@@ -471,10 +471,8 @@ def _validate_piecewise(expr: Expr, dom: ParamDomain) -> None:
                 raise ProblemValidationError(
                     f"split point {node.xc} outside coordinate range [{lo}, {hi}]"
                 )
-            with np.errstate(all="ignore"):
-                l = np.asarray(node.left.ev(node.xc, _CONT_PROBES), dtype=np.complex128)
-                r = np.asarray(node.right.ev(node.xc, _CONT_PROBES), dtype=np.complex128)
-            l, r = np.broadcast_to(l, _CONT_PROBES.shape), np.broadcast_to(r, _CONT_PROBES.shape)
+            (l,) = EntireFunction(node.left).kernel(node.xc, _CONT_PROBES, dz=False)
+            (r,) = EntireFunction(node.right).kernel(node.xc, _CONT_PROBES, dz=False)
             scale = 1.0 + max(np.abs(l).max(), np.abs(r).max())
             if not np.isfinite(l).all() or not np.isfinite(r).all():
                 raise ProblemValidationError(

@@ -315,6 +315,30 @@ def test_fixture_verdicts_do_not_depend_on_the_step_budget():
             assert oscillation == (name == "example1-sin"), (name, max_steps)
 
 
+def test_fixture_verdicts_do_not_depend_on_the_blowup_threshold():
+    # above the default threshold the pole fixtures stall next to x = 0,
+    # where z -> F(0, z) is constant and every w has residual 0: a snap
+    # there would call them Completed (the default is covered above)
+    for name in fixture_names():
+        for threshold in (1e12, 1e30):
+            spec = parse_problem(
+                {"fixture": name, "config": {"blowup_threshold": threshold}}
+            )
+            f, dom, x0, z0, cfg = build(spec)
+            br = continue_branch(f, dom, x0, z0, cfg)
+            assert br.status.kind.value == get_fixture(name).expected_status, (
+                name,
+                threshold,
+            )
+            if name == "counterexample-x2z-x":
+                # w = 1/x up to the last sample, far above 1e8
+                last = br.samples[-1]
+                x = dom.coordinate(last.point)
+                assert abs(last.w) > 1e10
+                assert abs(last.w * x - 1.0) < 1e-12
+                assert not br.status.diagnostics.get("snapped")
+
+
 def test_step_budget_exhaustion_reads_the_pole_order():
     # example2-phi at 500 steps stops near x = 0.995 on the branch
     # w = 1/(1 - x), below blowup_soft; the shell fit finds the pole order 1

@@ -23,7 +23,6 @@ from rootbranch.expressions import (
     Sub,
     X,
     Z,
-    _ev_rows,
     add,
     contains_z,
     cos,
@@ -132,27 +131,43 @@ def test_guard_selects_branch_without_evaluating_other():
     assert f.eval(0.5, 3.0) == pytest.approx(2.0)
 
 
+def _rows_seen(f):
+    """Wrap each compiled x part of f's kernel to record the x it gets,
+    by choice signature."""
+    seen = {}
+    k = f._compiled
+    for sig, (xpart, zpart) in list(k.codes.items()):
+        def spy(x, xpart=xpart, sig=sig):
+            seen.setdefault(sig, []).extend(np.ravel(x).real.tolist())
+            return xpart(x)
+
+        k.codes[sig] = (spy, zpart)
+    return seen
+
+
 def test_guard_array_x_evaluates_each_side_on_its_own_rows():
-    # the elsewhere-side would divide by zero on the x0 row: under
-    # errstate(all="raise") evaluating it there raises
-    e = Guard(1.0, Z(), powi(sub(Const(1.0), X()), -1))
+    # the elsewhere-side divides by zero at x0: it must see no x0 row
+    f = EntireFunction(Guard(1.0, Z(), powi(sub(Const(1.0), X()), -1)))
     x = np.array([1.0, 0.5, 1.0, 0.75])
     z = np.array([3.0, 3.0, 2.0 - 1.0j, 0.0])
-    with np.errstate(all="raise"):
-        vals = e.ev(x, z)
-        assert np.array_equal(vals, [3.0, 2.0, 2.0 - 1.0j, 4.0])
-        with pytest.raises(FloatingPointError):
-            e.elsewhere.ev(np.array([1.0]), np.array([3.0]))
+    vals, _ = f.kernel(x, z)
+    assert np.array_equal(vals, [3.0, 2.0, 2.0 - 1.0j, 4.0])
+    seen = _rows_seen(f)
+    assert f.kernel(x, z)[0].tobytes() == vals.tobytes()
+    assert sorted(map(sorted, seen.values())) == [[0.5, 0.75], [1.0, 1.0]]
 
 
 def test_split_array_x_evaluates_each_side_on_its_own_rows():
     # the right side is singular at x = 0, a left-side row
-    e = Split(0.5, X(), powi(X(), -1))
+    f = EntireFunction(Split(0.5, X(), powi(X(), -1)))
     x = np.array([0.0, 0.5, 1.0, 0.25, 2.0])
-    with np.errstate(all="raise"):
-        vals = e.ev(x, np.zeros(5, dtype=np.complex128))
+    (vals,) = f.kernel(x, np.zeros(5, dtype=np.complex128), dz=False)
     assert np.array_equal(vals, [0.0, 0.5, 1.0, 0.25, 0.5])
-    assert np.array_equal(X().ev(x, 0j), x.astype(np.complex128))
+    seen = _rows_seen(f)
+    f.kernel(x, np.zeros(5, dtype=np.complex128), dz=False)
+    assert sorted(map(sorted, seen.values())) == [[0.0, 0.25, 0.5], [1.0, 2.0]]
+    (xs,) = EntireFunction(X()).kernel(x, np.zeros(5), dz=False)
+    assert xs.tobytes() == x.astype(np.complex128).tobytes()
 
 
 def test_polish_roots_matches_polish_root_row_for_row():
@@ -210,6 +225,19 @@ def test_polish_roots_edge_rows():
         polish_roots(g, np.array([np.nan]), np.zeros(1))
     with pytest.raises(ValueError):
         polish_roots(g, 0.5, np.zeros(2))
+    # any shape: the rows are the elements, and the result keeps the shape
+    x2 = np.array([[1.0, 1.0], [2.0, 3.0]])
+    z2 = np.array([[1e9, 0.0], [0.1, 1.0 + 0.5j]])
+    zs2, rs2 = polish_roots(f, x2, z2)
+    assert zs2.shape == rs2.shape == (2, 2)
+    zs1, rs1 = polish_roots(f, x2.ravel(), z2.ravel())
+    assert zs2.ravel().tobytes() == zs1.tobytes()
+    assert rs2.ravel().tobytes() == rs1.tobytes()
+    # no rows at all, also through a guard's row grouping
+    for h in (f, f_of("guard(1.0; z; exp(z) - x)")):
+        zs, rs = polish_roots(h, np.zeros(0), np.zeros(0))
+        assert zs.shape == rs.shape == (0,)
+        assert zs.dtype == np.complex128 and rs.dtype == np.float64
 
 
 def test_split_switches_at_cut():
@@ -322,6 +350,64 @@ def test_expression_builders_compose():
 # ---------------------------------------------------------------------------
 # the compiled kernel against the tree walk
 
+
+def _walk(e, x, z):
+    """The reference evaluation of e at (x, z), node by node.
+
+    x is a float, or a float array of z's shape whose entries all take the
+    same guard/split sides.  Each node runs the numpy or Python operation
+    its Expr.code names, on complex(x) for a float x and on
+    x.astype(complex128) for an array x.
+    """
+    array = isinstance(x, np.ndarray)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, X):
+        return x.astype(np.complex128) if array else complex(x)
+    if isinstance(e, Z):
+        return z
+    if isinstance(e, (Guard, Split)):
+        take = x == e.x0 if isinstance(e, Guard) else x <= e.xc
+        assert np.all(take) or not np.any(take)
+        a, b = e.children()
+        return _walk(a if np.all(take) else b, x, z)
+    v = [_walk(c, x, z) for c in e.children()]
+    if isinstance(e, Add):
+        return v[0] + v[1]
+    if isinstance(e, Sub):
+        return v[0] - v[1]
+    if isinstance(e, Mul):
+        return v[0] * v[1]
+    if isinstance(e, Neg):
+        return -v[0]
+    if isinstance(e, Pow):
+        return np.asarray(v[0], dtype=np.complex128) ** e.n
+    return {Exp: np.exp, Sin: np.sin, Cos: np.cos}[type(e)](v[0])
+
+
+def _walk_rows(e, x, z):
+    """_walk as a complex array of z's shape (a constant broadcasts)."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(_walk(e, x, z), dtype=np.complex128)
+    return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()
+
+
+def _assert_same_bits(got, walk, bits=lambda a: a.tobytes()):
+    for g, w in zip(got, walk, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert bits(g) == bits(w)  # signed zeros too
+
+
+def _bits_any_nan(a):
+    """a's bytes with every NaN part made the same NaN: numpy's vector
+    loops and its scalar loops may give an invalid operation NaNs of
+    different sign, so for an array the lane a row falls in can change
+    a NaN's bits."""
+    parts = np.stack([a.real, a.imag])
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
 SWITCH_POINTS = (0.0, -0.0, 0.25, 0.5, 1.0)
 # float, int and complex constants with equal values, and both signed zeros:
 # the kernel must not merge any of them
@@ -359,6 +445,7 @@ TREES = st.recursive(
 # switch points hit exactly, both zeros, and their neighbours; the sequence
 # is walked forward and back, so every x comes again after more than the
 # kernel's x cache holds
+NEAR_SWITCHES = [np.nextafter(p, d) for p in SWITCH_POINTS for d in (-np.inf, np.inf)]
 X_SEQUENCES = st.lists(
     st.one_of(
         st.sampled_from(SWITCH_POINTS + (0.5000000000000001, 0.49999999999999994)),
@@ -373,20 +460,28 @@ X_SEQUENCES = st.lists(
 @given(expr=TREES, xs=X_SEQUENCES)
 def test_kernel_matches_tree_walk_bit_for_bit(expr, xs):
     f = EntireFunction(expr)
+    dz = expr.dz()
     for x in xs:
-        with np.errstate(all="ignore"):
-            walk = (_ev_rows(f.expr, x, NODES_Z), _ev_rows(f._dz, x, NODES_Z))
-        got = f.kernel(x, NODES_Z)
-        for g, w in zip(got, walk):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert np.array_equal(g, w, equal_nan=True)
-            assert g.tobytes() == w.tobytes()  # signed zeros too
+        walk = (_walk_rows(expr, x, NODES_Z), _walk_rows(dz, x, NODES_Z))
+        _assert_same_bits(f.kernel(x, NODES_Z), walk)
         for ev, w in ((f.eval_many, walk[0]), (f.eval_dz_many, walk[1])):
             if np.isfinite(w).all():
                 assert ev(x, NODES_Z).tobytes() == w.tobytes()
             else:
                 with pytest.raises(NonFiniteError):
                     ev(x, NODES_Z)
+    # one array-x call: every x of the sequence and every switch point with
+    # its neighbours, against every z, as rows of a 2-D array.  A row's
+    # value must not depend on the other rows of the call, so the walk
+    # takes one x at a time
+    xr = np.array(xs + list(SWITCH_POINTS) + list(NEAR_SWITCHES))
+    x2 = np.repeat(xr, NODES_Z.size).reshape(xr.size, NODES_Z.size)
+    z2 = np.tile(NODES_Z, (xr.size, 1))
+    walk = tuple(
+        np.array([_walk_rows(e, xk, zk) for xk, zk in zip(x2, z2)]) for e in (expr, dz)
+    )
+    _assert_same_bits(f.kernel(x2, z2), walk, _bits_any_nan)
+    _assert_same_bits(f.kernel(x2, z2, dz=False), walk[:1], _bits_any_nan)
 
 
 def test_kernel_keys_x_on_its_bits():
