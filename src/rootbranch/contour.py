@@ -111,21 +111,19 @@ def _sample(
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
+GUARD = 0.5  # derivative guard: |F_j| >= GUARD * |F'_j| * node spacing
+FLOOR_REL = 1e-12  # min node |F| relative to max node |F|
+M_FLOOR_REL = 1e-13  # min |F/P| inside the disk relative to its max
 
 
-def check_contour_clear(
-    data: ContourData,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
-    margin: float = 1.0,
-) -> None:
+def check_contour_clear(data: ContourData, margin: float = 1.0) -> None:
     """Raise ZeroOnContourError unless the circle is safely clear of zeros.
 
-    Two guards: a floor relative to the sampled scale (a deep dip of |F|
-    means a zero sits on or between nodes), and a derivative one applied
-    node by node: a zero within half a spacing of node j would force
-    |F(z_j)| <= |F'| * spacing there, so any node with
-    |F_j| < guard * |F'_j| * spacing is suspect.  The derivative is the
+    Two guards: a floor FLOOR_REL relative to the sampled scale (a deep dip
+    of |F| means a zero sits on or between nodes), and a derivative one
+    applied node by node: a zero within half a spacing of node j would
+    force |F(z_j)| <= |F'| * spacing there, so any node with
+    |F_j| < GUARD * |F'_j| * spacing is suspect.  The derivative is the
     local one because |F| and |F'| can differ by orders of magnitude
     across the circle; the far-side maximum says nothing about a dip here.
     Both checks are scale-relative, so rescaling F changes nothing; only
@@ -136,13 +134,13 @@ def check_contour_clear(
     absf = np.abs(data.f)
     minf = float(absf.min())
     maxf = float(absf.max())
-    floor = margin * max(floor_rel * maxf, DENORMAL_FLOOR)
+    floor = margin * max(FLOOR_REL * maxf, DENORMAL_FLOOR)
     if minf < floor:
         raise ZeroOnContourError(
             f"min node |F| = {minf:.3e} below floor {floor:.3e}"
         )
     spacing = 2.0 * np.pi * data.circle.radius / data.circle.samples
-    bound = (margin * guard * spacing) * np.abs(data.fz)
+    bound = (margin * GUARD * spacing) * np.abs(data.fz)
     slack = absf - bound
     j = int(np.argmin(slack))
     if slack[j] < 0.0:
@@ -203,14 +201,7 @@ class MonicPoly:
         return np.polyval(np.asarray(self.coeffs), np.asarray(z) - self.about)
 
 
-def count_zeros(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
-    margin: float = 1.0,
-) -> int:
+def count_zeros(f: EntireFunction, x: float, circle: Circle) -> int:
     """Count zeros of z -> F(x, z) inside the circle, multiplicity included.
 
     The trapezoid winding is accepted only when two consecutive node counts
@@ -218,27 +209,26 @@ def count_zeros(
     otherwise NonIntegerWindingError.  ZeroOnContourError fires when either
     node set comes too close to a zero.
     """
-    return _count_zeros_data(f, x, circle, guard, floor_rel, margin)[0]
+    return _count_zeros_data(f, x, circle)[0]
 
 
 def _count_zeros_data(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
     margin: float = 1.0,
     samples: Sequence[ContourData] = (),
 ) -> tuple[int, tuple[ContourData, ...]]:
     """count_zeros plus the samples it took (M nodes, 2M, maybe 4M), for
-    reuse downstream; node sets found in ``samples`` are not sampled again."""
+    reuse downstream; node sets found in ``samples`` are not sampled again.
+    margin is check_contour_clear's."""
     levels = [_sample(f, x, circle, samples)]
-    check_contour_clear(levels[0], guard, floor_rel, margin)
+    check_contour_clear(levels[0], margin)
     w_prev = _winding(levels[0])
     for _ in range(2):
         data = _sample(f, x, levels[-1].circle.doubled(), samples)
         levels.append(data)
-        check_contour_clear(data, guard, floor_rel, margin)
+        check_contour_clear(data, margin)
         w_next = _winding(data)
         n = int(round(w_next.real))
         if abs(w_prev - n) <= WINDING_SLACK and abs(w_next - n) <= WINDING_SLACK:
@@ -259,12 +249,10 @@ def power_sums(
     circle: Circle,
     n: int,
     about: complex = 0j,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
 ) -> PowerSums:
     """Power sums s_0..s_n of the enclosed zeros about the given shift."""
     data = sample_contour(f, x, circle)
-    check_contour_clear(data, guard, floor_rel)
+    check_contour_clear(data)
     s = _power_sums_from(data, n, about)
     if abs(s[0] - n) > 0.5:
         raise NonIntegerWindingError(
@@ -297,13 +285,16 @@ def newton_to_coeffs(ps: PowerSums) -> MonicPoly:
     return MonicPoly(tuple(a), about=ps.about)
 
 
-def poly_roots(p: MonicPoly, tol: float = 1e-8, polish_rounds: int = 6) -> np.ndarray:
+POLY_POLISH_ROUNDS = 6  # poly_roots: Newton rounds per companion-matrix root
+
+
+def poly_roots(p: MonicPoly, tol: float = 1e-8) -> np.ndarray:
     """All roots of a monic polynomial, in the z plane, sorted by (re, im).
 
     Degrees 1 and 2 use closed forms; higher degrees use the companion
-    matrix (numpy.roots) followed by Newton polish.  Every returned root
-    satisfies |P(root)| <= tol * (1 + max |coeff|) ** degree, else
-    NoConvergenceError.
+    matrix (numpy.roots) followed by at most POLY_POLISH_ROUNDS Newton
+    steps per root.  Every returned root satisfies
+    |P(root)| <= tol * (1 + max |coeff|) ** degree, else NoConvergenceError.
     """
     c = np.asarray(p.coeffs, dtype=np.complex128)
     deg = p.degree
@@ -315,7 +306,7 @@ def poly_roots(p: MonicPoly, tol: float = 1e-8, polish_rounds: int = 6) -> np.nd
         u = np.roots(c)
         dc = np.polyder(c)
         for i in range(len(u)):
-            u[i] = _polish_poly_root(c, dc, u[i], polish_rounds)
+            u[i] = _polish_poly_root(c, dc, u[i])
     order = np.lexsort((u.imag, u.real))
     u = u[order]
     bound = tol * (1.0 + float(np.abs(c).max())) ** deg
@@ -338,9 +329,9 @@ def _quadratic(b: complex, c: complex) -> np.ndarray:
     return np.array([q, c / q])
 
 
-def _polish_poly_root(c, dc, u, rounds: int):
+def _polish_poly_root(c, dc, u):
     best, best_r = u, abs(np.polyval(c, u))
-    for _ in range(rounds):
+    for _ in range(POLY_POLISH_ROUNDS):
         if best_r == 0.0:
             break
         d = np.polyval(dc, u)
@@ -359,29 +350,25 @@ def local_factor_data(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    about: complex | None = None,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
     margin: float = 1.0,
     samples: Sequence[ContourData] = (),
 ) -> tuple[MonicPoly, tuple[ContourData, ...]]:
     """The monic factor of the enclosed zeros, plus the samples taken.
 
     Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
-    taken about ``about`` (default: the circle center); guard, floor_rel and
-    margin are those of count_zeros.  The returned samples are F and F' at
-    the circle's own node count, then at 2M (and 4M if the count needed
-    it), for callers that also need |F| there.  ``samples`` are F and F'
+    taken about the circle center; margin is check_contour_clear's (1 at
+    step time, 2 when selecting a radius).  The returned samples are F and
+    F' at the circle's own node count, then at 2M (and 4M if the count
+    needed it), for callers that also need |F| there.  ``samples`` are F and F'
     already taken at this x (validate_step's); a node set found among them
     is not sampled again.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    if about is None:
-        about = circle.center
-    n, levels = _count_zeros_data(f, x, circle, guard, floor_rel, margin, samples)
+    n, levels = _count_zeros_data(f, x, circle, margin, samples)
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
+    about = circle.center
     s = _power_sums_from(levels[0], n, about)
     if abs(s[0] - n) > 0.5:
         raise NonIntegerWindingError(
@@ -394,10 +381,6 @@ def local_monic_factor(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    about: complex | None = None,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
-    m_floor_rel: float = 1e-13,
     samples: Sequence[ContourData] = (),
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
@@ -408,24 +391,18 @@ def local_monic_factor(
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    poly, _ = local_factor_data(
-        f, x, circle, about, guard, floor_rel, samples=samples
-    )
-    check_cofactor(f, x, circle, poly, m_floor_rel)
+    poly, _ = local_factor_data(f, x, circle, samples=samples)
+    check_cofactor(f, x, circle, poly)
     return poly
 
 
 def check_cofactor(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    poly: MonicPoly,
-    m_floor_rel: float = 1e-13,
+    f: EntireFunction, x: float, circle: Circle, poly: MonicPoly
 ) -> None:
     """Raise CofactorVanishesError unless F/P stays clear of zero in the disk.
 
     F/P is probed on two interior circles (radii r/3 and 2r/3) and must stay
-    above m_floor_rel * max |F/P| there.  Points where P underflows carry
+    above M_FLOOR_REL * max |F/P| there.  Points where P underflows carry
     no information.
     """
     unit = _unit_nodes(circle.samples)
@@ -443,7 +420,7 @@ def check_cofactor(
         raise CofactorVanishesError("cofactor undefined at every probe point")
     ga = np.abs(g[ok])
     gmin, gmax = float(ga.min()), float(ga.max())
-    floor = max(m_floor_rel * gmax, DENORMAL_FLOOR)
+    floor = max(M_FLOOR_REL * gmax, DENORMAL_FLOOR)
     if gmin <= floor:
         raise CofactorVanishesError(
             f"min |F/P| = {gmin:.3e} at probe points, floor {floor:.3e}"

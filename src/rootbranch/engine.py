@@ -131,6 +131,16 @@ BUDGET_EXHAUSTED = "step budget exhausted"
 _FRACTIONS = ("h0_frac", "h_max_frac")
 
 
+def is_json_int(v) -> bool:
+    """A JSON integer: an int that is not a bool (an int subclass)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool or text."""
+    return is_json_int(v) or isinstance(v, float)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Tuning knobs of the continuation. Defaults suit well-scaled problems.
@@ -138,8 +148,8 @@ class EngineConfig:
     Distances along the domain are in arc units; h0/h_max are fractions of
     the active segment length.  max_steps bounds ACCEPTED steps per
     segment; rejected proposals are separately bounded by h halving down
-    to h_min.  Every other tolerance is a module constant above or the
-    keyword default of the routine that uses it.
+    to h_min.  Every other tolerance is a module constant, here or beside
+    the code that reads it in contour, localize and expressions.
     """
 
     contour_samples: int = 128
@@ -169,7 +179,7 @@ class EngineConfig:
         coerced = {}
         for k, v in overrides.items():
             default = getattr(cls, k)
-            is_int = isinstance(v, int) and not isinstance(v, bool)
+            is_int = is_json_int(v)
             if isinstance(default, bool):
                 ok, want = isinstance(v, bool), "true or false"
             elif k == "contour_samples":
@@ -181,7 +191,7 @@ class EngineConfig:
                 # chained comparisons are exact for huge ints and false for NaN
                 frac = k in _FRACTIONS
                 top = 1.0 if frac else sys.float_info.max
-                ok = (is_int or isinstance(v, float)) and 0 < v <= top
+                ok = is_json_number(v) and 0 < v <= top
                 want = "a number in (0, 1]" if frac else "a finite number > 0"
             if not ok:
                 raise ValueError(f"config {k!r} must be {want}, got {v!r}")
@@ -192,18 +202,17 @@ class EngineConfig:
         return asdict(self)
 
 
-def match_root(
-    candidates: Sequence[complex],
-    w_prev: complex,
-    ambiguity_ratio: float = 0.5,
-    cluster_tol: float = 1e-4,
-) -> RootMatch:
+AMBIGUITY_RATIO = 0.5  # match_root: nearest / runner-up distance must not exceed this
+CLUSTER_TOL = 1e-4  # match_root: relative spread below which candidates are one zero
+
+
+def match_root(candidates: Sequence[complex], w_prev: complex) -> RootMatch:
     """Pick the continuation of w_prev among the factor's roots.
 
     Singleton lists match trivially.  If all candidates coincide within
-    cluster_tol * (1 + max |c|) they are one numerically-split zero: the
+    CLUSTER_TOL * (1 + max |c|) they are one numerically-split zero: the
     centroid matches.  Otherwise the nearest candidate must beat the
-    runner-up by ambiguity_ratio, else the step is Ambiguous and the
+    runner-up by AMBIGUITY_RATIO, else the step is Ambiguous and the
     caller halves.
     """
     cs = np.asarray(list(candidates), dtype=np.complex128)
@@ -213,13 +222,13 @@ def match_root(
         return RootMatch(complex(cs[0]), False)
     scale = 1.0 + float(np.abs(cs).max())
     spread = float(np.abs(cs[:, None] - cs[None, :]).max())
-    if spread <= cluster_tol * scale:
+    if spread <= CLUSTER_TOL * scale:
         return RootMatch(complex(cs.mean()), False)
     d = np.abs(cs - w_prev)
     i0 = int(np.argmin(d))
     d0 = float(d[i0])
     d1 = float(np.min(np.delete(d, i0)))
-    if d0 <= ambiguity_ratio * d1:
+    if d0 <= AMBIGUITY_RATIO * d1:
         return RootMatch(complex(cs[i0]), False)
     return RootMatch(None, True)
 
@@ -670,9 +679,7 @@ def _step_root(
         return None, 0.0, ambiguous_streak, None
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
-        poly1 = local_monic_factor(
-            f, x1, loc.circle, about=loc.z0, samples=check.samples
-        )
+        poly1 = local_monic_factor(f, x1, loc.circle, samples=check.samples)
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -736,23 +736,22 @@ class DegeneracyResult:
     witness: Optional[tuple[tuple[complex, complex], tuple[complex, complex]]] = None
 
 
-def degeneracy_probe(
-    f: EntireFunction,
-    x0: float,
-    radii: Sequence[float] = (1.0, 10.0),
-    samples_per_circle: int = 64,
-    tol_rel: float = 1e-10,
-) -> DegeneracyResult:
+PROBE_RADII = (1.0, 10.0)  # degeneracy_probe: circles |z| = r it samples
+PROBE_SAMPLES = 64  # degeneracy_probe: points per circle
+PROBE_TOL_REL = 1e-10  # degeneracy_probe: spread <= PROBE_TOL_REL * (1 + max |F|)
+
+
+def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
     """Decide heuristically whether z -> F(x0, z) is constant.
 
-    Samples the origin plus ``samples_per_circle`` points on each circle
-    |z| = r for r in radii and compares the spread against
-    tol_rel * (1 + max |F|).  A nonfinite value anywhere is immediate
+    Samples the origin plus PROBE_SAMPLES points on each circle |z| = r
+    for r in PROBE_RADII and compares the spread against
+    PROBE_TOL_REL * (1 + max |F|).  A nonfinite value anywhere is immediate
     evidence of nonconstancy.
     """
     pts = [np.zeros(1, dtype=np.complex128)]
-    for r in radii:
-        ang = 2.0 * np.pi * np.arange(samples_per_circle) / samples_per_circle
+    for r in PROBE_RADII:
+        ang = 2.0 * np.pi * np.arange(PROBE_SAMPLES) / PROBE_SAMPLES
         pts.append(r * np.exp(1j * ang))
     zs = np.concatenate(pts)
     (vals,) = f.kernel(x0, zs, dz=False)
@@ -762,7 +761,7 @@ def degeneracy_probe(
         za = complex(zs[int(np.flatnonzero(finite)[0])]) if finite.any() else 0j
         fa = complex(vals[int(np.flatnonzero(finite)[0])]) if finite.any() else 0j
         return DegeneracyResult(False, witness=((za, fa), (zb, complex("inf"))))
-    tol = tol_rel * (1.0 + float(np.abs(vals).max()))
+    tol = PROBE_TOL_REL * (1.0 + float(np.abs(vals).max()))
     # two-sweep diameter estimate: farthest from the origin value, then
     # farthest from that
     i1 = int(np.argmax(np.abs(vals - vals[0])))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (
+    DENORMAL_FLOOR,
+    M_FLOOR_REL,
     Circle,
     ContourData,
     MonicPoly,
@@ -39,6 +41,10 @@ from .errors import (
 from .expressions import EntireFunction, degeneracy_probe
 
 RADIUS_HALVINGS = 40  # select_radius: halvings of the start radius before giving up
+CENTER_FRAC = 0.1  # the factor's roots must lie within CENTER_FRAC * r of the center
+CLEAR_MARGIN = 2.0  # check_contour_clear's margin when selecting a radius
+SAFETY = 0.5  # validate_step accepts max |F(x1) - F(x0)| <= SAFETY * m
+MARGIN_BAND = 2.0  # excess above 1 / MARGIN_BAND is rechecked at 2M nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +83,7 @@ class StepValidation:
     """Outcome of a Rouche step check.
 
     excess is max |F(x1) - F(x0)| over the contour nodes divided by
-    safety * m; values <= 1 are accepted.  resolution records the node
+    SAFETY * m; values <= 1 are accepted.  resolution records the node
     count of the deciding comparison (doubled when the margin was thin).
     samples (on acceptance) are F and F' at x1 on the nodes compared, for
     the factor at x1 to reuse.
@@ -95,15 +101,6 @@ def select_radius(
     z0: complex,
     r_max: float,
     samples: int = 128,
-    halvings: int = RADIUS_HALVINGS,
-    center_frac: float = 0.1,
-    m_floor_rel: float = 1e-13,
-    guard: float = 0.5,
-    floor_rel: float = 1e-12,
-    probe_radii=(1.0, 10.0),
-    probe_samples: int = 64,
-    probe_tol: float = 1e-10,
-    clear_margin: float = 2.0,
 ) -> LocalFactorization:
     """Find a certified circle about z0 by halving from r_max.
 
@@ -111,14 +108,14 @@ def select_radius(
     fraction of its cap, set by ladder_radius), not a fixed cap: the
     first k with an admissible r_max * 2**-k wins, after k + 1 tries.
     A radius is accepted when the contour is clear of zeros with a stable
-    integer count n >= 1, min node |F| clears the relative floor, the
-    factor's roots hug the center (within center_frac * r, by the Cauchy
-    bound 2 * max |a_k|**(1/k)), and the cofactor F/P stays bounded away
-    from zero inside.  After ``halvings`` failures the point is probed for
-    degeneracy: DegenerateAtPointError if z -> F(x0, z) is constant, else
-    NoRadiusFoundError.
+    integer count n >= 1, min node |F| clears the floor M_FLOOR_REL *
+    max |F|, the factor's roots hug the center (within CENTER_FRAC * r, by
+    the Cauchy bound 2 * max |a_k|**(1/k)), and the cofactor F/P stays
+    bounded away from zero inside.  After RADIUS_HALVINGS failures the
+    point is probed for degeneracy: DegenerateAtPointError if
+    z -> F(x0, z) is constant, else NoRadiusFoundError.
 
-    clear_margin > 1 makes the zero-on-contour checks stricter here than
+    CLEAR_MARGIN > 1 makes the zero-on-contour checks stricter here than
     at step time, so a kept certificate never sits on the exact threshold
     that nearby parameter values are tested against.
     """
@@ -126,28 +123,25 @@ def select_radius(
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     z0 = complex(z0)
     r = float(r_max)
-    for _ in range(halvings + 1):
-        loc = _try_radius(
-            f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_rel,
-            clear_margin,
-        )
+    for _ in range(RADIUS_HALVINGS + 1):
+        loc = _try_radius(f, x0, z0, r, samples)
         if loc is not None:
             return loc
         r *= 0.5
-    pr = degeneracy_probe(f, x0, probe_radii, probe_samples, probe_tol)
+    pr = degeneracy_probe(f, x0)
     if pr.degenerate:
         err = DegenerateAtPointError(f"z -> F({x0}, z) is constant ({pr.constant})")
         err.constant = pr.constant
         raise err
     raise NoRadiusFoundError(
-        f"no admissible radius in [{r_max * 0.5 ** halvings:.3e}, {r_max:.3e}] at x={x0}"
+        f"no admissible radius in [{r_max * 0.5 ** RADIUS_HALVINGS:.3e}, {r_max:.3e}] at x={x0}"
     )
 
 
-def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_rel, margin):
+def _try_radius(f, x0, z0, r, samples):
     try:
         circle = Circle(z0, r, samples)
-        poly, levels = local_factor_data(f, x0, circle, z0, guard, floor_rel, margin)
+        poly, levels = local_factor_data(f, x0, circle, CLEAR_MARGIN)
     except (
         ZeroOnContourError,
         NonIntegerWindingError,
@@ -159,16 +153,16 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
     absf = np.abs(levels[0].f)
     m = float(absf.min())
     maxf = float(absf.max())
-    if m < max(m_floor_rel * maxf, 1e-300):
+    if m < max(M_FLOOR_REL * maxf, DENORMAL_FLOOR):
         return None
     # containment: every root of the factor must hug the center
     bound = 2.0 * max(
         abs(poly.coeffs[k]) ** (1.0 / k) for k in range(1, poly.degree + 1)
     )
-    if bound > center_frac * r:
+    if bound > CENTER_FRAC * r:
         return None
     try:
-        check_cofactor(f, x0, circle, poly, m_floor_rel)
+        check_cofactor(f, x0, circle, poly)
     except (CofactorVanishesError, NonFiniteError):
         return None
     return LocalFactorization(
@@ -185,17 +179,13 @@ def _try_radius(f, x0, z0, r, samples, center_frac, m_floor_rel, guard, floor_re
 
 
 def validate_step(
-    f: EntireFunction,
-    loc: LocalFactorization,
-    x1: float,
-    safety: float = 0.5,
-    margin_band: float = 2.0,
+    f: EntireFunction, loc: LocalFactorization, x1: float
 ) -> StepValidation:
     """Check the Rouche condition for moving the parameter from loc.x0 to x1.
 
-    Accepted iff max node |F(x1, z) - F(x0, z)| <= safety * m on the
-    certificate circle.  When the margin lands within ``margin_band`` of
-    the threshold on the accept side, F(x1) is resampled at twice the node
+    Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m on the
+    certificate circle.  When the margin lands within a factor MARGIN_BAND
+    of the threshold on the accept side, F(x1) is resampled at twice the node
     count and compared with the certificate's F(x0) there (node sets nest,
     so refinement can only tighten).  A non-finite F(x1) rejects the step;
     F'(x1) is sampled along, unchecked, for the factor at x1.
@@ -204,19 +194,19 @@ def validate_step(
     if not np.isfinite(d1.f).all():
         return StepValidation(False, float("inf"), loc.circle.samples)
     diff = float(np.abs(d1.f - loc.f_nodes).max())
-    thr = safety * loc.m
+    thr = SAFETY * loc.m
     if thr <= 0:
         return StepValidation(False, float("inf"), loc.circle.samples)
     excess = diff / thr
     if excess > 1.0:
         return StepValidation(False, excess, loc.circle.samples)
-    if excess < 1.0 / margin_band:
+    if excess < 1.0 / MARGIN_BAND:
         return StepValidation(True, excess, loc.circle.samples, (d1,))
     # thin margin: double the nodes and re-decide
     d2 = sample_contour_unchecked(f, x1, loc.circle.doubled())
     if not np.isfinite(d2.f).all():
         return StepValidation(False, float("inf"), d2.circle.samples)
-    thr2 = safety * float(np.abs(loc.f_nodes2).min())
+    thr2 = SAFETY * float(np.abs(loc.f_nodes2).min())
     if thr2 <= 0:
         return StepValidation(False, float("inf"), d2.circle.samples)
     excess2 = float(np.abs(d2.f - loc.f_nodes2).max()) / thr2

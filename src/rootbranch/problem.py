@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig
+from .engine import EngineConfig, is_json_int, is_json_number
 from .domain import DomainPoint, ParamDomain
 from .errors import ProblemSyntaxError, ProblemValidationError
 from .expressions import (
@@ -295,22 +295,17 @@ def _norm_domain(d) -> dict:
         u, v, length = item
         if not (isinstance(u, str) and isinstance(v, str)):
             raise ProblemValidationError(f"edge endpoints must be names: {item!r}")
-        try:
-            length = float(length)
-        except (TypeError, ValueError):
+        if not is_json_number(length):
             raise ProblemValidationError(f"edge length must be a number: {item!r}")
-        ne.append([u, v, length])
+        ne.append([u, v, float(length)])
     return {"kind": "tree", "vertices": list(verts), "edges": ne}
 
 
 def _norm_complex(v) -> list[float]:
-    if isinstance(v, (int, float)):
+    if is_json_number(v):
         return [float(v), 0.0]
-    if isinstance(v, list) and len(v) == 2:
-        try:
-            return [float(v[0]), float(v[1])]
-        except (TypeError, ValueError):
-            pass
+    if isinstance(v, list) and len(v) == 2 and all(map(is_json_number, v)):
+        return [float(v[0]), float(v[1])]
     raise ProblemValidationError(f"complex value must be a number or [re, im]: {v!r}")
 
 
@@ -321,10 +316,9 @@ def _norm_seed(s, domain: dict) -> dict:
     if domain["kind"] == "interval":
         if set(s) - {"x", "z"} or "x" not in s:
             raise ProblemValidationError("interval seed takes 'x' and 'z'")
-        try:
-            x = float(s["x"])
-        except (TypeError, ValueError):
+        if not is_json_number(s["x"]):
             raise ProblemValidationError(f"seed x must be a number: {s['x']!r}")
+        x = float(s["x"])
         if not (0.0 <= x <= 1.0):
             raise ProblemValidationError(f"seed x={x} outside [0, 1]")
         return {"x": x, "z": z}
@@ -333,11 +327,13 @@ def _norm_seed(s, domain: dict) -> dict:
     p = s["point"]
     if isinstance(p, dict) and set(p) == {"vertex"} and isinstance(p["vertex"], str):
         return {"point": {"vertex": p["vertex"]}, "z": z}
-    if isinstance(p, dict) and set(p) == {"edge", "t"}:
-        try:
-            return {"point": {"edge": int(p["edge"]), "t": float(p["t"])}, "z": z}
-        except (TypeError, ValueError):
-            pass
+    if (
+        isinstance(p, dict)
+        and set(p) == {"edge", "t"}
+        and is_json_int(p["edge"])
+        and is_json_number(p["t"])
+    ):
+        return {"point": {"edge": p["edge"], "t": float(p["t"])}, "z": z}
     raise ProblemValidationError(
         "seed point must be {'vertex': name} or {'edge': index, 't': value}"
     )

@@ -362,6 +362,52 @@ def test_step_budget_exhaustion_without_evidence_is_unresolved():
     assert d["accepted_steps"] == 5
 
 
+def _interior_pole_run(text, x0, z0, config, closed_form):
+    spec = parse_problem(
+        {
+            "function": text,
+            "domain": {"kind": "interval"},
+            "seed": {"x": x0, "z": z0},
+            "config": config,
+        }
+    )
+    f, dom, pt, z, cfg = build(spec)
+    br = continue_branch(f, dom, pt, z, cfg)
+    for s in br.samples:
+        exact = closed_form(dom.coordinate(s.point))
+        assert abs(s.w - exact) <= 1e-10 * abs(exact)
+    return br, dom.coordinate(br.status_location)
+
+
+def test_stall_before_an_interior_pole_is_a_soft_blowup():
+    # w = 1/(0.5 - x) solves z*exp(-z) = u*exp(-u) at u = 1/(0.5 - x); the
+    # radius search gives out inside the segment, short of the pole
+    br, x_stop = _interior_pole_run(
+        "z*exp(-z) - pow(0.5 - x, -1)*exp(-pow(0.5 - x, -1))",
+        0.0, 2.0, {}, lambda x: 1.0 / (0.5 - x),
+    )
+    d = br.status.diagnostics
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert d["soft"] is True
+    assert d["reason"] == "no admissible radius at frontier"
+    assert x_stop == pytest.approx(0.49856, abs=1e-5)
+    assert d["max_abs_w"] == pytest.approx(697.0, rel=1e-3)
+
+
+def test_step_underflow_at_an_interior_pole_is_a_soft_blowup():
+    # w = 1/(x - 0.5) from x = 1: the step underflows just above the pole,
+    # with |w| below the raised hard threshold
+    br, x_stop = _interior_pole_run(
+        "pow(x - 0.5, 2)*z - (x - 0.5)",
+        1.0, 2.0, {"blowup_threshold": 1e12}, lambda x: 1.0 / (x - 0.5),
+    )
+    d = br.status.diagnostics
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert d["soft"] is True
+    assert x_stop - 0.5 == pytest.approx(1.3e-11, rel=0.05)
+    assert d["max_abs_w"] < 1e12
+
+
 def _endgame_of(w_of, inv_x):
     """An Endgame fed w_of(x) at x = 1/inv_x, on the segment from x = 1 to 0,
     and every oscillation() verdict taken after a multiple of 8 samples."""

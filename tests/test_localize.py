@@ -128,7 +128,7 @@ def test_validate_step_nonfinite_is_rejected():
 def test_select_radius_halving_budget():
     # very tight r_max still converges within the halving budget
     f = f_of("pow(z, 2) - x")
-    loc = select_radius(f, 0.25, 0.5, r_max=0.4, halvings=40)
+    loc = select_radius(f, 0.25, 0.5, r_max=0.4)
     assert loc.r > 0.4 * 0.5**40
 
 
@@ -159,11 +159,11 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     assert [d.z.size for d in v.samples] == [m, 2 * m]
 
     calls.clear()
-    poly = local_monic_factor(f, x1, loc.circle, about=loc.z0, samples=v.samples)
+    poly = local_monic_factor(f, x1, loc.circle, samples=v.samples)
     assert calls  # the cofactor probe inside the disk still samples
     assert not any(np.array_equal(z, nodes) for _, z in calls for nodes in reused)
     monkeypatch.undo()
-    assert poly == local_monic_factor(f, x1, loc.circle, about=loc.z0)
+    assert poly == local_monic_factor(f, x1, loc.circle)
 
     kept = [loc.f_nodes, loc.f_nodes2]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]

@@ -170,6 +170,50 @@ def test_seed_out_of_range_rejected():
         parse_problem(interval_problem(x=1.5))
 
 
+def tree_problem(point, length=2.0, z=(0.5, 0.0)):
+    return {
+        "function": "z - x",
+        "domain": {
+            "kind": "tree",
+            "vertices": ["u", "v"],
+            "edges": [["u", "v", length]],
+        },
+        "seed": {"point": point, "z": z},
+    }
+
+
+def test_malformed_seed_rejected(tmp_path):
+    from rootbranch.cli import main
+
+    bad = [
+        interval_problem(x="0.25"),
+        interval_problem(x=True),
+        interval_problem(x=None),
+        interval_problem(z=("0.5", 0.0)),
+        interval_problem(z=(0.5, False)),
+        {**interval_problem(), "seed": {"x": 0.25, "z": True}},
+        tree_problem({"edge": 1.5, "t": 0.5}),
+        tree_problem({"edge": 0.0, "t": 0.5}),
+        tree_problem({"edge": "0", "t": 0.5}),
+        tree_problem({"edge": True, "t": 0.5}),
+        tree_problem({"edge": 0, "t": "0.5"}),
+        tree_problem({"edge": 0, "t": True}),
+        tree_problem({"edge": 0, "t": 0.5}, length="2.0"),
+        tree_problem({"edge": 0, "t": 0.5}, length=True),
+    ]
+    for doc in bad:
+        with pytest.raises(ProblemValidationError):
+            parse_problem(doc)
+    pf = tmp_path / "bad-seed.json"
+    pf.write_text(json.dumps(tree_problem({"edge": 1.5, "t": 0.5})))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    # JSON integers are numbers too
+    spec = parse_problem(tree_problem({"edge": 0, "t": 1}, length=2, z=[1, 0]))
+    assert spec.seed == {"point": {"edge": 0, "t": 1.0}, "z": [1.0, 0.0]}
+    assert spec.domain["edges"] == [["u", "v", 2.0]]
+    assert parse_problem(interval_problem(x=0)).seed["x"] == 0.0
+
+
 def test_guard_must_sit_on_a_vertex():
     doc = interval_problem(fn="guard(0.5; z; z - x)")
     with pytest.raises(ProblemValidationError):
