@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,15 +38,16 @@ EXIT_CODES = {
 
 
 def _jsonable(v):
+    """v in JSON types; a non-finite float has no JSON spelling and is null."""
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        v = [v.real, v.imag]
     if isinstance(v, Status):
         return v.value
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, float) and v != v:  # NaN has no JSON spelling
+    if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
@@ -68,22 +70,22 @@ def _summary(branch: RootBranch, spec: ProblemSpec, cfg, n_out: int) -> dict:
     loc = None
     if branch.status_location is not None:
         loc = branch.domain.describe_point(branch.status_location)
-    return {
-        "status": branch.status.kind.value,
-        "status_location": _jsonable(loc),
-        "diagnostics": _jsonable(branch.status.diagnostics),
-        "config": _jsonable(cfg.as_dict()),
-        "problem": _jsonable(
-            {
+    return _jsonable(
+        {
+            "status": branch.status.kind.value,
+            "status_location": loc,
+            "diagnostics": branch.status.diagnostics,
+            "config": cfg.as_dict(),
+            "problem": {
                 "fixture": spec.fixture,
                 "function": spec.function,
                 "series": list(spec.series) if spec.series else None,
-            }
-        ),
-        "engine_samples": len(branch.samples),
-        "output_samples": n_out,
-        "max_residual": branch.max_residual(),
-    }
+            },
+            "engine_samples": len(branch.samples),
+            "output_samples": n_out,
+            "max_residual": branch.max_residual(),
+        }
+    )
 
 
 def run(spec: ProblemSpec, out_dir: str | Path = ".", samples: int = 1200) -> int:
@@ -96,7 +98,7 @@ def run(spec: ProblemSpec, out_dir: str | Path = ".", samples: int = 1200) -> in
     _write_csv(out_dir / "branch.csv", branch, out)
     summary = _summary(branch, spec, cfg, len(out))
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return EXIT_CODES[branch.status.kind]
 

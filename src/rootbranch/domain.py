@@ -12,8 +12,12 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from .errors import OutOfDomainError, ProblemValidationError
+
+# the search node of an interior start point
+_SEED = -1
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,15 @@ class ParamDomain:
         self.vertex_names = vertex_names
         self.edges = edges
         self._validate()
-        self._depth = self._compute_depths()
+        tree = self._search(DomainPoint(vertex=0))
+        # with |E| = |V| - 1 this also rules out cycles
+        if len(tree) != len(vertex_names):
+            raise ProblemValidationError("domain graph is not connected")
+        # search order puts each parent before its children
+        self._depth = [0.0] * len(vertex_names)
+        for v, link in tree.items():
+            if link is not None:
+                self._depth[v] = self._depth[link[0]] + link[1].length
 
     @classmethod
     def interval(cls) -> "ParamDomain":
@@ -93,42 +105,33 @@ class ParamDomain:
             if key in seen:
                 raise ProblemValidationError(f"duplicate edge {key}")
             seen.add(key)
-        # connectivity; with |E| = |V| - 1 this also rules out cycles
-        if n > 1:
-            adj = self._adjacency()
-            reached = {0}
-            queue = deque([0])
-            while queue:
-                u = queue.popleft()
-                for _, other in adj[u]:
-                    if other not in reached:
-                        reached.add(other)
-                        queue.append(other)
-            if len(reached) != n:
-                raise ProblemValidationError("domain graph is not connected")
 
-    def _adjacency(self):
-        adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.vertex_names))}
+    def _search(self, x0: DomainPoint) -> dict[int, Optional[tuple[int, Piece]]]:
+        """Breadth-first search of the tree from x0.
+
+        Maps each reached node to its parent and the piece from the parent
+        into it; x0 maps to None.  Nodes are vertex indices, and _SEED for an
+        interior x0, which splits its edge in two.
+        """
+        links: dict[int, list[tuple[int, int, float, float]]] = {}
         for ei, e in enumerate(self.edges):
-            adj[e.u].append((ei, e.v))
-            adj[e.v].append((ei, e.u))
-        return adj
-
-    def _compute_depths(self):
-        depth = [0.0] * len(self.vertex_names)
-        if len(self.vertex_names) == 1:
-            return depth
-        adj = self._adjacency()
-        seen = {0}
-        queue = deque([0])
+            chain = [(0.0, e.u), (1.0, e.v)]
+            if ei == x0.edge:
+                chain.insert(1, (x0.t, _SEED))
+            for (t1, n1), (t2, n2) in zip(chain, chain[1:]):
+                links.setdefault(n1, []).append((n2, ei, t1, t2))
+                links.setdefault(n2, []).append((n1, ei, t2, t1))
+        start = _SEED if x0.vertex is None else x0.vertex
+        tree: dict[int, Optional[tuple[int, Piece]]] = {start: None}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
-            for ei, other in adj[u]:
-                if other not in seen:
-                    seen.add(other)
-                    depth[other] = depth[u] + self.edges[ei].length
+            for other, ei, t_here, t_other in links.get(u, ()):
+                if other not in tree:
+                    length = abs(t_other - t_here) * self.edges[ei].length
+                    tree[other] = (u, Piece(ei, t_here, t_other, length))
                     queue.append(other)
-        return depth
+        return tree
 
     # -- points ------------------------------------------------------------
 
@@ -188,87 +191,45 @@ class ParamDomain:
             degree[e.v] += 1
         return [i for i, d in enumerate(degree) if d == 1]
 
-    # -- paths ---------------------------------------------------------------
+    # -- sweeps ------------------------------------------------------------
 
-    def path_between(self, a: DomainPoint, b: DomainPoint) -> "PathSegment":
-        """The unique arc from a to b, as ordered edge pieces."""
-        if a == b:
-            return PathSegment(self, a, b, ())
-        # splice interior endpoints into the vertex graph, then BFS
-        A_NODE, B_NODE = -1, -2
-        extra: dict[int, list[tuple[float, int]]] = {}
-        for node, p in ((A_NODE, a), (B_NODE, b)):
-            if p.edge is not None:
-                extra.setdefault(p.edge, []).append((p.t, node))
-
-        def node_of(p: DomainPoint, default: int) -> int:
-            return p.vertex if p.vertex is not None else default
-
-        # links: node -> list of (other, edge, t_here, t_other)
-        links: dict[int, list[tuple[int, int, float, float]]] = {}
-
-        def link(n1, n2, e, t1, t2):
-            links.setdefault(n1, []).append((n2, e, t1, t2))
-            links.setdefault(n2, []).append((n1, e, t2, t1))
-
-        for ei, e in enumerate(self.edges):
-            chain = [(0.0, e.u)] + sorted(extra.get(ei, [])) + [(1.0, e.v)]
-            for (t1, n1), (t2, n2) in zip(chain, chain[1:]):
-                if t1 != t2 or n1 != n2:
-                    link(n1, n2, ei, t1, t2)
-
-        start = node_of(a, A_NODE)
-        goal = node_of(b, B_NODE)
-        parent: dict[int, tuple[int, int, float, float]] = {start: None}
-        queue = deque([start])
-        while queue and goal not in parent:
-            u = queue.popleft()
-            for other, e, t_here, t_other in links.get(u, ()):
-                if other not in parent:
-                    parent[other] = (u, e, t_here, t_other)
-                    queue.append(other)
-        if goal not in parent:
-            raise OutOfDomainError("no path between points (disconnected?)")
-        rev = []
-        node = goal
-        while parent[node] is not None:
-            prev, e, t_prev, t_node = parent[node]
-            rev.append(Piece(e, t_prev, t_node, abs(t_node - t_prev) * self.edges[e].length))
-            node = prev
-        return PathSegment(self, a, b, tuple(reversed(rev)))
-
-    def sweep_targets(self, x0: DomainPoint) -> list["SweepSegment"]:
+    def sweep_targets(self, x0: DomainPoint) -> list[SweepSegment]:
         """Leaf-directed segments covering the domain, prefixes deduplicated.
 
-        Segments run from x0 to each leaf (sorted by vertex index).  Arcs
-        already covered by earlier segments are skipped via resume_arc: the
-        continuation restarts there with the junction value recorded by the
-        segment that covered the shared prefix.
+        Segments run from x0 to each leaf other than x0, in vertex order.
+        Each resumes at resume_arc, after the longest prefix of pieces
+        already on an earlier segment, with the value recorded there.  Its
+        stops are the arcs where later segments resume on it, so that steps
+        land on them exactly.
         """
-        covered: dict[int, list[tuple[float, float]]] = {}
-
-        def is_covered(piece: Piece) -> bool:
-            lo, hi = sorted((piece.t0, piece.t1))
-            return any(clo <= lo and hi <= chi for clo, chi in covered.get(piece.edge, ()))
-
-        out = []
+        tree = self._search(x0)
+        paths: list[tuple[PathSegment, float, set[float]]] = []
+        # node -> (index, arc) of the first segment through it, the one
+        # that steps onto it and records the value there
+        first: dict[int, tuple[int, float]] = {}
         for leaf in self.leaves:
-            if x0 == self.vertex_point(leaf):
+            if x0 == DomainPoint(vertex=leaf):
                 continue
-            path = self.path_between(x0, self.vertex_point(leaf))
-            if not path.pieces:
-                continue
-            resume = 0.0
-            for piece in path.pieces:
-                if not is_covered(piece):
-                    break
-                resume += piece.length
-            for piece in path.pieces:
-                lo, hi = sorted((piece.t0, piece.t1))
-                ivs = covered.setdefault(piece.edge, [])
-                ivs.append((lo, hi))
-            out.append(SweepSegment(path, resume))
-        return out
+            nodes, node = [], leaf
+            while tree[node] is not None:
+                nodes.append(node)
+                node = tree[node][0]
+            nodes.reverse()
+            pieces = tuple(tree[n][1] for n in nodes)
+            seg = PathSegment(self, x0, DomainPoint(vertex=leaf), pieces)
+            k = 0
+            while k < len(nodes) and nodes[k] in first:
+                k += 1
+            if k:
+                i, arc = first[nodes[k - 1]]
+                paths[i][2].add(arc)
+            for j, n in enumerate(nodes):
+                first.setdefault(n, (len(paths), seg.cum[j + 1]))
+            paths.append((seg, seg.cum[k], set()))
+        return [
+            SweepSegment(seg, resume, tuple(sorted(stops)))
+            for seg, resume, stops in paths
+        ]
 
 
 @dataclass(frozen=True)
@@ -320,26 +281,13 @@ class PathSegment:
         t = piece.t0 + (piece.t1 - piece.t0) * frac
         return self.domain.edge_point(piece.edge, min(max(t, 0.0), 1.0))
 
-    def arc_of(self, p: DomainPoint) -> float:
-        """Arc distance of a point known to lie on this segment."""
-        if p == self.a:
-            return 0.0
-        if p == self.b:
-            return self.length
-        for i, piece in enumerate(self.pieces):
-            lo, hi = sorted((piece.t0, piece.t1))
-            if p.edge == piece.edge and lo <= p.t <= hi:
-                return self.cum[i] + abs(p.t - piece.t0) * self.domain.edges[piece.edge].length
-            if p.vertex is not None:
-                start = self.domain.edge_point(piece.edge, piece.t0)
-                if start == p:
-                    return self.cum[i]
-        raise OutOfDomainError("point does not lie on this segment")
-
 
 @dataclass(frozen=True)
 class SweepSegment:
-    """A leaf-directed path plus the arc where fresh (uncovered) ground starts."""
+    """A leaf-directed path, the arc where fresh (uncovered) ground starts,
+    and the increasing arcs in (resume_arc, length) where later segments
+    resume."""
 
     segment: PathSegment
     resume_arc: float
+    stops: tuple[float, ...]

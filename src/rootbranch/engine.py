@@ -459,18 +459,17 @@ class SegmentRun:
 
 def extend_segment(
     f: EntireFunction,
-    sweep: SweepSegment | PathSegment,
+    sweep: SweepSegment,
     w_start: complex,
     cfg: Optional[EngineConfig] = None,
     seg_index: int = 0,
-    stops: Sequence[float] = (),
     junction: Optional[dict] = None,
 ) -> SegmentRun:
-    """Continue the branch along one path segment from its resume point.
+    """Continue the branch along one sweep segment from its resume point.
 
-    stops are arc positions that steps must land on exactly (junctions of
-    later sweep segments); the branch value there is recorded into
-    ``junction`` keyed by the domain point, write-once.
+    Steps land exactly on the sweep's stops (where later segments resume);
+    the branch value there and at the end is recorded into ``junction``
+    keyed by the domain point, write-once.
 
     One loop over explicit state: the frontier (s, pt, cx, w), the step h,
     the certificate loc at the frontier (None: localize first), the reason
@@ -495,10 +494,7 @@ def extend_segment(
     cfg = cfg or EngineConfig()
     if junction is None:
         junction = {}
-    if isinstance(sweep, SweepSegment):
-        seg, s = sweep.segment, sweep.resume_arc
-    else:
-        seg, s = sweep, 0.0
+    seg, s, stops = sweep.segment, sweep.resume_arc, sweep.stops
     dom = seg.domain
     length = seg.length
 
@@ -512,7 +508,6 @@ def extend_segment(
 
     window: deque[BranchSample] = deque(samples, maxlen=WINDOW)
     endgame = Endgame(length, cfg.osc_tol, s, w)
-    stop_arcs = sorted(a for a in set(stops) if s < a < length)
     h = min(cfg.h0_frac * length, length - s)
     h_max = cfg.h_max_frac * length
     loc = None
@@ -576,7 +571,7 @@ def extend_segment(
             # the kept radius is start * 2**-k, found on try k + 1
             radius_tries += 1 + round(math.log2(start / loc.r))
 
-        target = min(s + h, next((a for a in stop_arcs if a > s), length))
+        target = min(s + h, next((a for a in stops if a > s), length))
         pt1 = seg.point_at(target)
         cx1 = dom.coordinate(pt1)
         w1, res1, ambiguous_streak, f1 = _step_root(
@@ -602,7 +597,7 @@ def extend_segment(
                 n_after = -1
             if n_after != loc.n:
                 certify_failures += 1
-        if s in stop_arcs:
+        if s in stops:
             junction.setdefault(pt, w)
         if abs(w) > cfg.blowup_threshold:
             kind = Status.ASYMPTOTIC_BLOWUP
@@ -817,32 +812,18 @@ def continue_branch(
         )
 
     junction: dict[DomainPoint, complex] = {x0: w0}
-    resume_pts = [sw.segment.point_at(sw.resume_arc) for sw in sweeps]
     all_samples: list[BranchSample] = []
     runs: list[SegmentRun] = []
     status = TerminationStatus(Status.COMPLETED, {})
     where: Optional[DomainPoint] = None
     for i, sw in enumerate(sweeps):
-        stops = []
-        for j in range(i + 1, len(sweeps)):
-            try:
-                a = sw.segment.arc_of(resume_pts[j])
-            except OutOfDomainError:
-                continue
-            if a > sw.resume_arc:
-                stops.append(a)
-        if resume_pts[i] not in junction:
+        start = sw.segment.point_at(sw.resume_arc)
+        if start not in junction:
             raise SolverError(
                 f"internal: no junction value at resume point of sweep {i}"
             )
         run = extend_segment(
-            f,
-            sw,
-            junction[resume_pts[i]],
-            cfg,
-            seg_index=i,
-            stops=stops,
-            junction=junction,
+            f, sw, junction[start], cfg, seg_index=i, junction=junction
         )
         runs.append(run)
         all_samples.extend(run.samples)

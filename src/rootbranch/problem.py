@@ -395,10 +395,12 @@ def parse_problem(data) -> ProblemSpec:
         raise ProblemValidationError("'series' must be a nonempty list")
     texts = []
     for k, c in enumerate(coeffs):
-        if isinstance(c, (int, float)):
+        if is_json_number(c):
             c = repr(float(c))
         if not isinstance(c, str):
-            raise ProblemValidationError(f"series coefficient {k} must be text")
+            raise ProblemValidationError(
+                f"series coefficient {k} must be expression text or a number"
+            )
         e = parse_expression(c)
         if contains_z(e):
             raise ProblemValidationError(f"series coefficient {k} mentions z")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rootbranch import EntireFunction, fixture_names, parse_expression
+from rootbranch import EntireFunction, Status, fixture_names, parse_expression
 from rootbranch.cli import EXIT_CODES, main
 
 
@@ -126,3 +126,21 @@ def test_config_override_in_fixture_problem(tmp_path):
 def test_requires_a_source(capsys):
     assert main([]) == 1
     assert capsys.readouterr().err.strip()
+
+
+def test_summary_is_strict_json_when_the_seed_residual_overflows(tmp_path):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({
+        "function": "exp(exp(exp(z))) - x",
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.5, "z": [50.0, 0.0]},
+    }))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == EXIT_CODES[Status.SEED_INVALID]
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=no_constant)
+    assert summary["status"] == "SeedInvalid"
+    assert summary["diagnostics"]["seed_residual"] is None

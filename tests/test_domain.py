@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootbranch import OutOfDomainError, ParamDomain, ProblemValidationError
 
@@ -36,20 +38,33 @@ def test_tree_coordinates_are_distances_from_root_vertex():
     assert dom.coordinate_range() == (0.0, 0.5)
 
 
-def test_path_between_leaves_passes_junction():
+def sweep_from_a_to(dom, leaf):
+    """The sweep from leaf a of the Y-tree to another leaf."""
+    sweeps = dom.sweep_targets(dom.vertex_point("a"))
+    return next(sw for sw in sweeps if sw.segment.b == dom.vertex_point(leaf))
+
+
+def test_sweep_between_leaves_passes_junction():
     dom = ytree()
-    seg = dom.path_between(dom.vertex_point("a"), dom.vertex_point("b"))
+    seg = sweep_from_a_to(dom, "b").segment
     assert seg.length == pytest.approx(1.0)
     mid = seg.point_at(0.5)
     assert dom.describe_point(mid).get("vertex") == "c"
-
-
-def test_path_arc_of_inverts_point_at():
-    dom = ytree()
-    seg = dom.path_between(dom.vertex_point("a"), dom.vertex_point("d"))
+    # arc is measured from the seed: down to c, then up to b
     for arc in np.linspace(0.0, seg.length, 17):
         p = seg.point_at(float(arc))
-        assert seg.arc_of(p) == pytest.approx(float(arc), abs=1e-12)
+        assert dom.coordinate(p) == pytest.approx(abs(0.5 - float(arc)), abs=1e-12)
+
+
+def test_junction_arc_is_a_stop_of_the_earlier_sweep():
+    dom = ytree()
+    to_b, to_d = sweep_from_a_to(dom, "b"), sweep_from_a_to(dom, "d")
+    # the sweep to d resumes at c, which the sweep to b passes at arc 0.5
+    assert to_b.resume_arc == 0.0
+    assert to_d.resume_arc == pytest.approx(0.5)
+    assert to_d.segment.point_at(to_d.resume_arc) == dom.vertex_point("c")
+    assert to_b.stops == (to_d.resume_arc,)
+    assert to_d.stops == ()
 
 
 def test_sweeps_cover_domain_once():
@@ -110,7 +125,54 @@ def test_edge_point_validation():
 
 def test_junction_points_are_exact_vertices():
     dom = ytree()
-    seg = dom.path_between(dom.vertex_point("a"), dom.vertex_point("b"))
-    p = seg.point_at(0.5)
+    sw = sweep_from_a_to(dom, "b")
+    p = sw.segment.point_at(sw.stops[0])
     assert p.vertex is not None
     assert p.edge is None
+
+
+@st.composite
+def trees(draw):
+    """A random tree on 2-9 vertices, labels and edge directions shuffled."""
+    n = draw(st.integers(2, 9))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        ends = [f"v{label[u]}", f"v{label[v]}"]
+        if draw(st.booleans()):
+            ends.reverse()
+        edges.append([*ends, draw(st.floats(0.1, 3.0))])
+    return ParamDomain.tree([f"v{i}" for i in range(n)], draw(st.permutations(edges)))
+
+
+@settings(deadline=None)
+@given(dom=trees(), t=st.floats(0.01, 0.99))
+def test_sweep_plan_covers_once_and_resumes_at_stops(dom, t):
+    seeds = [dom.vertex_point(v) for v in range(len(dom.vertex_names))]
+    seeds += [dom.edge_point(e, t) for e in range(len(dom.edges))]
+    for x0 in seeds:
+        sweeps = dom.sweep_targets(x0)
+        ends = [sw.segment.b for sw in sweeps]
+        assert ends == [dom.vertex_point(v) for v in dom.leaves if dom.vertex_point(v) != x0]
+        # the fresh pieces tile every edge exactly once
+        fresh = {e: [] for e in range(len(dom.edges))}
+        for sw in sweeps:
+            seg = sw.segment
+            for i, piece in enumerate(seg.pieces):
+                if seg.cum[i] >= sw.resume_arc:
+                    fresh[piece.edge].append(tuple(sorted((piece.t0, piece.t1))))
+        for ivs in fresh.values():
+            ivs.sort()
+            assert ivs[0][0] == 0.0 and ivs[-1][1] == 1.0
+            assert all(a[1] == b[0] for a, b in zip(ivs, ivs[1:]))
+        for j, sw in enumerate(sweeps):
+            stops = sw.stops
+            assert all(sw.resume_arc < a < sw.segment.length for a in stops)
+            assert all(a < b for a, b in zip(stops, stops[1:]))
+            start = sw.segment.point_at(sw.resume_arc)
+            at_stops = [sweeps[i].segment.point_at(a) for i in range(j) for a in sweeps[i].stops]
+            assert start == x0 if sw.resume_arc == 0.0 else start in at_stops
+            # and each stop is where some later sweep resumes
+            later = [s.segment.point_at(s.resume_arc) for s in sweeps[j + 1:]]
+            assert all(sw.segment.point_at(a) in later for a in stops)

@@ -142,23 +142,44 @@ def test_continue_branch_from_double_root_is_deterministic():
     assert w_end and abs(w_end[0] ** 2 - 1.0) < 1e-8
 
 
+JUNCTION_TREES = (
+    # the Y-tree
+    (["c", "a", "b", "d"], [["c", "a", 0.5], ["c", "b", 0.5], ["c", "d", 0.5]]),
+    # a path whose middle vertex has degree 2
+    (["a", "b", "c"], [["a", "b", 0.4], ["b", "c", 0.7]]),
+    # two branch vertices p and q, based at a leaf
+    (
+        ["a", "p", "b", "q", "c", "d"],
+        [["a", "p", 0.3], ["p", "b", 0.6], ["p", "q", 0.5], ["q", "c", 0.4], ["d", "q", 0.2]],
+    ),
+)
+
+
 def test_continue_branch_tree_junction_consistent():
-    # exact branch w = 1 + coordinate on the whole tree
+    # exact branch w = 1 + coordinate on the whole tree, from every vertex
+    # and from two points on every edge, so that later segments resume at
+    # junctions that earlier ones must step onto exactly
     f = f_of("z - 1.0 - x")
-    dom = ParamDomain.tree(
-        ["c", "a", "b", "d"],
-        [["c", "a", 0.5], ["c", "b", 0.5], ["c", "d", 0.5]],
-    )
-    br = continue_branch(f, dom, dom.vertex_point("c"), 1.0)
-    assert br.status.kind is Status.COMPLETED
-    for s in br.samples:
-        x = dom.coordinate(s.point)
-        assert abs(s.w - (1.0 + x)) < 1e-9
-    out = resample_branch(f, br, 90)
-    assert len(out) == 90
-    for s in out:
-        x = dom.coordinate(s.point)
-        assert abs(s.w - (1.0 + x)) < 1e-10
+    resumed = 0
+    for vertices, edges in JUNCTION_TREES:
+        dom = ParamDomain.tree(vertices, edges)
+        seeds = [dom.vertex_point(v) for v in vertices]
+        seeds += [dom.edge_point(e, t) for e in range(len(edges)) for t in (0.3, 0.5)]
+        for x0 in seeds:
+            br = continue_branch(f, dom, x0, 1.0 + dom.coordinate(x0))
+            assert br.status.kind is Status.COMPLETED
+            fresh = sum(sw.segment.length - sw.resume_arc for sw in br.sweeps)
+            assert fresh == pytest.approx(sum(e[2] for e in edges), abs=1e-12)
+            resumed += sum(sw.resume_arc > 0.0 for sw in br.sweeps)
+            out = resample_branch(f, br, 90)
+            assert len(out) == 90
+            values = {}
+            for s in (*br.samples, *out):
+                assert abs(s.w - (1.0 + dom.coordinate(s.point))) <= 1e-12
+            for s in br.samples:
+                values.setdefault(s.point, set()).add(s.w)
+            assert all(len(ws) == 1 for ws in values.values())
+    assert resumed > 0
 
 
 def test_branch_invariant_under_constant_rescaling():

@@ -57,6 +57,19 @@ def test_series_coefficients_must_not_use_z():
         parse_problem(doc)
 
 
+def test_series_coefficients_must_be_text_or_numbers():
+    doc = {
+        "series": [True, False, 1.0],
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.0, "z": [0.0, 0.0]},
+    }
+    with pytest.raises(ProblemValidationError):
+        parse_problem(doc)
+    # JSON integers are numbers too
+    doc["series"] = [-1, 0, 1]
+    assert parse_problem(doc).series == ("-1.0", "0.0", "1.0")
+
+
 def test_parse_tree_problem():
     doc = {
         "function": "z - x",
