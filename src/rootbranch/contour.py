@@ -26,7 +26,7 @@ from .errors import (
     NoZerosInDiskError,
     ZeroOnContourError,
 )
-from .expressions import EntireFunction, require_finite, x_key
+from .expressions import EntireFunction, require_finite
 
 WINDING_SLACK = 0.25  # max distance of a trapezoid winding from its integer
 
@@ -66,13 +66,12 @@ class Circle:
 
 @dataclass(frozen=True)
 class ContourData:
-    """F and dF/dz sampled at x on a circle's nodes.
+    """F and dF/dz sampled on a circle's nodes.
 
     The arrays are made read-only: certificates and step checks keep them
     and hand them on instead of sampling the same nodes again.
     """
 
-    x: float
     circle: Circle
     z: np.ndarray
     f: np.ndarray
@@ -83,31 +82,12 @@ class ContourData:
             a.flags.writeable = False
 
 
-def sample_contour_unchecked(f: EntireFunction, x: float, circle: Circle) -> ContourData:
-    """F and dF/dz on the circle's nodes from one kernel call; values may be
-    non-finite."""
+def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
+    """F(x, .) and dF/dz on the circle's nodes from one kernel call; values
+    may be non-finite (callers check with require_finite)."""
     z = circle.nodes()
     fv, fz = f.kernel(x, z)
-    return ContourData(x, circle, z, fv, fz)
-
-
-def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
-    """F and dF/dz on the circle's nodes; NonFiniteError if either is not
-    finite at some node."""
-    data = sample_contour_unchecked(f, x, circle)
-    require_finite(x, data.z, data.f, data.fz)
-    return data
-
-
-def _sample(
-    f: EntireFunction, x: float, circle: Circle, samples: Sequence[ContourData]
-) -> ContourData:
-    """sample_contour, served from ``samples`` when they hold this x and circle."""
-    for data in samples:
-        if data.circle == circle and x_key(data.x) == x_key(x):
-            require_finite(x, data.z, data.f, data.fz)
-            return data
-    return sample_contour(f, x, circle)
+    return ContourData(circle, z, fv, fz)
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
@@ -155,6 +135,8 @@ def _winding(data: ContourData) -> complex:
 
 
 def _power_sums_from(data: ContourData, n: int, about: complex) -> np.ndarray:
+    """s_0..s_n from one node set; NonIntegerWindingError unless s_0 is
+    within 0.5 of the expected count n."""
     g = (data.z - data.circle.center) * data.fz / data.f
     u = data.z - about
     s = np.empty(n + 1, dtype=np.complex128)
@@ -162,6 +144,10 @@ def _power_sums_from(data: ContourData, n: int, about: complex) -> np.ndarray:
     for k in range(n + 1):
         s[k] = np.mean(uk * g)
         uk = uk * u
+    if abs(s[0] - n) > 0.5:
+        raise NonIntegerWindingError(
+            f"s_0 = {s[0]:.6f} inconsistent with count {n}"
+        )
     return s
 
 
@@ -217,29 +203,33 @@ def _count_zeros_data(
     x: float,
     circle: Circle,
     margin: float = 1.0,
-    samples: Sequence[ContourData] = (),
+    levels: Sequence[ContourData] = (),
 ) -> tuple[int, tuple[ContourData, ...]]:
-    """count_zeros plus the samples it took (M nodes, 2M, maybe 4M), for
-    reuse downstream; node sets found in ``samples`` are not sampled again.
+    """count_zeros plus the samples it used (M nodes, 2M, maybe 4M), for
+    reuse downstream.  ``levels`` are samples already taken at this x on
+    the circle and then its doublings, in that order: level k is used as
+    the 2**k * M node set, and only the levels past its end are sampled.
     margin is check_contour_clear's."""
-    levels = [_sample(f, x, circle, samples)]
-    check_contour_clear(levels[0], margin)
-    w_prev = _winding(levels[0])
-    for _ in range(2):
-        data = _sample(f, x, levels[-1].circle.doubled(), samples)
-        levels.append(data)
+    used: list[ContourData] = []
+    w: list[complex] = []
+    for k in range(3):
+        data = levels[k] if k < len(levels) else sample_contour(f, x, circle)
+        require_finite(x, data.z, data.f, data.fz)
         check_contour_clear(data, margin)
-        w_next = _winding(data)
-        n = int(round(w_next.real))
-        if abs(w_prev - n) <= WINDING_SLACK and abs(w_next - n) <= WINDING_SLACK:
+        used.append(data)
+        w.append(_winding(data))
+        circle = circle.doubled()
+        if k == 0:
+            continue
+        n = int(round(w[-1].real))
+        if abs(w[-2] - n) <= WINDING_SLACK and abs(w[-1] - n) <= WINDING_SLACK:
             if n < 0:
                 raise NonIntegerWindingError(
                     f"winding settled on negative count {n}"
                 )
-            return n, tuple(levels)
-        w_prev = w_next
+            return n, tuple(used)
     raise NonIntegerWindingError(
-        f"winding did not settle: last two estimates {w_prev:.6f}, {w_next:.6f}"
+        f"winding did not settle: last two estimates {w[-2]:.6f}, {w[-1]:.6f}"
     )
 
 
@@ -252,13 +242,9 @@ def power_sums(
 ) -> PowerSums:
     """Power sums s_0..s_n of the enclosed zeros about the given shift."""
     data = sample_contour(f, x, circle)
+    require_finite(x, data.z, data.f, data.fz)
     check_contour_clear(data)
-    s = _power_sums_from(data, n, about)
-    if abs(s[0] - n) > 0.5:
-        raise NonIntegerWindingError(
-            f"s_0 = {s[0]:.6f} inconsistent with expected count {n}"
-        )
-    return PowerSums(tuple(s), about=about)
+    return PowerSums(tuple(_power_sums_from(data, n, about)), about=about)
 
 
 def newton_to_coeffs(ps: PowerSums) -> MonicPoly:
@@ -351,29 +337,25 @@ def local_factor_data(
     x: float,
     circle: Circle,
     margin: float = 1.0,
-    samples: Sequence[ContourData] = (),
+    levels: Sequence[ContourData] = (),
 ) -> tuple[MonicPoly, tuple[ContourData, ...]]:
-    """The monic factor of the enclosed zeros, plus the samples taken.
+    """The monic factor of the enclosed zeros, plus the samples used.
 
     Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
     taken about the circle center; margin is check_contour_clear's (1 at
     step time, 2 when selecting a radius).  The returned samples are F and
     F' at the circle's own node count, then at 2M (and 4M if the count
-    needed it), for callers that also need |F| there.  ``samples`` are F and F'
-    already taken at this x (validate_step's); a node set found among them
-    is not sampled again.
+    needed it), for callers that also need |F| there.  ``levels`` are F
+    and F' already taken at this x on the circle and its doublings, in
+    that order (validate_step's); only the node sets past them are sampled.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    n, levels = _count_zeros_data(f, x, circle, margin, samples)
+    n, levels = _count_zeros_data(f, x, circle, margin, levels)
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
     about = circle.center
     s = _power_sums_from(levels[0], n, about)
-    if abs(s[0] - n) > 0.5:
-        raise NonIntegerWindingError(
-            f"s_0 = {s[0]:.6f} inconsistent with count {n}"
-        )
     return newton_to_coeffs(PowerSums(tuple(s), about=about)), levels
 
 
@@ -381,17 +363,17 @@ def local_monic_factor(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    samples: Sequence[ContourData] = (),
+    levels: Sequence[ContourData] = (),
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
 
     local_factor_data followed by check_cofactor, so F/P is also certified
-    free of zeros inside the disk.  ``samples`` are passed on to
+    free of zeros inside the disk.  ``levels`` are passed on to
     local_factor_data.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    poly, _ = local_factor_data(f, x, circle, samples=samples)
+    poly, _ = local_factor_data(f, x, circle, levels=levels)
     check_cofactor(f, x, circle, poly)
     return poly
 

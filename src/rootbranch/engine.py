@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -97,8 +96,9 @@ class RootBranch:
     def completed(self) -> bool:
         return self.status.kind is Status.COMPLETED
 
-    def max_residual(self) -> float:
-        return max((s.residual for s in self.samples), default=0.0)
+    def max_residual(self) -> Optional[float]:
+        """Largest sample residual; None for a branch without samples."""
+        return max((s.residual for s in self.samples), default=None)
 
 
 @dataclass(frozen=True)
@@ -473,11 +473,11 @@ def extend_segment(
 
     One loop over explicit state: the frontier (s, pt, cx, w), the step h,
     the certificate loc at the frontier (None: localize first), the reason
-    the frontier stalled (if it did), the recent-sample window and the
-    counters.  A pass either resolves a stall (snap onto the end, classify,
-    or retry with fresh steps), or proposes one step from the certificate.
-    A rejection halves h and keeps loc; an acceptance moves the frontier
-    and drops loc.
+    the frontier stalled (if it did) and the counters; a stall is
+    classified from the last WINDOW samples.  A pass either resolves a
+    stall (snap onto the end, classify, or retry with fresh steps), or
+    proposes one step from the certificate.  A rejection halves h and
+    keeps loc; an acceptance moves the frontier and drops loc.
 
     Localization halves from r_max * scale, where r_max =
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
@@ -506,7 +506,6 @@ def extend_segment(
         junction.setdefault(pt, w)
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
 
-    window: deque[BranchSample] = deque(samples, maxlen=WINDOW)
     endgame = Endgame(length, cfg.osc_tol, s, w)
     h = min(cfg.h0_frac * length, length - s)
     h_max = cfg.h_max_frac * length
@@ -530,6 +529,7 @@ def extend_segment(
             if stalled == BUDGET_EXHAUSTED:
                 kind, diag = _budget_verdict(endgame, w)
                 break
+            window = samples[-WINDOW:]
             if _blowup_evidence(window, length, cfg):
                 kind = Status.ASYMPTOTIC_BLOWUP
                 diag = {"max_abs_w": abs(w), "reason": stalled, "soft": True}
@@ -587,7 +587,6 @@ def extend_segment(
         s, pt, cx, w = target, pt1, cx1, w1
         smp = BranchSample(seg_index, s, pt, w, res1)
         samples.append(smp)
-        window.append(smp)
         endgame.add(s, w)
         accepted += 1
         if cfg.certify_steps:
@@ -674,7 +673,7 @@ def _step_root(
         return None, 0.0, ambiguous_streak, None
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
-        poly1 = local_monic_factor(f, x1, loc.circle, samples=check.samples)
+        poly1 = local_monic_factor(f, x1, loc.circle, levels=check.samples)
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"

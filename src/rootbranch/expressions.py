@@ -711,11 +711,16 @@ class SeriesForm:
             if contains_z(c):
                 raise ValueError(f"series coefficient {k} mentions z")
 
-    def to_entire(self, x_range: Optional[tuple[float, float]] = None) -> EntireFunction:
+    @property
+    def expr(self) -> Expr:
+        """The sum of coeffs[k] * z**k as one expression."""
         total: Expr = Const(0j)
         for k, c in enumerate(self.coeffs):
             total = add(total, mul(c, powi(Z(), k)))
-        return EntireFunction(total, x_range=x_range)
+        return total
+
+    def to_entire(self, x_range: Optional[tuple[float, float]] = None) -> EntireFunction:
+        return EntireFunction(self.expr, x_range=x_range)
 
 
 # ---------------------------------------------------------------------------

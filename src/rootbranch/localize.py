@@ -20,14 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (
-    DENORMAL_FLOOR,
-    M_FLOOR_REL,
     Circle,
     ContourData,
     MonicPoly,
     check_cofactor,
     local_factor_data,
-    sample_contour_unchecked,
+    sample_contour,
 )
 from .errors import (
     CofactorVanishesError,
@@ -62,9 +60,10 @@ class LocalFactorization:
         localization its non-leading coefficients are numerically tiny,
         i.e. P is (z - z0)**n to quadrature accuracy.
     circle : the contour itself (center z0, radius r)
-    f_nodes : cached F(x0, .) on the circle nodes, reused by validate_step
-    f_nodes2 : cached F(x0, .) on the doubled circle's nodes, reused by
-        validate_step's thin-margin re-check
+    levels : F(x0, .) and F' on the circle's nodes, then on the doubled
+        circle's, as the certificate took them; validate_step compares
+        F(x1) with them level by level.  Both passed check_contour_clear
+        at CLEAR_MARGIN, so min |F| > 0 on each.
     """
 
     x0: float
@@ -74,8 +73,7 @@ class LocalFactorization:
     n: int
     poly: MonicPoly
     circle: Circle
-    f_nodes: np.ndarray
-    f_nodes2: np.ndarray
+    levels: tuple[ContourData, ContourData]
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ class StepValidation:
     excess is max |F(x1) - F(x0)| over the contour nodes divided by
     SAFETY * m; values <= 1 are accepted.  resolution records the node
     count of the deciding comparison (doubled when the margin was thin).
-    samples (on acceptance) are F and F' at x1 on the nodes compared, for
-    the factor at x1 to reuse.
+    samples (on acceptance) are F and F' at x1 on the nodes compared, M
+    nodes first and then 2M if the margin was thin: the factor at x1 takes
+    them as its levels.
     """
 
     accepted: bool
@@ -108,10 +107,9 @@ def select_radius(
     fraction of its cap, set by ladder_radius), not a fixed cap: the
     first k with an admissible r_max * 2**-k wins, after k + 1 tries.
     A radius is accepted when the contour is clear of zeros with a stable
-    integer count n >= 1, min node |F| clears the floor M_FLOOR_REL *
-    max |F|, the factor's roots hug the center (within CENTER_FRAC * r, by
-    the Cauchy bound 2 * max |a_k|**(1/k)), and the cofactor F/P stays
-    bounded away from zero inside.  After RADIUS_HALVINGS failures the
+    integer count n >= 1, the factor's roots hug the center (within
+    CENTER_FRAC * r, by the Cauchy bound 2 * max |a_k|**(1/k)), and the
+    cofactor F/P stays bounded away from zero inside.  After RADIUS_HALVINGS failures the
     point is probed for degeneracy: DegenerateAtPointError if
     z -> F(x0, z) is constant, else NoRadiusFoundError.
 
@@ -150,11 +148,6 @@ def _try_radius(f, x0, z0, r, samples):
         ValueError,
     ):
         return None
-    absf = np.abs(levels[0].f)
-    m = float(absf.min())
-    maxf = float(absf.max())
-    if m < max(M_FLOOR_REL * maxf, DENORMAL_FLOOR):
-        return None
     # containment: every root of the factor must hug the center
     bound = 2.0 * max(
         abs(poly.coeffs[k]) ** (1.0 / k) for k in range(1, poly.degree + 1)
@@ -169,12 +162,11 @@ def _try_radius(f, x0, z0, r, samples):
         x0=float(x0),
         z0=z0,
         r=r,
-        m=m,
+        m=float(np.abs(levels[0].f).min()),
         n=poly.degree,
         poly=poly,
         circle=circle,
-        f_nodes=levels[0].f,
-        f_nodes2=levels[1].f,
+        levels=levels[:2],
     )
 
 
@@ -186,33 +178,27 @@ def validate_step(
     Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m on the
     certificate circle.  When the margin lands within a factor MARGIN_BAND
     of the threshold on the accept side, F(x1) is resampled at twice the node
-    count and compared with the certificate's F(x0) there (node sets nest,
-    so refinement can only tighten).  A non-finite F(x1) rejects the step;
+    count and compared with the certificate's F(x0) there, against that
+    level's own min |F(x0)| (node sets nest, so refinement can only
+    tighten).  The threshold is positive at both levels: every
+    LocalFactorization comes from select_radius, whose contour checks
+    demand min |F| > 0 on each.  A non-finite F(x1) rejects the step;
     F'(x1) is sampled along, unchecked, for the factor at x1.
     """
-    d1 = sample_contour_unchecked(f, x1, loc.circle)
-    if not np.isfinite(d1.f).all():
-        return StepValidation(False, float("inf"), loc.circle.samples)
-    diff = float(np.abs(d1.f - loc.f_nodes).max())
-    thr = SAFETY * loc.m
-    if thr <= 0:
-        return StepValidation(False, float("inf"), loc.circle.samples)
-    excess = diff / thr
-    if excess > 1.0:
-        return StepValidation(False, excess, loc.circle.samples)
-    if excess < 1.0 / MARGIN_BAND:
-        return StepValidation(True, excess, loc.circle.samples, (d1,))
-    # thin margin: double the nodes and re-decide
-    d2 = sample_contour_unchecked(f, x1, loc.circle.doubled())
-    if not np.isfinite(d2.f).all():
-        return StepValidation(False, float("inf"), d2.circle.samples)
-    thr2 = SAFETY * float(np.abs(loc.f_nodes2).min())
-    if thr2 <= 0:
-        return StepValidation(False, float("inf"), d2.circle.samples)
-    excess2 = float(np.abs(d2.f - loc.f_nodes2).max()) / thr2
-    if not excess2 <= 1.0:
-        return StepValidation(False, excess2, d2.circle.samples)
-    return StepValidation(True, excess2, d2.circle.samples, (d1, d2))
+    taken: list[ContourData] = []
+    for k, level in enumerate(loc.levels):
+        d = sample_contour(f, x1, level.circle)
+        taken.append(d)
+        resolution = level.circle.samples
+        if not np.isfinite(d.f).all():
+            return StepValidation(False, float("inf"), resolution)
+        m = loc.m if k == 0 else float(np.abs(level.f).min())
+        excess = float(np.abs(d.f - level.f).max()) / (SAFETY * m)
+        if excess > 1.0:
+            return StepValidation(False, excess, resolution)
+        # a thin margin on the M nodes is decided again at 2M
+        if excess < 1.0 / MARGIN_BAND or k == len(loc.levels) - 1:
+            return StepValidation(True, excess, resolution, tuple(taken))
 
 
 def ladder_radius(
@@ -223,12 +209,12 @@ def ladder_radius(
 
     Each rung is a circle about loc.z0 with loc.circle.samples nodes,
     scored by its Rouche ratio min |F(x0)| / max |F(x1) - F(x0)|: the step
-    a circle certifies scales with it.  The loc.r rung reuses loc.f_nodes
+    a circle certifies scales with it.  The loc.r rung reuses loc.levels[0]
     and f1, F(x1) on loc.circle's nodes; the other two cost one F-only
     kernel call each at x0 and at x1.  A rung with a non-finite sample
     drops out, and loc.r stays unless another rung beats it strictly.
     """
-    best_r, best = loc.r, _rouche_ratio(loc.f_nodes, f1)
+    best_r, best = loc.r, _rouche_ratio(loc.levels[0].f, f1)
     for r in (0.5 * loc.r, 2.0 * loc.r):
         z = Circle(loc.z0, r, loc.circle.samples).nodes()
         (g0,) = f.kernel(loc.x0, z, dz=False)

@@ -527,10 +527,8 @@ def build(spec: ProblemSpec):
 
     if spec.function is not None:
         expr = parse_expression(spec.function)
-        _validate_entire(expr)
-        _validate_piecewise(expr, dom)
-        f = EntireFunction(expr, x_range=x_range)
     else:
-        coeffs = tuple(parse_expression(c) for c in spec.series)
-        f = SeriesForm(coeffs).to_entire(x_range=x_range)
-    return f, dom, seed_pt, z0, cfg
+        expr = SeriesForm(tuple(parse_expression(c) for c in spec.series)).expr
+    _validate_entire(expr)
+    _validate_piecewise(expr, dom)
+    return EntireFunction(expr, x_range=x_range), dom, seed_pt, z0, cfg

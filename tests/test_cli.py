@@ -144,3 +144,5 @@ def test_summary_is_strict_json_when_the_seed_residual_overflows(tmp_path):
     summary = json.loads(text, parse_constant=no_constant)
     assert summary["status"] == "SeedInvalid"
     assert summary["diagnostics"]["seed_residual"] is None
+    assert summary["engine_samples"] == 0
+    assert summary["max_residual"] is None

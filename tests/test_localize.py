@@ -159,13 +159,13 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     assert [d.z.size for d in v.samples] == [m, 2 * m]
 
     calls.clear()
-    poly = local_monic_factor(f, x1, loc.circle, samples=v.samples)
+    poly = local_monic_factor(f, x1, loc.circle, levels=v.samples)
     assert calls  # the cofactor probe inside the disk still samples
     assert not any(np.array_equal(z, nodes) for _, z in calls for nodes in reused)
     monkeypatch.undo()
     assert poly == local_monic_factor(f, x1, loc.circle)
 
-    kept = [loc.f_nodes, loc.f_nodes2]
+    kept = [d.f for d in loc.levels]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
     assert not any(a.flags.writeable for a in kept)
 

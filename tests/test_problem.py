@@ -25,6 +25,13 @@ def interval_problem(fn="pow(z, 2) - x", x=0.25, z=(0.5, 0.0), config=None):
     return doc
 
 
+def series_problem(coeffs, x=0.25, z=(0.5, 0.0)):
+    doc = interval_problem(x=x, z=z)
+    del doc["function"]
+    doc["series"] = list(coeffs)
+    return doc
+
+
 def test_parse_function_problem():
     spec = parse_problem(json.dumps(interval_problem()))
     assert spec.function == "pow(z, 2) - x"
@@ -228,21 +235,37 @@ def test_malformed_seed_rejected(tmp_path):
 
 
 def test_guard_must_sit_on_a_vertex():
-    doc = interval_problem(fn="guard(0.5; z; z - x)")
-    with pytest.raises(ProblemValidationError):
+    bad = (
+        interval_problem(fn="guard(0.5; z; z - x)"),
+        series_problem(["guard(0.3; 0; 1)", "1"], z=(0.0, 0.0)),
+    )
+    for doc in bad:
+        with pytest.raises(ProblemValidationError, match="guard point"):
+            build(parse_problem(doc))
+    ok = (
+        interval_problem(fn="guard(1.0; z; z - x + 1.0 - x)"),
+        series_problem(["guard(1.0; -x; 1.0 - 2*x)", "1"]),
+    )
+    for doc in ok:
         build(parse_problem(doc))
-    ok = interval_problem(fn="guard(1.0; z; z - x + 1.0 - x)")
-    build(parse_problem(ok))
 
 
 def test_split_must_be_continuous():
     # sides disagree at the cut
-    doc = interval_problem(fn="split(0.5; z; z + 1.0)")
-    with pytest.raises(ProblemValidationError):
-        build(parse_problem(doc))
+    bad = (
+        interval_problem(fn="split(0.5; z; z + 1.0)"),
+        series_problem(["split(0.5; 0; 1)", "1"], z=(0.0, 0.0)),
+    )
+    for doc in bad:
+        with pytest.raises(ProblemValidationError, match="discontinuous"):
+            build(parse_problem(doc))
     # sides agree at the cut: x on the left, 1 - x on the right
-    ok = interval_problem(fn="z - split(0.5; x; 1.0 - x)")
-    build(parse_problem(ok))
+    ok = (
+        interval_problem(fn="z - split(0.5; x; 1.0 - x)"),
+        series_problem(["-split(0.5; x; 1.0 - x)", "1"]),
+    )
+    for doc in ok:
+        build(parse_problem(doc))
 
 
 def test_split_cut_must_lie_in_range():
