@@ -49,7 +49,7 @@ class Circle:
 
     center: complex
     radius: float
-    samples: int = 128
+    samples: int = 128  # M, the node count of every localization circle
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
@@ -157,10 +157,6 @@ class PowerSums:
 
     s: tuple[complex, ...]
     about: complex = 0j
-
-    @property
-    def count(self) -> int:
-        return int(round(self.s[0].real))
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,24 @@ class RootMatch:
 
 
 # Fixed tuning of the step loop (not configurable).
+H0_FRAC = 1.0 / 64.0  # first step, as a fraction of the segment length
+H_MAX_FRAC = 0.125  # largest step, as a fraction of the segment length
+H_MIN = 1e-12  # a step halved below this stalls the frontier
 GROW_AFTER = 3  # clean accepts in a row before the step grows
 GROW_FACTOR = 1.5
 TIE_BREAK_AFTER = 12  # ambiguous matches in a row before the tie-break
+SEED_TOL = 1e-9  # seed residual bound, relative to 1 + the |F| scale near the seed
 WINDOW = 16  # recent samples the stall classifier looks at
+BLOWUP_SOFT = 500.0  # |w| floor of the soft blowup test of a stalled window
 SNAP_EPS = 1e-9  # a stall this close to the segment end may snap onto it
 R_MAX_BASE = 1.0  # certificate radii never start above max(R_MAX_BASE, R_MAX_REL * |w|)
 R_MAX_REL = 0.5
 LADDER_EVERY = 8  # accepted steps between radius-ladder and oscillation checks
 STALL_RETRIES = 2  # fresh-step retries of a converged, nondegenerate stall
 ENDGAME_SHELLS = 3  # consecutive completed shells the endgame rules read
+# smallest move that counts as a reversal, and smallest shell diameter, in
+# the endgame; a stalled window wider than this reads as oscillation
+OSC_TOL = 1e-6
 # an oscillating shell keeps more than this share of the previous shell's
 # diameter; a branch converging like |x - x*|**a keeps about 2**-a, so this
 # passes no convergence with a >= 0.42 (x*sin(1/x) keeps just over 1/2)
@@ -127,8 +135,6 @@ AMPLITUDE_KEEP = 0.75
 # branch that merely drifts upward toward a finite limit stays unresolved
 POLE_ORDER_MIN = 0.25
 BUDGET_EXHAUSTED = "step budget exhausted"
-
-_FRACTIONS = ("h0_frac", "h_max_frac")
 
 
 def is_json_int(v) -> bool:
@@ -145,22 +151,14 @@ def is_json_number(v) -> bool:
 class EngineConfig:
     """Tuning knobs of the continuation. Defaults suit well-scaled problems.
 
-    Distances along the domain are in arc units; h0/h_max are fractions of
-    the active segment length.  max_steps bounds ACCEPTED steps per
-    segment; rejected proposals are separately bounded by h halving down
-    to h_min.  Every other tolerance is a module constant, here or beside
-    the code that reads it in contour, localize and expressions.
+    max_steps bounds ACCEPTED steps per segment; rejected proposals are
+    separately bounded by h halving down to H_MIN.  Every other tolerance
+    is a module constant, here or beside the code that reads it in contour,
+    localize and expressions.
     """
 
-    contour_samples: int = 128
-    h0_frac: float = 1.0 / 64.0
-    h_min: float = 1e-12
-    h_max_frac: float = 0.125
-    seed_tol: float = 1e-9
     residual_tol: float = 1e-8
     blowup_threshold: float = 1e8
-    blowup_soft: float = 500.0
-    osc_tol: float = 1e-6
     max_steps: int = 8000
     certify_steps: bool = False
 
@@ -169,9 +167,8 @@ class EngineConfig:
         """Defaults updated from problem-file overrides.
 
         Raises ValueError for an unknown key or a value out of range:
-        certify_steps takes a JSON bool, max_steps an integer >= 1,
-        contour_samples a power of two >= 16, and the other knobs a finite
-        number > 0 (at most 1 for h0_frac and h_max_frac).
+        certify_steps takes a JSON bool, max_steps an integer >= 1, and the
+        other knobs a finite number > 0.
         """
         bad = set(overrides) - {f.name for f in fields(cls)}
         if bad:
@@ -179,20 +176,14 @@ class EngineConfig:
         coerced = {}
         for k, v in overrides.items():
             default = getattr(cls, k)
-            is_int = is_json_int(v)
             if isinstance(default, bool):
                 ok, want = isinstance(v, bool), "true or false"
-            elif k == "contour_samples":
-                ok = is_int and v >= 16 and v & (v - 1) == 0
-                want = "a power of two >= 16"
             elif isinstance(default, int):
-                ok, want = is_int and v >= 1, "an integer >= 1"
+                ok, want = is_json_int(v) and v >= 1, "an integer >= 1"
             else:
                 # chained comparisons are exact for huge ints and false for NaN
-                frac = k in _FRACTIONS
-                top = 1.0 if frac else sys.float_info.max
-                ok = is_json_number(v) and 0 < v <= top
-                want = "a number in (0, 1]" if frac else "a finite number > 0"
+                ok = is_json_number(v) and 0 < v <= sys.float_info.max
+                want = "a finite number > 0"
             if not ok:
                 raise ValueError(f"config {k!r} must be {want}, got {v!r}")
             coerced[k] = float(v) if isinstance(default, float) else v
@@ -242,7 +233,7 @@ def classify_termination(
     """Classify a stalled continuation from its recent sample window.
 
     Order: blowup by threshold, then degeneracy of z -> F(x_limit, z), then
-    oscillation (window diameter above osc_tol).  None means the window is
+    oscillation (window diameter above OSC_TOL).  None means the window is
     converged and nondegenerate: the caller may retry with fresh steps.
     """
     ws = [s.w for s in window]
@@ -267,7 +258,7 @@ def classify_termination(
             },
         )
     diam = _window_diameter(ws)
-    if diam > cfg.osc_tol:
+    if diam > OSC_TOL:
         return TerminationStatus(
             Status.NON_CONVERGENT,
             {"window_diameter": diam, "x_limit": x_limit},
@@ -282,19 +273,15 @@ def _window_diameter(ws: Sequence[complex]) -> float:
     return float(np.abs(arr[:, None] - arr[None, :]).max())
 
 
-def _blowup_evidence(
-    window: Sequence[BranchSample],
-    length: float,
-    cfg: EngineConfig,
-) -> bool:
-    """Soft asymptote test of a stalled window: |w| above blowup_soft,
+def _blowup_evidence(window: Sequence[BranchSample], length: float) -> bool:
+    """Soft asymptote test of a stalled window: |w| above BLOWUP_SOFT,
     monotone growth, and 1/|w| heading linearly to zero at (or just past)
     the segment end."""
     if len(window) < 8:
         return False
     mags = np.array([abs(s.w) for s in window])
     arcs = np.array([s.arc for s in window])
-    if mags[-1] < cfg.blowup_soft:
+    if mags[-1] < BLOWUP_SOFT:
         return False
     if np.any(np.diff(mags) < -1e-12 * mags[-1]):
         return False
@@ -338,7 +325,7 @@ class Endgame:
 
     Shell k holds the accepted samples with length / (length - s) in
     [2**k, 2**(k+1)).  Each shell keeps the range of Re w and Im w, the
-    extrema (direction reversals by more than osc_tol) of each coordinate,
+    extrema (direction reversals by more than OSC_TOL) of each coordinate,
     attributed to the shell of the extreme sample, and the sums of a
     least-squares fit of log|w| against log(length - s).  add() is O(1)
     and the state is O(number of shells); no per-sample history is kept.
@@ -347,9 +334,8 @@ class Endgame:
     (s, w), which must lie before the segment end.
     """
 
-    def __init__(self, length: float, osc_tol: float, s: float, w: complex) -> None:
+    def __init__(self, length: float, s: float, w: complex) -> None:
         self.length = length
-        self.osc_tol = osc_tol
         self.shells: dict[int, _Shell] = {}
         self.k = 0  # shell of the latest sample
         # per coordinate: the running extreme since the last reversal, the
@@ -374,7 +360,7 @@ class Endgame:
             move = v - self._extreme[c]
             if self._dir[c] * move > 0.0:
                 self._extreme[c], self._at[c] = v, k
-            elif abs(move) > self.osc_tol:
+            elif abs(move) > OSC_TOL:
                 if self._dir[c]:
                     self.shells[self._at[c]].extrema[c] += 1
                 self._dir[c] = 1 if move > 0.0 else -1
@@ -397,7 +383,7 @@ class Endgame:
 
         Each of them must hold a full turn (two extrema of Re w or of
         Im w), the extrema count must not fall from shell to shell, and
-        each diameter must exceed osc_tol and AMPLITUDE_KEEP times the
+        each diameter must exceed OSC_TOL and AMPLITUDE_KEEP times the
         previous shell's.
         """
         got = self._completed()
@@ -407,7 +393,7 @@ class Endgame:
         if min(ext) < 2 or any(b < a for a, b in zip(ext, ext[1:])):
             return None
         diam = [sh.diameter() for sh in got]
-        if min(diam) <= self.osc_tol:
+        if min(diam) <= OSC_TOL:
             return None
         ratio = min(b / a for a, b in zip(diam, diam[1:]))
         if ratio <= AMPLITUDE_KEEP:
@@ -506,9 +492,9 @@ def extend_segment(
         junction.setdefault(pt, w)
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
 
-    endgame = Endgame(length, cfg.osc_tol, s, w)
-    h = min(cfg.h0_frac * length, length - s)
-    h_max = cfg.h_max_frac * length
+    endgame = Endgame(length, s, w)
+    h = min(H0_FRAC * length, length - s)
+    h_max = H_MAX_FRAC * length
     loc = None
     stalled: Optional[str] = None
     grow_run = ambiguous_streak = accepted = certify_failures = 0
@@ -530,7 +516,7 @@ def extend_segment(
                 kind, diag = _budget_verdict(endgame, w)
                 break
             window = samples[-WINDOW:]
-            if _blowup_evidence(window, length, cfg):
+            if _blowup_evidence(window, length):
                 kind = Status.ASYMPTOTIC_BLOWUP
                 diag = {"max_abs_w": abs(w), "reason": stalled, "soft": True}
                 break
@@ -538,7 +524,7 @@ def extend_segment(
             # a converged, nondegenerate window retries with fresh steps
             if ts is None and retries_left > 0:
                 retries_left -= 1
-                h = max(1000.0 * cfg.h_min, min(cfg.h0_frac * rem, h_max))
+                h = max(1000.0 * H_MIN, min(H0_FRAC * rem, h_max))
                 loc = stalled = None
                 continue
             if ts is None:
@@ -557,7 +543,7 @@ def extend_segment(
             start = r_max * scale
             localizations += 1
             try:
-                loc = select_radius(f, cx, w, start, samples=cfg.contour_samples)
+                loc = select_radius(f, cx, w, start)
             except DegenerateAtPointError as e:
                 radius_tries += RADIUS_HALVINGS + 1
                 kind = Status.DEGENERATE_BARRIER
@@ -580,7 +566,7 @@ def extend_segment(
         if w1 is None:
             h *= 0.5
             grow_run = 0
-            if h < cfg.h_min:
+            if h < H_MIN:
                 stalled = "step size underflow"
             continue
 
@@ -763,7 +749,7 @@ def continue_branch(
     """Track the root branch through (x0, z0) over the whole domain.
 
     The seed is Newton-polished and must satisfy |F(x0, w0)| within
-    seed_tol of zero (relative to the local function scale), else
+    SEED_TOL of zero (relative to the local function scale), else
     SeedInvalid.  A degenerate seed point (z -> F(x0, z) constant) is a
     DegenerateBarrier at x0.  The domain is covered by leaf-directed sweep
     segments from x0 with shared prefixes deduplicated; junction values are
@@ -773,7 +759,7 @@ def continue_branch(
     cfg = cfg or EngineConfig()
     cx0 = domain.coordinate(x0)
     w0, res0 = polish_root(f, cx0, complex(z0))
-    tol0 = cfg.seed_tol * (1.0 + _seed_scale(f, cx0, w0))
+    tol0 = SEED_TOL * (1.0 + _seed_scale(f, cx0, w0))
     if not np.isfinite(res0) or res0 > tol0:
         return RootBranch(
             (),
@@ -872,10 +858,10 @@ def resample_branch(
     Raw adaptive samples are linearly interpolated at the target arcs and
     Newton-polished, all rows in one polish_roots call; residuals are
     reported honestly (no filtering).  When arcs_by_segment is given those
-    arcs are used verbatim (oracle tests); otherwise ``total`` samples are
-    distributed across segments proportionally to covered length, at least
-    two per segment.  cfg is accepted for symmetry with continue_branch;
-    resampling has no knobs.
+    arcs are used, clipped to each segment's covered span (oracle tests);
+    otherwise ``total`` samples are distributed across segments
+    proportionally to covered length, at least two per segment.  cfg is
+    accepted for symmetry with continue_branch; resampling has no knobs.
     """
     by_seg: dict[int, list[BranchSample]] = {}
     for smp in branch.samples:

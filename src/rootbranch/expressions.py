@@ -462,10 +462,6 @@ class EntireFunction:
         """Evaluate F(x, z) for scalar z. Raises NonFiniteError on overflow."""
         return complex(self.eval_many(x, np.asarray([z], dtype=np.complex128))[0])
 
-    def eval_dz(self, x: float, z: complex) -> complex:
-        """Evaluate dF/dz (x, z) for scalar z."""
-        return complex(self.eval_dz_many(x, np.asarray([z], dtype=np.complex128))[0])
-
     def eval_many(self, x: float, z: np.ndarray) -> np.ndarray:
         """Vectorized F(x, z) over an array of z values."""
         return self._ev_checked(0, x, z)
@@ -719,9 +715,6 @@ class SeriesForm:
             total = add(total, mul(c, powi(Z(), k)))
         return total
 
-    def to_entire(self, x_range: Optional[tuple[float, float]] = None) -> EntireFunction:
-        return EntireFunction(self.expr, x_range=x_range)
-
 
 # ---------------------------------------------------------------------------
 # degeneracy probe and Newton polish
@@ -733,12 +726,10 @@ class DegeneracyResult:
 
     degenerate : True when all probe values agree within tol.
     constant   : the shared value (degenerate case only).
-    witness    : ((z_a, f_a), (z_b, f_b)) maximizing |f_a - f_b| otherwise.
     """
 
     degenerate: bool
     constant: Optional[complex] = None
-    witness: Optional[tuple[tuple[complex, complex], tuple[complex, complex]]] = None
 
 
 PROBE_RADII = (1.0, 10.0)  # degeneracy_probe: circles |z| = r it samples
@@ -760,12 +751,8 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
         pts.append(r * np.exp(1j * ang))
     zs = np.concatenate(pts)
     (vals,) = f.kernel(x0, zs, dz=False)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        zb = complex(zs[int(np.flatnonzero(~finite)[0])])
-        za = complex(zs[int(np.flatnonzero(finite)[0])]) if finite.any() else 0j
-        fa = complex(vals[int(np.flatnonzero(finite)[0])]) if finite.any() else 0j
-        return DegeneracyResult(False, witness=((za, fa), (zb, complex("inf"))))
+    if not np.isfinite(vals).all():
+        return DegeneracyResult(False)
     tol = PROBE_TOL_REL * (1.0 + float(np.abs(vals).max()))
     # two-sweep diameter estimate: farthest from the origin value, then
     # farthest from that
@@ -774,13 +761,7 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
     spread = float(np.abs(vals[i2] - vals[i1]))
     if spread <= tol:
         return DegeneracyResult(True, constant=complex(vals[0]))
-    return DegeneracyResult(
-        False,
-        witness=(
-            (complex(zs[i1]), complex(vals[i1])),
-            (complex(zs[i2]), complex(vals[i2])),
-        ),
-    )
+    return DegeneracyResult(False)
 
 
 # Newton iterations of polish_root by default, and of every polish_roots row

@@ -99,7 +99,6 @@ def select_radius(
     x0: float,
     z0: complex,
     r_max: float,
-    samples: int = 128,
 ) -> LocalFactorization:
     """Find a certified circle about z0 by halving from r_max.
 
@@ -122,7 +121,7 @@ def select_radius(
     z0 = complex(z0)
     r = float(r_max)
     for _ in range(RADIUS_HALVINGS + 1):
-        loc = _try_radius(f, x0, z0, r, samples)
+        loc = _try_radius(f, x0, z0, r)
         if loc is not None:
             return loc
         r *= 0.5
@@ -136,9 +135,9 @@ def select_radius(
     )
 
 
-def _try_radius(f, x0, z0, r, samples):
+def _try_radius(f, x0, z0, r):
     try:
-        circle = Circle(z0, r, samples)
+        circle = Circle(z0, r)
         poly, levels = local_factor_data(f, x0, circle, CLEAR_MARGIN)
     except (
         ZeroOnContourError,

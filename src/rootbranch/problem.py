@@ -326,6 +326,8 @@ def _norm_seed(s, domain: dict) -> dict:
         raise ProblemValidationError("tree seed takes 'point' and 'z'")
     p = s["point"]
     if isinstance(p, dict) and set(p) == {"vertex"} and isinstance(p["vertex"], str):
+        if p["vertex"] not in domain["vertices"]:
+            raise ProblemValidationError(f"seed vertex {p['vertex']!r} is not in the tree")
         return {"point": {"vertex": p["vertex"]}, "z": z}
     if (
         isinstance(p, dict)
@@ -333,7 +335,13 @@ def _norm_seed(s, domain: dict) -> dict:
         and is_json_int(p["edge"])
         and is_json_number(p["t"])
     ):
-        return {"point": {"edge": p["edge"], "t": float(p["t"])}, "z": z}
+        edge, t = p["edge"], float(p["t"])
+        if not 0 <= edge < len(domain["edges"]):
+            raise ProblemValidationError(f"seed edge {edge} is not an edge index")
+        # false for NaN too
+        if not 0.0 <= t <= 1.0:
+            raise ProblemValidationError(f"seed t={t} outside [0, 1]")
+        return {"point": {"edge": edge, "t": t}, "z": z}
     raise ProblemValidationError(
         "seed point must be {'vertex': name} or {'edge': index, 't': value}"
     )

@@ -29,7 +29,7 @@ from rootbranch.expressions import Const, EntireFunction, SeriesForm
 
 
 def poly_fn(coeffs_ascending):
-    return SeriesForm(tuple(Const(complex(c)) for c in coeffs_ascending)).to_entire()
+    return EntireFunction(SeriesForm(tuple(Const(complex(c)) for c in coeffs_ascending)).expr)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ def test_criterion_4_algebraically_closed_regression():
         ):
             a, b = _linear_root_curves(rng, deg, x_hi)
             texts, cz = _series_texts(a, b)
-            f = SeriesForm(tuple(parse_expression(t) for t in texts)).to_entire()
+            f = EntireFunction(SeriesForm(tuple(parse_expression(t) for t in texts)).expr)
             br = continue_branch(f, dom, seed_pt, complex(a[0]))
             assert br.status.kind is Status.COMPLETED
             gap, res = _oracle_gap(dom, br, f, cz, 1000)
@@ -278,7 +278,7 @@ def test_criterion_7_derivative_check():
             x = float(rng.uniform(lo, hi))
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             try:
-                d = f.eval_dz(x, z)
+                d = complex(f.eval_dz_many(x, [z])[0])
                 h = 1e-6 * (1.0 + abs(z))
                 fd = (f.eval(x, z + h) - f.eval(x, z - h)) / (2.0 * h)
             except Exception:

@@ -23,7 +23,7 @@ def f_of(text):
 
 def poly_fn(coeffs):
     """EntireFunction for a fixed polynomial, coeffs ascending."""
-    return SeriesForm(tuple(Const(complex(c)) for c in coeffs)).to_entire()
+    return EntireFunction(SeriesForm(tuple(Const(complex(c)) for c in coeffs)).expr)
 
 
 def test_circle_validation():

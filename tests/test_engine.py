@@ -362,7 +362,7 @@ def test_fixture_verdicts_do_not_depend_on_the_blowup_threshold():
 
 def test_step_budget_exhaustion_reads_the_pole_order():
     # example2-phi at 500 steps stops near x = 0.995 on the branch
-    # w = 1/(1 - x), below blowup_soft; the shell fit finds the pole order 1
+    # w = 1/(1 - x), below BLOWUP_SOFT; the shell fit finds the pole order 1
     spec = parse_problem({"fixture": "example2-phi", "config": {"max_steps": 500}})
     f, dom, x0, z0, cfg = build(spec)
     br = continue_branch(f, dom, x0, z0, cfg)
@@ -370,7 +370,7 @@ def test_step_budget_exhaustion_reads_the_pole_order():
     assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
     assert d["reason"] == "step budget exhausted" and d["soft"] is True
     assert d["pole_order"] == pytest.approx(1.0, abs=1e-6)
-    assert d["max_abs_w"] < cfg.blowup_soft
+    assert d["max_abs_w"] < engine.BLOWUP_SOFT
 
 
 def test_step_budget_exhaustion_without_evidence_is_unresolved():
@@ -433,7 +433,7 @@ def _endgame_of(w_of, inv_x):
     """An Endgame fed w_of(x) at x = 1/inv_x, on the segment from x = 1 to 0,
     and every oscillation() verdict taken after a multiple of 8 samples."""
     xs = 1.0 / np.asarray(inv_x)
-    eg = engine.Endgame(1.0, EngineConfig().osc_tol, 1.0 - xs[0], complex(w_of(xs[0])))
+    eg = engine.Endgame(1.0, 1.0 - xs[0], complex(w_of(xs[0])))
     verdicts = []
     for n, x in enumerate(xs[1:], 2):
         eg.add(1.0 - x, complex(w_of(x)))

@@ -94,7 +94,7 @@ def test_symbolic_dz_matches_central_difference():
         for _ in range(100):
             x = float(rng.uniform(0.0, 1.0))
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            d = f.eval_dz(x, z)
+            d = complex(f.eval_dz_many(x, [z])[0])
             h = 1e-6 * (1.0 + abs(z))
             fd = (f.eval(x, z + h) - f.eval(x, z - h)) / (2.0 * h)
             assert abs(d - fd) <= 1e-6 * (1.0 + abs(d))
@@ -105,7 +105,7 @@ def test_eval_dz_many_matches_scalar():
     zs = np.array([0.1 + 0.2j, -1.0j, 2.0, 0.0])
     ds = f.eval_dz_many(0.3, zs)
     for z, d in zip(zs, ds):
-        assert abs(d - f.eval_dz(0.3, complex(z))) < 1e-13 * (1.0 + abs(d))
+        assert abs(d - f.eval_dz_many(0.3, [z])[0]) < 1e-13 * (1.0 + abs(d))
 
 
 def test_series_form_matches_entire_function():
@@ -114,7 +114,7 @@ def test_series_form_matches_entire_function():
         parse_expression(t) for t in ("0.5*x - 1.0", "x*x", "0.0", "1.0")
     )
     sf = SeriesForm(coeffs)
-    f = sf.to_entire()
+    f = EntireFunction(sf.expr)
     for _ in range(50):
         x = float(rng.uniform(0.0, 1.0))
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -199,7 +199,7 @@ def test_polish_roots_matches_polish_root_row_for_row():
             # the residual agrees to 4 ulp relative, except at a root, where
             # it is the rounding noise of F: that noise, and the change of
             # |F| over the 4 ulp allowed in z, scale with |F_z| (1 + |z|)
-            scale = abs(f.eval_dz(xk, zs)) * (1.0 + abs(zs))
+            scale = abs(f.eval_dz_many(xk, [zs])[0]) * (1.0 + abs(zs))
             assert abs(rv[k] - rs) <= 4 * eps * max(rs, scale), (name, xk, zk)
         assert set(special.get(name, [])) <= set(x.tolist())
 
@@ -324,17 +324,14 @@ def test_degeneracy_probe_nondegenerate_on_polynomials():
         )
         res = degeneracy_probe(f, float(rng.uniform(0, 1)))
         assert not res.degenerate
-        # witness is a point where F actually moved away from F(x, 0)
-        assert res.witness is not None
 
 
 def test_degeneracy_probe_nonfinite_sample_is_evidence():
-    # exp(exp(z)) overflows on |z| = 10 first at z = 10: the probe reports
-    # that node against the origin's value instead of raising
+    # exp(exp(z)) overflows on |z| = 10 first at z = 10: the probe reads
+    # that as nonconstancy instead of raising
     f = f_of("exp(exp(z)) - x")
     res = degeneracy_probe(f, 0.5)
     assert not res.degenerate
-    assert res.witness == ((0j, f.eval(0.5, 0j)), (10 + 0j, complex("inf")))
 
 
 def test_expression_builders_compose():

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -168,6 +167,14 @@ def test_unknown_config_key_rejected():
         {"h0_frac": -0.1},
         {"h_max_frac": 1.5},
         {"blowup_threshold": 10**400},
+        # fixed module constants now, no longer keys
+        {"contour_samples": 128},
+        {"h0_frac": 1.0 / 64.0},
+        {"h_max_frac": 0.125},
+        {"h_min": 1e-12},
+        {"seed_tol": 1e-9},
+        {"blowup_soft": 500.0},
+        {"osc_tol": 1e-6},
     ]
     for config in bad:
         with pytest.raises(ValueError):
@@ -177,12 +184,13 @@ def test_unknown_config_key_rejected():
 def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    keys = {
-        line.split("`")[1]
+    # each row: | `key` | default | ...; the default is written as JSON
+    defaults = {
+        line.split("`")[1]: json.loads(line.split("|")[2].strip())
         for line in section.splitlines()
         if line.startswith("| `")
     }
-    assert keys == {f.name for f in fields(EngineConfig)}
+    assert defaults == EngineConfig().as_dict()
 
 
 def test_seed_out_of_range_rejected():
@@ -198,11 +206,11 @@ def tree_problem(point, length=2.0, z=(0.5, 0.0)):
             "vertices": ["u", "v"],
             "edges": [["u", "v", length]],
         },
-        "seed": {"point": point, "z": z},
+        "seed": {"point": point, "z": list(z)},
     }
 
 
-def test_malformed_seed_rejected(tmp_path):
+def test_malformed_seed_rejected(tmp_path, capsys):
     from rootbranch.cli import main
 
     bad = [
@@ -220,13 +228,21 @@ def test_malformed_seed_rejected(tmp_path):
         tree_problem({"edge": 0, "t": True}),
         tree_problem({"edge": 0, "t": 0.5}, length="2.0"),
         tree_problem({"edge": 0, "t": 0.5}, length=True),
+        tree_problem({"edge": 5, "t": 0.5}),
+        tree_problem({"edge": -1, "t": 0.5}),
+        tree_problem({"edge": 0, "t": 1.5}),
+        tree_problem({"vertex": "nope"}),
     ]
     for doc in bad:
         with pytest.raises(ProblemValidationError):
             parse_problem(doc)
     pf = tmp_path / "bad-seed.json"
-    pf.write_text(json.dumps(tree_problem({"edge": 1.5, "t": 0.5})))
-    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    # a malformed point, and a well-formed one outside the tree: both are
+    # invalid problems, not solver errors
+    for point in ({"edge": 1.5, "t": 0.5}, {"vertex": "nope"}):
+        pf.write_text(json.dumps(tree_problem(point)))
+        assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+        assert "invalid problem" in capsys.readouterr().err
     # JSON integers are numbers too
     spec = parse_problem(tree_problem({"edge": 0, "t": 1}, length=2, z=[1, 0]))
     assert spec.seed == {"point": {"edge": 0, "t": 1.0}, "z": [1.0, 0.0]}
