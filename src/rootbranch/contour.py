@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,17 @@ def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
     z = circle.nodes()
     fv, fz = f.kernel(x, z)
     return ContourData(circle, z, fv, fz)
+
+
+def sample_nested(
+    f: EntireFunction, x: float, circle: Circle
+) -> tuple[ContourData, ContourData]:
+    """sample_contour on the circle and on its doubling, from one kernel
+    call at 2M nodes: the even ones are the circle's own nodes, bit for
+    bit, so the M level is every other sample, copied contiguous."""
+    fine = sample_contour(f, x, circle.doubled())
+    coarse = (np.ascontiguousarray(a[::2]) for a in (fine.z, fine.f, fine.fz))
+    return ContourData(circle, *coarse), fine
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
@@ -205,7 +216,10 @@ def _count_zeros_data(
     reuse downstream.  ``levels`` are samples already taken at this x on
     the circle and then its doublings, in that order: level k is used as
     the 2**k * M node set, and only the levels past its end are sampled.
+    Without levels the M and 2M levels come from one sample_nested call.
     margin is check_contour_clear's."""
+    if not levels:
+        levels = sample_nested(f, x, circle)
     used: list[ContourData] = []
     w: list[complex] = []
     for k in range(3):
@@ -217,8 +231,8 @@ def _count_zeros_data(
         circle = circle.doubled()
         if k == 0:
             continue
-        n = int(round(w[-1].real))
-        if abs(w[-2] - n) <= WINDING_SLACK and abs(w[-1] - n) <= WINDING_SLACK:
+        n = _settled(w[-2], w[-1])
+        if n is not None:
             if n < 0:
                 raise NonIntegerWindingError(
                     f"winding settled on negative count {n}"
@@ -227,6 +241,22 @@ def _count_zeros_data(
     raise NonIntegerWindingError(
         f"winding did not settle: last two estimates {w[-2]:.6f}, {w[-1]:.6f}"
     )
+
+
+def _settled(w_coarse: complex, w_fine: complex) -> Optional[int]:
+    """The integer nearest w_fine if both windings lie within WINDING_SLACK
+    of it, else None."""
+    n = int(round(w_fine.real))
+    if abs(w_coarse - n) <= WINDING_SLACK and abs(w_fine - n) <= WINDING_SLACK:
+        return n
+    return None
+
+
+def settled_count(coarse: ContourData, fine: ContourData) -> Optional[int]:
+    """The zero count that samples on a circle and on its doubling agree
+    on, as _count_zeros_data settles it at those two levels; None if they
+    do not (the count would need the next level)."""
+    return _settled(_winding(coarse), _winding(fine))
 
 
 def power_sums(

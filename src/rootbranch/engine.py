@@ -3,8 +3,10 @@
 The loop alternates certified localization (select_radius at the current
 (x, w)) with Rouche-validated parameter steps.  Each accepted step
 refactors F at the new parameter, re-roots the local monic factor, matches
-the nearest root to the incoming value, and Newton-polishes it.  Step size
-halves on rejection or ambiguity and grows after a run of clean accepts.
+the nearest root to the incoming value, and Newton-polishes it; its circle
+stays the certificate at the new parameter while it passes the radius
+search's tests there (carry_certificate).  Step size halves on rejection
+or ambiguity and grows after a run of clean accepts.
 Every LADDER_EVERY accepted steps a radius ladder (ladder_radius) sets
 where the following localizations start halving, and the endgame record
 (Endgame) checks whether the branch oscillates without a limit at the
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contour import count_zeros, local_monic_factor, poly_roots
+from .contour import ContourData, MonicPoly, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
     CofactorVanishesError,
@@ -42,6 +44,7 @@ from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_r
 from .localize import (
     RADIUS_HALVINGS,
     LocalFactorization,
+    carry_certificate,
     ladder_radius,
     select_radius,
     validate_step,
@@ -427,7 +430,8 @@ class SegmentRun:
     accepted counts the certified steps taken; certify_failures counts the
     ones whose audit recount (certify_steps) disagreed with the certificate;
     localizations counts the select_radius calls and radius_tries the radii
-    they tried.
+    they tried; carried counts the accepted steps whose circle was kept as
+    the next certificate.
     """
 
     samples: list[BranchSample]
@@ -437,6 +441,7 @@ class SegmentRun:
     certify_failures: int = 0
     localizations: int = 0
     radius_tries: int = 0
+    carried: int = 0
 
     @property
     def completed(self) -> bool:
@@ -463,12 +468,17 @@ def extend_segment(
     classified from the last WINDOW samples.  A pass either resolves a
     stall (snap onto the end, classify, or retry with fresh steps), or
     proposes one step from the certificate.  A rejection halves h and
-    keeps loc; an acceptance moves the frontier and drops loc.
+    keeps loc, unless loc was kept from the step before: then the same h
+    is proposed again from a fresh localization.  An acceptance moves the
+    frontier and keeps loc's circle as the certificate there when
+    carry_certificate admits it, else drops loc.
 
     Localization halves from r_max * scale, where r_max =
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
     every LADDER_EVERY accepted steps to the ladder_radius winner at the
-    step just taken, as a fraction of that step's r_max, at most 1.
+    step just taken, as a fraction of the r_max its circle was localized
+    with, at most 1.  On those steps the circle is kept only if the winner
+    is its own radius.
 
     Every accepted sample goes into an Endgame record.  Every LADDER_EVERY
     accepted steps the segment ends NonConvergent when the record shows
@@ -498,7 +508,8 @@ def extend_segment(
     loc = None
     stalled: Optional[str] = None
     grow_run = ambiguous_streak = accepted = certify_failures = 0
-    localizations = radius_tries = 0
+    localizations = radius_tries = carried = 0
+    kept = False  # loc is a circle kept from the step before
     scale = 1.0
     retries_left = STALL_RETRIES
     while True:
@@ -542,6 +553,7 @@ def extend_segment(
             r_max = max(R_MAX_BASE, R_MAX_REL * abs(w))
             start = r_max * scale
             localizations += 1
+            kept = False
             try:
                 loc = select_radius(f, cx, w, start)
             except DegenerateAtPointError as e:
@@ -560,9 +572,14 @@ def extend_segment(
         target = min(s + h, next((a for a in stops if a > s), length))
         pt1 = seg.point_at(target)
         cx1 = dom.coordinate(pt1)
-        w1, res1, ambiguous_streak, f1 = _step_root(
+        w1, res1, streak, factor = _step_root(
             f, loc, cx1, w, ambiguous_streak, cfg.residual_tol
         )
+        if w1 is None and kept:
+            # a kept circle gives way to a fresh search, at the same h
+            loc = None
+            continue
+        ambiguous_streak = streak
         if w1 is None:
             h *= 0.5
             grow_run = 0
@@ -604,9 +621,14 @@ def extend_segment(
         if grow_run >= GROW_AFTER:
             h = min(h * GROW_FACTOR, h_max)
             grow_run = 0
+        poly1, levels1 = factor
+        r_keep = loc.r
         if accepted % LADDER_EVERY == 0:
-            scale = min(1.0, ladder_radius(f, loc, cx, f1) / r_max)
-        loc = None
+            r_keep = ladder_radius(f, loc, cx, levels1[0].f)
+            scale = min(1.0, r_keep / r_max)
+        loc = carry_certificate(loc, cx, poly1, levels1) if r_keep == loc.r else None
+        kept = loc is not None
+        carried += kept
 
     if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
         diag = {**diag, **_endpoint_diagnostics(f, seg)}
@@ -619,6 +641,7 @@ def extend_segment(
         certify_failures,
         localizations,
         radius_tries,
+        carried,
     )
 
 
@@ -645,14 +668,21 @@ def _step_root(
     w: complex,
     ambiguous_streak: int,
     residual_tol: float,
-) -> tuple[Optional[complex], float, int, Optional[np.ndarray]]:
-    """Propose the step from loc.x0 to x1; return (w1, residual, streak, f1).
+) -> tuple[
+    Optional[complex],
+    float,
+    int,
+    Optional[tuple[MonicPoly, tuple[ContourData, ...]]],
+]:
+    """Propose the step from loc.x0 to x1; return (w1, residual, streak,
+    factor).
 
     w1 is None when the step is rejected: the Rouche check fails, the factor
     at x1 does not carry the certified count or its roots fail, the match
     is ambiguous, or the polished root misses residual_tol or jumps out of
-    the certificate.  streak counts the ambiguous matches in a row.  f1 is
-    F(x1) on loc.circle's nodes from the Rouche check, on acceptance.
+    the certificate.  streak counts the ambiguous matches in a row.  factor
+    (on acceptance) is the factor at x1 and the F(x1) samples on
+    loc.circle's node levels it came from, the Rouche check's.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
@@ -690,7 +720,7 @@ def _step_root(
         pass
     if res1 > residual_tol or abs(w1 - w) > 2.0 * loc.r:
         return None, 0.0, 0, None
-    return w1, res1, 0, check.samples[0].f
+    return w1, res1, 0, (poly1, check.samples)
 
 
 def _snap_to_end(
@@ -736,7 +766,7 @@ def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     return out
 
 
-_NO_STEPS = {"accepted_steps": 0, "localizations": 0, "radius_tries": 0}
+_NO_STEPS = {"accepted_steps": 0, "localizations": 0, "radius_tries": 0, "carried": 0}
 
 
 def continue_branch(
@@ -822,6 +852,7 @@ def continue_branch(
         "accepted_steps": sum(r.accepted for r in runs),
         "localizations": sum(r.localizations for r in runs),
         "radius_tries": sum(r.radius_tries for r in runs),
+        "carried": sum(r.carried for r in runs),
     }
     snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
     if status.kind is Status.COMPLETED and snaps:

@@ -774,19 +774,27 @@ def polish_root(
     """Newton-refine an approximate root of z -> F(x, z).
 
     Returns the best iterate and its residual |F(x, z)|.  Stops early when
-    the residual stops improving; never moves to a worse iterate.  Each
-    iterate costs one kernel call for F and dF/dz together.
+    the residual stops improving, and when an iterate repeats an earlier
+    one bit for bit (the kernel is deterministic, so the rest would replay
+    a cycle that cannot improve the best); never moves to a worse iterate.
+    Each iterate costs one kernel call for F and dF/dz together.
     """
     z = best_z = complex(z0)
     fz, d = _pair_at(f, x, z)
     if not np.isfinite(fz):
         return best_z, float("inf")
     r = best_r = abs(fz)
+    # hex keeps 0.0 and -0.0 apart, which the kernel may tell apart
+    seen = {(z.real.hex(), z.imag.hex())}
     for _ in range(max_iter):
         # a non-finite d is a break as well
         if r == 0.0 or d == 0 or not np.isfinite(abs(d)):
             break
         z = z - fz / d
+        key = (z.real.hex(), z.imag.hex())
+        if key in seen:
+            break
+        seen.add(key)
         fz, d = _pair_at(f, x, z)
         if not np.isfinite(fz):
             break

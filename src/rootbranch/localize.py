@@ -11,11 +11,16 @@ The step a circle certifies grows with its Rouche ratio
 min |F(x0)| / max |F(x1) - F(x0)|, which peaks at an interior radius:
 ladder_radius compares a short ladder of radii at an accepted step, and
 the engine starts the next select_radius calls from the winner.
+
+An accepted step already holds F(x1) on the circle and the factor at x1:
+carry_certificate keeps the circle as the next certificate when it passes
+select_radius's own tests there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +28,11 @@ from .contour import (
     Circle,
     ContourData,
     MonicPoly,
+    check_contour_clear,
     check_cofactor,
     local_factor_data,
-    sample_contour,
+    sample_nested,
+    settled_count,
 )
 from .errors import (
     CofactorVanishesError,
@@ -83,9 +90,9 @@ class StepValidation:
     excess is max |F(x1) - F(x0)| over the contour nodes divided by
     SAFETY * m; values <= 1 are accepted.  resolution records the node
     count of the deciding comparison (doubled when the margin was thin).
-    samples (on acceptance) are F and F' at x1 on the nodes compared, M
-    nodes first and then 2M if the margin was thin: the factor at x1 takes
-    them as its levels.
+    samples (on acceptance) are F and F' at x1 on the M nodes and then on
+    the 2M nodes, whichever level decided: the factor at x1 takes them as
+    its levels.
     """
 
     accepted: bool
@@ -147,11 +154,7 @@ def _try_radius(f, x0, z0, r):
         ValueError,
     ):
         return None
-    # containment: every root of the factor must hug the center
-    bound = 2.0 * max(
-        abs(poly.coeffs[k]) ** (1.0 / k) for k in range(1, poly.degree + 1)
-    )
-    if bound > CENTER_FRAC * r:
+    if not _hugs_center(poly, r):
         return None
     try:
         check_cofactor(f, x0, circle, poly)
@@ -169,25 +172,71 @@ def _try_radius(f, x0, z0, r):
     )
 
 
+def carry_certificate(
+    loc: LocalFactorization,
+    x1: float,
+    poly: MonicPoly,
+    samples: tuple[ContourData, ContourData],
+) -> Optional[LocalFactorization]:
+    """loc's circle as the certificate at x1, or None where select_radius
+    would not admit it there.
+
+    samples are validate_step's F(x1) on loc.circle's two node levels,
+    and poly the factor local_monic_factor found from them, cofactor probe
+    included.  The radius search's other tests run on what is at hand: the
+    containment of poly's roots, the contour checks at CLEAR_MARGIN, and
+    a count that settles on these two levels (one that needed 4M nodes is
+    not carried).  On the same samples the search would recount the same
+    factor, so what passes equals _try_radius(f, x1, loc.z0, loc.r) bit
+    for bit, without a kernel call.
+    """
+    if not _hugs_center(poly, loc.r) or settled_count(*samples) != poly.degree:
+        return None
+    try:
+        for level in samples:
+            check_contour_clear(level, CLEAR_MARGIN)
+    except ZeroOnContourError:
+        return None
+    return LocalFactorization(
+        x0=float(x1),
+        z0=loc.z0,
+        r=loc.r,
+        m=float(np.abs(samples[0].f).min()),
+        n=poly.degree,
+        poly=poly,
+        circle=loc.circle,
+        levels=samples,
+    )
+
+
+def _hugs_center(poly: MonicPoly, r: float) -> bool:
+    """Every root of poly lies within CENTER_FRAC * r of its center, by the
+    Cauchy bound 2 * max |a_k|**(1/k)."""
+    bound = 2.0 * max(
+        abs(poly.coeffs[k]) ** (1.0 / k) for k in range(1, poly.degree + 1)
+    )
+    return bound <= CENTER_FRAC * r
+
+
 def validate_step(
     f: EntireFunction, loc: LocalFactorization, x1: float
 ) -> StepValidation:
     """Check the Rouche condition for moving the parameter from loc.x0 to x1.
 
     Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m on the
-    certificate circle.  When the margin lands within a factor MARGIN_BAND
-    of the threshold on the accept side, F(x1) is resampled at twice the node
-    count and compared with the certificate's F(x0) there, against that
-    level's own min |F(x0)| (node sets nest, so refinement can only
-    tighten).  The threshold is positive at both levels: every
-    LocalFactorization comes from select_radius, whose contour checks
-    demand min |F| > 0 on each.  A non-finite F(x1) rejects the step;
-    F'(x1) is sampled along, unchecked, for the factor at x1.
+    certificate circle.  F(x1) is sampled once, at 2M nodes
+    (sample_nested), and compared on the M nodes first.  When the margin
+    lands within a factor MARGIN_BAND of the threshold on the accept side,
+    the comparison is made again on all 2M nodes, against the
+    certificate's F(x0) there and that level's own min |F(x0)| (node sets
+    nest, so refinement can only tighten).  The threshold is positive at
+    both levels: every LocalFactorization passed select_radius's contour
+    checks, which demand min |F| > 0 on each.  A non-finite F(x1) on the
+    compared nodes rejects the step; F'(x1) is sampled along, unchecked,
+    for the factor at x1.
     """
-    taken: list[ContourData] = []
-    for k, level in enumerate(loc.levels):
-        d = sample_contour(f, x1, level.circle)
-        taken.append(d)
+    taken = sample_nested(f, x1, loc.circle)
+    for k, (level, d) in enumerate(zip(loc.levels, taken)):
         resolution = level.circle.samples
         if not np.isfinite(d.f).all():
             return StepValidation(False, float("inf"), resolution)
@@ -197,7 +246,7 @@ def validate_step(
             return StepValidation(False, excess, resolution)
         # a thin margin on the M nodes is decided again at 2M
         if excess < 1.0 / MARGIN_BAND or k == len(loc.levels) - 1:
-            return StepValidation(True, excess, resolution, tuple(taken))
+            return StepValidation(True, excess, resolution, taken)
 
 
 def ladder_radius(

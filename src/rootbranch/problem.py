@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import re as _re
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -295,17 +296,24 @@ def _norm_domain(d) -> dict:
         u, v, length = item
         if not (isinstance(u, str) and isinstance(v, str)):
             raise ProblemValidationError(f"edge endpoints must be names: {item!r}")
-        if not is_json_number(length):
-            raise ProblemValidationError(f"edge length must be a number: {item!r}")
-        ne.append([u, v, float(length)])
+        ne.append([u, v, _as_float(length, f"edge length of {u}-{v}")])
     return {"kind": "tree", "vertices": list(verts), "edges": ne}
 
 
+def _as_float(v, what: str) -> float:
+    """A JSON number as a float; ProblemValidationError unless it is one
+    and finite (a JSON integer can be too large for float())."""
+    # chained comparisons are exact for huge ints and false for NaN
+    if not (is_json_number(v) and -sys.float_info.max <= v <= sys.float_info.max):
+        raise ProblemValidationError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _norm_complex(v) -> list[float]:
+    if isinstance(v, list) and len(v) == 2:
+        return [_as_float(v[0], "real part"), _as_float(v[1], "imaginary part")]
     if is_json_number(v):
-        return [float(v), 0.0]
-    if isinstance(v, list) and len(v) == 2 and all(map(is_json_number, v)):
-        return [float(v[0]), float(v[1])]
+        return [_as_float(v, "complex value"), 0.0]
     raise ProblemValidationError(f"complex value must be a number or [re, im]: {v!r}")
 
 
@@ -316,9 +324,7 @@ def _norm_seed(s, domain: dict) -> dict:
     if domain["kind"] == "interval":
         if set(s) - {"x", "z"} or "x" not in s:
             raise ProblemValidationError("interval seed takes 'x' and 'z'")
-        if not is_json_number(s["x"]):
-            raise ProblemValidationError(f"seed x must be a number: {s['x']!r}")
-        x = float(s["x"])
+        x = _as_float(s["x"], "seed x")
         if not (0.0 <= x <= 1.0):
             raise ProblemValidationError(f"seed x={x} outside [0, 1]")
         return {"x": x, "z": z}
@@ -329,16 +335,10 @@ def _norm_seed(s, domain: dict) -> dict:
         if p["vertex"] not in domain["vertices"]:
             raise ProblemValidationError(f"seed vertex {p['vertex']!r} is not in the tree")
         return {"point": {"vertex": p["vertex"]}, "z": z}
-    if (
-        isinstance(p, dict)
-        and set(p) == {"edge", "t"}
-        and is_json_int(p["edge"])
-        and is_json_number(p["t"])
-    ):
-        edge, t = p["edge"], float(p["t"])
+    if isinstance(p, dict) and set(p) == {"edge", "t"} and is_json_int(p["edge"]):
+        edge, t = p["edge"], _as_float(p["t"], "seed t")
         if not 0 <= edge < len(domain["edges"]):
             raise ProblemValidationError(f"seed edge {edge} is not an edge index")
-        # false for NaN too
         if not 0.0 <= t <= 1.0:
             raise ProblemValidationError(f"seed t={t} outside [0, 1]")
         return {"point": {"edge": edge, "t": t}, "z": z}
@@ -404,7 +404,7 @@ def parse_problem(data) -> ProblemSpec:
     texts = []
     for k, c in enumerate(coeffs):
         if is_json_number(c):
-            c = repr(float(c))
+            c = repr(_as_float(c, f"series coefficient {k}"))
         if not isinstance(c, str):
             raise ProblemValidationError(
                 f"series coefficient {k} must be expression text or a number"

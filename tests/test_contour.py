@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootbranch import (
     Circle,
@@ -14,6 +16,7 @@ from rootbranch import (
     poly_roots,
     power_sums,
 )
+from rootbranch.contour import sample_contour, sample_nested
 from rootbranch.expressions import Const, SeriesForm
 
 
@@ -36,6 +39,29 @@ def test_circle_validation():
         Circle(0j, 1.0, 8)
     with pytest.raises(ValueError):
         Circle(0j, -1.0, 64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    text=st.sampled_from(["exp(x*z) - 1", "sin(z) - x*pow(z, 3)", "cos(x + z) * z"]),
+    x=st.floats(-2.0, 2.0),
+    re=st.floats(-5.0, 5.0),
+    im=st.floats(-5.0, 5.0),
+    log_r=st.floats(-6.0, 1.0),
+    samples=st.sampled_from([16, 64, 128]),
+)
+def test_nested_sample_matches_sampling_each_level(text, x, re, im, log_r, samples):
+    # the M level cut from one 2M-node sample is the M-node sample, bit for bit
+    f = f_of(text)
+    circle = Circle(complex(re, im), 10.0**log_r, samples)
+    coarse, fine = sample_nested(f, x, circle)
+    for got, circ in ((coarse, circle), (fine, circle.doubled())):
+        want = sample_contour(f, x, circ)
+        assert got.circle == circ
+        for name in ("z", "f", "fz"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_count_zeros_examples():

@@ -303,13 +303,39 @@ def test_radius_start_stays_under_the_cap(monkeypatch):
 def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     calls = _recording_select_radius(monkeypatch)
     runs = []
-    extend = engine.extend_segment
+    # per segment, in call order: "select", "kept", "accept" and "reject"
+    events: list[list[str]] = []
+    extend, select, carry, step = (
+        engine.extend_segment,
+        engine.select_radius,
+        engine.carry_certificate,
+        engine._step_root,
+    )
 
     def keeping(*args, **kw):
+        events.append([])
         runs.append(extend(*args, **kw))
         return runs[-1]
 
+    def selecting(*args, **kw):
+        events[-1].append("select")
+        return select(*args, **kw)
+
+    def carrying(*args, **kw):
+        loc = carry(*args, **kw)
+        if loc is not None:
+            events[-1].append("kept")
+        return loc
+
+    def stepping(*args, **kw):
+        out = step(*args, **kw)
+        events[-1].append("reject" if out[0] is None else "accept")
+        return out
+
     monkeypatch.setattr(engine, "extend_segment", keeping)
+    monkeypatch.setattr(engine, "select_radius", selecting)
+    monkeypatch.setattr(engine, "carry_certificate", carrying)
+    monkeypatch.setattr(engine, "_step_root", stepping)
     assert main(["--fixture", "monic-cubic-ytree", "--out", str(tmp_path)]) == 0
     d = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
     assert len(runs) > 1
@@ -318,7 +344,81 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     assert d["localizations"] == len(calls) == sum(r.localizations for r in runs)
     assert d["radius_tries"] == sum(tries) == sum(r.radius_tries for r in runs)
     assert d["accepted_steps"] == sum(r.accepted for r in runs)
-    assert d["localizations"] >= d["accepted_steps"]
+    kept = sum(seq.count("kept") for seq in events)
+    assert d["carried"] == kept == sum(r.carried for r in runs) > 0
+    # every accepted step that does not end its segment hands the next
+    # proposal exactly one certificate: its own circle kept, or a new search
+    followed = 0
+    for seq in events:
+        steps = [k for k, e in enumerate(seq) if e in ("accept", "reject")]
+        for k, k_next in zip(steps, steps[1:]):
+            if seq[k] == "accept":
+                between = seq[k + 1 : k_next]
+                assert len(between) == 1 and between[0] in ("kept", "select"), seq
+                followed += 1
+    assert followed == d["accepted_steps"] - len(runs)
+
+
+def _linear_roots_series(a, b):
+    """Series texts, ascending in z, of prod_j (z - a_j - b_j x): a monic
+    family whose roots move on lines, as the poly-dense benchmark draws."""
+    c = np.ones((1, 1), dtype=complex)  # c[k, p] multiplies z**k x**p
+    for aj, bj in zip(a, b):
+        nxt = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=complex)
+        nxt[1:, :-1] += c
+        nxt[:-1, :-1] -= aj * c
+        nxt[:-1, 1:] -= bj * c
+        c = nxt
+    return [
+        " + ".join(
+            f"({float(v.real)!r} + {float(v.imag)!r}*i)*pow(x, {p})"
+            for p, v in enumerate(row)
+        )
+        for row in c
+    ]
+
+
+def test_kept_certificates_equal_a_fresh_search_on_their_circle(monkeypatch):
+    # a circle kept after a step is the certificate the radius search would
+    # return for that circle at the new parameter, bit for bit
+    from rootbranch.localize import _try_radius
+
+    kept = []
+    carry = engine.carry_certificate
+
+    def recording(*args):
+        loc = carry(*args)
+        if loc is not None:
+            kept.append(loc)
+        return loc
+
+    monkeypatch.setattr(engine, "carry_certificate", recording)
+    a = [0.9 + 0.2j, -0.7 + 0.8j, -0.4 - 0.9j, 0.6 - 0.7j]
+    b = [-0.3 + 0.4j, 0.5 - 0.1j, 0.2 + 0.3j, -0.4 - 0.5j]
+    family = {
+        "series": _linear_roots_series(a, b),
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.0, "z": [a[0].real, a[0].imag]},
+    }
+    for doc in ({"fixture": "monic-cubic-interval"}, {"fixture": "monic-cubic-ytree"}, family):
+        kept.clear()
+        f, *rest = build(parse_problem(doc))
+        br = continue_branch(f, *rest)
+        assert br.completed, doc
+        assert len(kept) == br.status.diagnostics["carried"] > 0, doc
+        for loc in kept:
+            fresh = _try_radius(f, loc.x0, loc.z0, loc.r)
+            assert fresh is not None
+            assert (fresh.n, fresh.m.hex()) == (loc.n, loc.m.hex())
+            assert (
+                np.array(fresh.poly.coeffs).tobytes()
+                == np.array(loc.poly.coeffs).tobytes()
+            )
+            assert len(fresh.levels) == len(loc.levels) == 2
+            for got, want in zip(loc.levels, fresh.levels):
+                assert got.circle == want.circle
+                for name in ("z", "f", "fz"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_fixture_verdicts_do_not_depend_on_the_step_budget():

@@ -204,6 +204,85 @@ def test_polish_roots_matches_polish_root_row_for_row():
         assert set(special.get(name, [])) <= set(x.tolist())
 
 
+def _polish_root_every_iteration(f, x, z0, max_iter=8):
+    """polish_root without its stop at a repeated iterate."""
+
+    def pair(z):
+        fv, dv = f.kernel(x, np.asarray([z], dtype=np.complex128))
+        return complex(fv[0]), complex(dv[0])
+
+    z = best_z = complex(z0)
+    fz, d = pair(z)
+    if not np.isfinite(fz):
+        return best_z, float("inf")
+    r = best_r = abs(fz)
+    for _ in range(max_iter):
+        if r == 0.0 or d == 0 or not np.isfinite(abs(d)):
+            break
+        z = z - fz / d
+        fz, d = pair(z)
+        if not np.isfinite(fz):
+            break
+        r = abs(fz)
+        if r < best_r:
+            best_z, best_r = z, r
+        elif r > 2.0 * best_r:
+            break
+    return best_z, best_r
+
+
+def _polish_bits(zr):
+    z, r = zr
+    return (z.real.hex(), z.imag.hex(), float(r).hex())
+
+
+_COEFF = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(_COEFF, min_size=2, max_size=6),
+    slope=_COEFF,
+    x=st.floats(0.05, 1.0),
+    z0=st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    exp_family=st.booleans(),
+)
+def test_polish_stops_at_a_repeat_without_changing_the_result(
+    coeffs, slope, x, z0, exp_family
+):
+    # a repeated iterate only replays a cycle: stopping there returns the
+    # same bits as iterating on
+    if exp_family:
+        f = f_of("exp(x*z) - 1")
+    else:
+        # monic in z, the constant term moving with x
+        terms = [f"({c.real!r} + {c.imag!r}*i)*pow(z, {k})" for k, c in enumerate(coeffs)]
+        terms.append(f"pow(z, {len(coeffs)})")
+        terms.append(f"({slope.real!r} + {slope.imag!r}*i)*x")
+        f = f_of(" + ".join(terms))
+    want = _polish_root_every_iteration(f, x, z0)
+    assert _polish_bits(polish_root(f, x, z0)) == _polish_bits(want)
+
+
+def test_polish_stops_when_newton_cycles():
+    # Newton cycles 0 -> 1 -> 0 on z^3 - 2z + 2: the repeat of 0 ends it
+    # after two kernel calls instead of running all iterations
+    c = f_of("pow(z, 3) - 2.0*z + 2.0")
+    calls = []
+    kernel = c.kernel
+
+    def counting(x, z, **kw):
+        calls.append(z.size)
+        return kernel(x, z, **kw)
+
+    c.kernel = counting
+    assert polish_root(c, 0.0, 0j) == (1.0, 1.0)
+    assert len(calls) == 2
+    calls.clear()
+    assert _polish_root_every_iteration(c, 0.0, 0j) == (1.0, 1.0)
+    assert len(calls) == 9
+
+
 def test_polish_roots_edge_rows():
     f = f_of("exp(z) - x")
     zs, rs = polish_roots(f, np.array([1.0, 1.0, 2.0]), np.array([1e9, 0.0, 0.1]))

@@ -14,7 +14,7 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
-from rootbranch.localize import ladder_radius
+from rootbranch.localize import _try_radius, carry_certificate, ladder_radius
 
 
 def f_of(text):
@@ -133,9 +133,10 @@ def test_select_radius_halving_budget():
 
 
 def test_accepted_step_reuses_the_check_samples(monkeypatch):
-    # the thin-margin check takes F(x0) at 2M nodes from the certificate,
-    # and the factor at x1 takes F(x1) on the M- and 2M-node circles from
-    # the check: none of those node sets is evaluated again
+    # the check samples F(x1) once, at 2M nodes, and the thin-margin
+    # comparison takes F(x0) there from the certificate; the factor at x1
+    # takes F(x1) on the M- and 2M-node circles from the check: none of
+    # those node sets is evaluated again
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.2)
     m = loc.circle.samples
@@ -154,7 +155,7 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
             break
     else:
         pytest.fail("no step was decided at doubled resolution")
-    assert [x for x, _ in calls] == [x1, x1]
+    assert [(x, z.size) for x, z in calls] == [(x1, 2 * m)]
     reused = (loc.circle.nodes(), loc.circle.doubled().nodes())
     assert [d.z.size for d in v.samples] == [m, 2 * m]
 
@@ -168,6 +169,28 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     kept = [d.f for d in loc.levels]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
     assert not any(a.flags.writeable for a in kept)
+
+
+def test_circle_is_carried_exactly_where_the_radius_search_admits_it():
+    # the second zero 1.06 - x nears the unit circle from outside: from
+    # about x = 0.013 the circle is still clear enough for the step's checks
+    # but not for CLEAR_MARGIN, and neither the carry nor the search keeps it
+    f = f_of("z * (z - 1.06 + x)")
+    loc = select_radius(f, 0.0, 0j, r_max=1.0)
+    assert loc.r == 1.0
+    kept_at = []
+    for x1 in np.linspace(0.002, 0.028, 14).tolist():
+        v = validate_step(f, loc, x1)
+        assert v.accepted
+        poly = local_monic_factor(f, x1, loc.circle, levels=v.samples)
+        kept = carry_certificate(loc, x1, poly, v.samples)
+        fresh = _try_radius(f, x1, loc.z0, loc.r)
+        assert (kept is None) == (fresh is None), x1
+        if kept is not None:
+            kept_at.append(x1)
+            assert (kept.x0, kept.n, kept.m) == (fresh.x0, fresh.n, fresh.m)
+            assert kept.poly == fresh.poly
+    assert kept_at and max(kept_at) < 0.014 and len(kept_at) < 14
 
 
 def test_ladder_moves_toward_the_best_rouche_ratio():

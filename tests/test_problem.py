@@ -233,7 +233,18 @@ def test_malformed_seed_rejected(tmp_path, capsys):
         tree_problem({"edge": 0, "t": 1.5}),
         tree_problem({"vertex": "nope"}),
     ]
-    for doc in bad:
+    # JSON integers too large for a float: float() would raise OverflowError
+    huge = 10**400
+    too_large = [
+        interval_problem(x=huge),
+        interval_problem(z=(huge, 0.0)),
+        interval_problem(z=(0.5, -huge)),
+        {**interval_problem(), "seed": {"x": 0.25, "z": huge}},
+        series_problem([huge, 1]),
+        tree_problem({"edge": 0, "t": huge}),
+        tree_problem({"edge": 0, "t": 0.5}, length=huge),
+    ]
+    for doc in bad + too_large:
         with pytest.raises(ProblemValidationError):
             parse_problem(doc)
     pf = tmp_path / "bad-seed.json"
@@ -243,6 +254,11 @@ def test_malformed_seed_rejected(tmp_path, capsys):
         pf.write_text(json.dumps(tree_problem(point)))
         assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
         assert "invalid problem" in capsys.readouterr().err
+    for doc in too_large:
+        pf.write_text(json.dumps(doc))
+        assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid problem" in err and "Traceback" not in err
     # JSON integers are numbers too
     spec = parse_problem(tree_problem({"edge": 0, "t": 1}, length=2, z=[1, 0]))
     assert spec.seed == {"point": {"edge": 0, "t": 1.0}, "z": [1.0, 0.0]}
