@@ -13,6 +13,7 @@ coefficients are then for the polynomial in u = z - about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -40,11 +41,31 @@ def _is_pow2(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+class _kept:
+    """A value computed from its instance on first use and stored in the
+    instance's __dict__, where later reads find it first: a
+    functools.cached_property without the lock that one takes on every
+    first use before Python 3.12, which costs more here than the value."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Circle:
     """Integration circle with equispaced trapezoid nodes.
 
     samples must be a power of two (>= 16) so node sets nest under doubling.
+    A circle builds its doubling once, on first use, and keeps it: a
+    certificate's circle serves every step checked on it.
     """
 
     center: complex
@@ -52,7 +73,7 @@ class Circle:
     samples: int = 128  # M, the node count of every localization circle
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
+        if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.samples < 16 or not _is_pow2(self.samples):
             raise ValueError(f"samples must be a power of two >= 16, got {self.samples}")
@@ -61,6 +82,10 @@ class Circle:
         return self.center + self.radius * _unit_nodes(self.samples)
 
     def doubled(self) -> "Circle":
+        return self._doubled
+
+    @_kept
+    def _doubled(self) -> "Circle":
         return Circle(self.center, self.radius, 2 * self.samples)
 
 
@@ -69,7 +94,11 @@ class ContourData:
     """F and dF/dz sampled on a circle's nodes.
 
     The arrays are made read-only: certificates and step checks keep them
-    and hand them on instead of sampling the same nodes again.
+    and hand them on instead of sampling the same nodes again.  What the
+    checks read off them (the extremes of |F| and |F'|, the winding
+    integrand and its mean) is computed on first use and kept, so a level
+    that the count, the radius search, the carry and the Rouche check all
+    read is reduced once.
     """
 
     circle: Circle
@@ -80,6 +109,34 @@ class ContourData:
     def __post_init__(self):
         for a in (self.z, self.f, self.fz):
             a.flags.writeable = False
+
+    @_kept
+    def abs_f(self) -> np.ndarray:
+        return np.abs(self.f)
+
+    @_kept
+    def min_abs_f(self) -> float:
+        return float(np.minimum.reduce(self.abs_f))
+
+    @_kept
+    def max_abs_f(self) -> float:
+        return float(np.maximum.reduce(self.abs_f))
+
+    @_kept
+    def max_abs_fz(self) -> float:
+        return float(np.maximum.reduce(np.abs(self.fz)))
+
+    @_kept
+    def integrand(self) -> np.ndarray:
+        """(z - c) F'/F: dz = i (z - c) dtheta turns the trapezoid rule
+        for the zero count into a plain mean of it."""
+        return (self.z - self.circle.center) * self.fz / self.f
+
+    @_kept
+    def winding(self) -> complex:
+        # add.reduce / size is np.mean's own sum and division, bit for bit
+        g = self.integrand
+        return complex(np.add.reduce(g) / g.size)
 
 
 def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
@@ -122,39 +179,38 @@ def check_contour_clear(data: ContourData, margin: float = 1.0) -> None:
     (used when selecting a radius to keep, so later checks at 1x do not
     sit on a knife edge).
     """
-    absf = np.abs(data.f)
-    minf = float(absf.min())
-    maxf = float(absf.max())
+    minf, maxf = data.min_abs_f, data.max_abs_f
     floor = margin * max(FLOOR_REL * maxf, DENORMAL_FLOOR)
     if minf < floor:
         raise ZeroOnContourError(
             f"min node |F| = {minf:.3e} below floor {floor:.3e}"
         )
     spacing = 2.0 * np.pi * data.circle.radius / data.circle.samples
-    bound = (margin * GUARD * spacing) * np.abs(data.fz)
-    slack = absf - bound
+    scale = margin * GUARD * spacing
+    # every node passes when the smallest |F| passes the largest |F'|
+    if minf >= scale * data.max_abs_fz:
+        return
+    bound = scale * np.abs(data.fz)
+    slack = data.abs_f - bound
     j = int(np.argmin(slack))
     if slack[j] < 0.0:
         raise ZeroOnContourError(
-            f"node |F| = {absf[j]:.3e} below derivative guard {bound[j]:.3e}"
+            f"node |F| = {data.abs_f[j]:.3e} below derivative guard {bound[j]:.3e}"
         )
 
 
-def _winding(data: ContourData) -> complex:
-    # dz = i (z - c) dtheta turns the trapezoid rule into a plain mean
-    return complex(np.mean((data.z - data.circle.center) * data.fz / data.f))
-
-
-def _power_sums_from(data: ContourData, n: int, about: complex) -> np.ndarray:
-    """s_0..s_n from one node set; NonIntegerWindingError unless s_0 is
-    within 0.5 of the expected count n."""
-    g = (data.z - data.circle.center) * data.fz / data.f
+def _power_sums_from(data: ContourData, n: int, about: complex) -> list[complex]:
+    """s_0..s_n from one node set, each the mean of (z - about)**k times
+    the winding integrand the count already built; NonIntegerWindingError
+    unless s_0 is within 0.5 of the expected count n."""
+    g = data.integrand
     u = data.z - about
-    s = np.empty(n + 1, dtype=np.complex128)
+    s = []
     uk = np.ones_like(u)
     for k in range(n + 1):
-        s[k] = np.mean(uk * g)
-        uk = uk * u
+        s.append(complex(np.add.reduce(uk * g) / g.size))
+        if k < n:
+            uk = uk * u
     if abs(s[0] - n) > 0.5:
         raise NonIntegerWindingError(
             f"s_0 = {s[0]:.6f} inconsistent with count {n}"
@@ -174,7 +230,7 @@ class PowerSums:
 class MonicPoly:
     """Monic polynomial in u = z - about, coefficients descending.
 
-    coeffs[0] is always 1.  eval() takes z-plane arguments.
+    coeffs[0] is always 1.
     """
 
     coeffs: tuple[complex, ...]
@@ -189,9 +245,6 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def eval(self, z) -> np.ndarray:
-        return np.polyval(np.asarray(self.coeffs), np.asarray(z) - self.about)
 
 
 def count_zeros(f: EntireFunction, x: float, circle: Circle) -> int:
@@ -221,17 +274,19 @@ def _count_zeros_data(
     if not levels:
         levels = sample_nested(f, x, circle)
     used: list[ContourData] = []
-    w: list[complex] = []
     for k in range(3):
-        data = levels[k] if k < len(levels) else sample_contour(f, x, circle)
-        require_finite(x, data.z, data.f, data.fz)
+        if k < len(levels):
+            data = levels[k]
+        else:
+            data = sample_contour(f, x, used[-1].circle.doubled())
+        # finite extremes of |F| and |F'| clear every node at once
+        if not (math.isfinite(data.max_abs_f) and math.isfinite(data.max_abs_fz)):
+            require_finite(x, data.z, data.f, data.fz)
         check_contour_clear(data, margin)
         used.append(data)
-        w.append(_winding(data))
-        circle = circle.doubled()
         if k == 0:
             continue
-        n = _settled(w[-2], w[-1])
+        n = _settled(used[-2].winding, data.winding)
         if n is not None:
             if n < 0:
                 raise NonIntegerWindingError(
@@ -239,7 +294,8 @@ def _count_zeros_data(
                 )
             return n, tuple(used)
     raise NonIntegerWindingError(
-        f"winding did not settle: last two estimates {w[-2]:.6f}, {w[-1]:.6f}"
+        "winding did not settle: last two estimates "
+        f"{used[-2].winding:.6f}, {used[-1].winding:.6f}"
     )
 
 
@@ -256,7 +312,7 @@ def settled_count(coarse: ContourData, fine: ContourData) -> Optional[int]:
     """The zero count that samples on a circle and on its doubling agree
     on, as _count_zeros_data settles it at those two levels; None if they
     do not (the count would need the next level)."""
-    return _settled(_winding(coarse), _winding(fine))
+    return _settled(coarse.winding, fine.winding)
 
 
 def power_sums(
@@ -287,13 +343,16 @@ def newton_to_coeffs(ps: PowerSums) -> MonicPoly:
         raise NoZerosInDiskError("no zeros enclosed, no monic factor")
     if len(s) < n + 1:
         raise ValueError(f"need power sums up to k={n}, got {len(s) - 1}")
-    a = np.zeros(n + 1, dtype=np.complex128)
-    a[0] = 1.0
+    s = [complex(v) for v in s[: n + 1]]
+    a = [1 + 0j]
     for k in range(1, n + 1):
         acc = s[k]
         for i in range(1, k):
             acc += a[i] * s[k - i]
-        a[k] = -acc / k
+        # -acc / k as numpy divides a complex scalar: times 1 / k, after
+        # its ratio 0 / k has met both parts
+        re, im, q = -acc.real, -acc.imag, 1.0 / k
+        a.append(complex((re + im * 0.0) * q, (im - re * 0.0) * q))
     return MonicPoly(tuple(a), about=ps.about)
 
 
@@ -420,16 +479,46 @@ def check_cofactor(
             circle.center + (2.0 * circle.radius / 3.0) * unit,
         ]
     )
-    fv = f.eval_many(x, zs)
-    with np.errstate(all="ignore"):
-        g = fv / poly.eval(zs)
-    ok = np.isfinite(g)
-    if not ok.any():
-        raise CofactorVanishesError("cofactor undefined at every probe point")
-    ga = np.abs(g[ok])
-    gmin, gmax = float(ga.min()), float(ga.max())
+    gmin, gmax = _cofactor_range(f.eval_many(x, zs), poly, zs)
     floor = max(M_FLOOR_REL * gmax, DENORMAL_FLOOR)
     if gmin <= floor:
         raise CofactorVanishesError(
             f"min |F/P| = {gmin:.3e} at probe points, floor {floor:.3e}"
         )
+
+
+def _cofactor_range(
+    fv: np.ndarray, poly: MonicPoly, zs: np.ndarray
+) -> tuple[float, float]:
+    """min and max of |F/P| over the points zs where F/P is finite; fv is
+    F there.  CofactorVanishesError where it is finite nowhere."""
+    with np.errstate(all="ignore"):
+        g = fv / _horner(poly.coeffs, zs - poly.about)
+    ok = np.isfinite(g)
+    if ok.all():
+        ga = np.abs(g)
+    elif ok.any():
+        ga = np.abs(g[ok])
+    else:
+        raise CofactorVanishesError("cofactor undefined at every probe point")
+    return float(np.minimum.reduce(ga)), float(np.maximum.reduce(ga))
+
+
+def _horner(coeffs: Sequence[complex], u: np.ndarray) -> np.ndarray:
+    """np.polyval(coeffs, u) for a monic coeffs without its set-up: the
+    same products and sums in the same order, so the same bits wherever u
+    is finite, and a NaN part wherever u is not (polyval's value is NaN
+    there; either way F/P is NaN, and the cofactor probe skips the point).
+
+    polyval starts from zeros and takes y * u + c per coefficient.  With a
+    leading 1 + 0j its first step, 0 * u + 1, is exactly 1 + 0j where u is
+    finite, so the first two steps are one product with 1 + 0j and one
+    sum.  A leading 1 - 0j can leave a -0 in that first step, and goes
+    through polyval.
+    """
+    if math.copysign(1.0, complex(coeffs[0]).imag) < 0.0:
+        return np.polyval(np.asarray(coeffs), u)
+    y = u * (1 + 0j) + coeffs[1]
+    for c in coeffs[2:]:
+        y = y * u + c
+    return y

@@ -69,8 +69,10 @@ class LocalFactorization:
     circle : the contour itself (center z0, radius r)
     levels : F(x0, .) and F' on the circle's nodes, then on the doubled
         circle's, as the certificate took them; validate_step compares
-        F(x1) with them level by level.  Both passed check_contour_clear
-        at CLEAR_MARGIN, so min |F| > 0 on each.
+        F(x1) with them level by level, against each level's own
+        min |F(x0)| (levels[0].min_abs_f is m), which the level keeps
+        from its contour check.  Both passed check_contour_clear at
+        CLEAR_MARGIN, so min |F| > 0 on each.
     """
 
     x0: float
@@ -164,7 +166,7 @@ def _try_radius(f, x0, z0, r):
         x0=float(x0),
         z0=z0,
         r=r,
-        m=float(np.abs(levels[0].f).min()),
+        m=levels[0].min_abs_f,
         n=poly.degree,
         poly=poly,
         circle=circle,
@@ -186,9 +188,10 @@ def carry_certificate(
     included.  The radius search's other tests run on what is at hand: the
     containment of poly's roots, the contour checks at CLEAR_MARGIN, and
     a count that settles on these two levels (one that needed 4M nodes is
-    not carried).  On the same samples the search would recount the same
-    factor, so what passes equals _try_radius(f, x1, loc.z0, loc.r) bit
-    for bit, without a kernel call.
+    not carried), from the windings and extremes of |F| and |F'| that the
+    factor's count already took on them.  On the same samples the search
+    would recount the same factor, so what passes equals
+    _try_radius(f, x1, loc.z0, loc.r) bit for bit, without a kernel call.
     """
     if not _hugs_center(poly, loc.r) or settled_count(*samples) != poly.degree:
         return None
@@ -201,7 +204,7 @@ def carry_certificate(
         x0=float(x1),
         z0=loc.z0,
         r=loc.r,
-        m=float(np.abs(samples[0].f).min()),
+        m=samples[0].min_abs_f,
         n=poly.degree,
         poly=poly,
         circle=loc.circle,
@@ -240,8 +243,8 @@ def validate_step(
         resolution = level.circle.samples
         if not np.isfinite(d.f).all():
             return StepValidation(False, float("inf"), resolution)
-        m = loc.m if k == 0 else float(np.abs(level.f).min())
-        excess = float(np.abs(d.f - level.f).max()) / (SAFETY * m)
+        diff = float(np.maximum.reduce(np.abs(d.f - level.f)))
+        excess = diff / (SAFETY * level.min_abs_f)
         if excess > 1.0:
             return StepValidation(False, excess, resolution)
         # a thin margin on the M nodes is decided again at 2M

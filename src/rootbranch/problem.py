@@ -30,6 +30,10 @@ elsewhere (v may use z); ``split(xc; l; r)`` selects ``l`` for x <= xc and
 anywhere, but ``build`` accepts it only on a base free of z (F must be
 entire in z), and the result must stay finite on the domain except where
 masked by a guard.
+
+Brackets and unary minus signs nest at most MAX_NESTING deep, and a JSON
+document no deeper than the json module decodes; deeper input is a syntax
+error.
 """
 
 from __future__ import annotations
@@ -124,11 +128,17 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 
+# brackets and unary minus signs open at once: the parser recurses through
+# four Python frames per bracket, so this keeps it well inside the default
+# recursion limit
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # brackets and unary minus signs open here
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -137,7 +147,16 @@ class _Parser:
         t = self.toks[self.i]
         if t.kind != "end":
             self.i += 1
+        if t.text == "(":
+            self.down()
+        elif t.text == ")":
+            self.depth -= 1
         return t
+
+    def down(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
     def fail(self, msg: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
@@ -170,7 +189,10 @@ class _Parser:
     def unary(self) -> Expr:
         if self.peek().text == "-":
             self.take()
-            return neg(self.unary())
+            self.down()
+            e = neg(self.unary())
+            self.depth -= 1
+            return e
         return self.atom()
 
     def atom(self) -> Expr:
@@ -356,6 +378,8 @@ def parse_problem(data) -> ProblemSpec:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise ProblemSyntaxError(e.msg, e.lineno, e.colno)
+        except RecursionError:
+            raise ProblemSyntaxError("document nested too deeply") from None
     if not isinstance(data, dict):
         raise ProblemValidationError("problem document must be a JSON object")
     unknown = set(data) - _TOP_KEYS

@@ -146,3 +146,44 @@ def test_summary_is_strict_json_when_the_seed_residual_overflows(tmp_path):
     assert summary["diagnostics"]["seed_residual"] is None
     assert summary["engine_samples"] == 0
     assert summary["max_residual"] is None
+
+
+def _interval_problem(function):
+    return {
+        "function": function,
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.5, "z": [0.0, 0.0]},
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(_interval_problem("exp(" * 250 + "z" + ")" * 250 + " - x")),
+        json.dumps(_interval_problem("(" * 3000 + "z - x" + ")" * 3000)),
+        json.dumps(_interval_problem("-" * 3000 + "z - x")),
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=[
+        "250 nested exp",
+        "3000 nested parentheses",
+        "3000 minus signs",
+        "100000 nested arrays",
+    ],
+)
+def test_deep_nesting_is_a_syntax_error(tmp_path, capsys, text):
+    pf = tmp_path / "deep.json"
+    pf.write_text(text)
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rootbranch: syntax error: ") and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_nesting_at_the_bound_reaches_the_solver(tmp_path):
+    # exp of exp ... of 0 is far from 0.5: the seed is rejected by the solver
+    doc = _interval_problem("exp(" * 200 + "z" + ")" * 200 + " - x")
+    pf = tmp_path / "deep.json"
+    pf.write_text(json.dumps(doc))
+    code = main(["--problem", str(pf), "--out", str(tmp_path)])
+    assert code == EXIT_CODES[Status.SEED_INVALID]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootbranch import (
@@ -16,7 +16,25 @@ from rootbranch import (
     poly_roots,
     power_sums,
 )
-from rootbranch.contour import sample_contour, sample_nested
+from rootbranch.contour import (
+    DENORMAL_FLOOR,
+    FLOOR_REL,
+    GUARD,
+    ContourData,
+    _cofactor_range,
+    _count_zeros_data,
+    _horner,
+    _power_sums_from,
+    _unit_nodes,
+    check_contour_clear,
+    sample_contour,
+    sample_nested,
+)
+from rootbranch.errors import (
+    CofactorVanishesError,
+    NonFiniteError,
+    NonIntegerWindingError,
+)
 from rootbranch.expressions import Const, SeriesForm
 
 
@@ -219,3 +237,196 @@ def test_winding_guard_scales_with_local_derivative():
     # far rim; the clearance test must stay local or this throws
     f = poly_fn(np.poly([0.99] * 8)[::-1])
     assert count_zeros(f, 0.0, Circle(0j, 2.0, 256)) == 8
+
+
+# The certificate arithmetic as it was before it reused each level's
+# integrand and reductions; the rewrite must give the same bits.
+
+
+def _old_winding(z, c, f, fz):
+    return complex(np.mean((z - c) * fz / f))
+
+
+def _old_power_sums(z, c, f, fz, n, about):
+    g = (z - c) * fz / f
+    u = z - about
+    s = np.empty(n + 1, dtype=np.complex128)
+    uk = np.ones_like(u)
+    for k in range(n + 1):
+        s[k] = np.mean(uk * g)
+        uk = uk * u
+    return s
+
+
+def _old_newton(s, n):
+    a = np.zeros(n + 1, dtype=np.complex128)
+    a[0] = 1.0
+    for k in range(1, n + 1):
+        acc = s[k]
+        for i in range(1, k):
+            acc += a[i] * s[k - i]
+        a[k] = -acc / k
+    return tuple(a)
+
+
+def _old_cofactor_range(fv, coeffs, about, zs):
+    g = fv / np.polyval(np.asarray(coeffs), zs - about)
+    ok = np.isfinite(g)
+    if not ok.any():
+        return None
+    ga = np.abs(g[ok])
+    return float(ga.min()), float(ga.max())
+
+
+def _old_contour_check(level, margin):
+    """check_contour_clear's verdict, as its message, or None."""
+    absf = np.abs(level.f)
+    minf, maxf = float(absf.min()), float(absf.max())
+    floor = margin * max(FLOOR_REL * maxf, DENORMAL_FLOOR)
+    if minf < floor:
+        return f"min node |F| = {minf:.3e} below floor {floor:.3e}"
+    spacing = 2.0 * np.pi * level.circle.radius / level.circle.samples
+    bound = (margin * GUARD * spacing) * np.abs(level.fz)
+    slack = absf - bound
+    j = int(np.argmin(slack))
+    if slack[j] < 0.0:
+        return f"node |F| = {absf[j]:.3e} below derivative guard {bound[j]:.3e}"
+    return None
+
+
+def _bits(values):
+    """The bytes of complex or float values; every NaN counts as one."""
+    a = np.array(values, dtype=np.complex128).ravel()
+    nan = np.isnan(a.real) | np.isnan(a.imag)
+    return a[~nan].tobytes(), np.flatnonzero(nan).tolist()
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _level_data(draw):
+    m = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    n = draw(st.integers(1, 6))
+
+    def scaled(lo, hi):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return sign * 10.0 ** draw(st.floats(lo, hi))
+
+    parts = st.sampled_from(["scaled", 0.0, -0.0])
+
+    def coordinate():
+        p = draw(parts)
+        return scaled(-150, 150) if p == "scaled" else p
+
+    center = complex(coordinate(), coordinate())
+    circle = Circle(center, 10.0 ** draw(st.floats(-150, 150)), m)
+    about = center if draw(st.booleans()) else complex(coordinate(), coordinate())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(kind):
+        if kind == "signed zeros":
+            return rng.choice([0.0, -0.0], m) + 1j * rng.choice([0.0, -0.0], m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        return v * 10.0 ** draw(st.floats(-100, 100))
+
+    f = sample("random")
+    fz = sample(draw(st.sampled_from(["random", "signed zeros"])))
+    for name, j, value, real in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["f", "fz"]),
+                st.integers(0, m - 1),
+                st.sampled_from(_SPECIAL),
+                st.booleans(),
+            ),
+            max_size=3,
+        )
+    ):
+        a = f if name == "f" else fz
+        a[j] = complex(value, a[j].imag) if real else complex(a[j].real, value)
+    return circle, n, about, f, fz
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_level_data(), lead=st.sampled_from([1 + 0j, complex(1.0, -0.0)]))
+def test_certificate_arithmetic_keeps_its_bits(data, lead):
+    circle, n, about, f, fz = data
+    z = circle.nodes()
+    level = ContourData(circle, z, f, fz)
+    with np.errstate(all="ignore"):
+        assert _bits(level.winding) == _bits(_old_winding(z, circle.center, f, fz))
+
+        for margin in (1.0, 2.0):
+            try:
+                check_contour_clear(level, margin)
+                verdict = None
+            except ZeroOnContourError as e:
+                verdict = str(e)
+            assert verdict == _old_contour_check(level, margin)
+
+        old_s = _old_power_sums(z, circle.center, f, fz, n, about)
+        raised = abs(old_s[0] - n) > 0.5
+        try:
+            s = _power_sums_from(level, n, about)
+        except NonIntegerWindingError:
+            assert raised
+        else:
+            assert not raised
+            assert _bits(s) == _bits(old_s)
+
+        # Newton's identities on these sums, with s_0 the count itself
+        s = [complex(n)] + [complex(v) for v in old_s[1:]]
+        poly = newton_to_coeffs(PowerSums(tuple(s), about))
+        assert _bits(poly.coeffs) == _bits(_old_newton(np.array(s), n))
+
+        # the cofactor probe with that factor, led by 1 + 0j or 1 - 0j
+        poly = MonicPoly((lead, *poly.coeffs[1:]), about)
+        unit = _unit_nodes(circle.samples)
+        c, r = circle.center, circle.radius
+        zs = np.concatenate([c + (r / 3.0) * unit, c + (2.0 * r / 3.0) * unit])
+        fv = np.concatenate([f, fz])
+        old = _old_cofactor_range(fv, poly.coeffs, about, zs)
+        try:
+            new = _cofactor_range(fv, poly, zs)
+        except CofactorVanishesError:
+            assert old is None
+        else:
+            assert old is not None and _bits(new) == _bits(old)
+
+
+@settings(max_examples=300, deadline=None)
+@example(coeffs=[complex(0.3, -0.0)], lead=complex(1.0, -0.0), parts=[-2.25, -0.0])
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1, max_size=6
+    ),
+    lead=st.sampled_from([1 + 0j, complex(1.0, -0.0)]),
+    parts=st.lists(
+        st.sampled_from(_SPECIAL + [0.5, -3.0, 1e-310, -1e300]), min_size=2, max_size=64
+    ),
+)
+def test_horner_is_polyval_bit_for_bit(coeffs, lead, parts):
+    # any u, including signed zeros; where u is not finite both values
+    # have a NaN part, and F/P is NaN either way
+    u = np.array([complex(a, b) for a, b in zip(parts[0::2], parts[1::2])])
+    c = (lead, *coeffs)
+    with np.errstate(all="ignore"):
+        got, want = _horner(c, u), np.polyval(np.asarray(c), u)
+    finite = np.isfinite(u)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    for v in (got[~finite], want[~finite]):
+        assert (np.isnan(v.real) | np.isnan(v.imag)).all()
+
+
+@pytest.mark.parametrize("name", ["f", "fz"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_level_fails_the_count_as_nonfinite(name, value):
+    # checked before the contour checks, which would call it a zero instead
+    f = f_of("pow(z, 2) - 0.25")
+    coarse, fine = sample_nested(f, 0.0, Circle(0.5 + 0j, 0.25, 16))
+    arrays = {"z": fine.z, "f": fine.f.copy(), "fz": fine.fz.copy()}
+    arrays[name][3] = complex(arrays[name][3].real, value)
+    bad = ContourData(fine.circle, **arrays)
+    with pytest.raises(NonFiniteError, match=r"z=\(0\.7"):
+        _count_zeros_data(f, 0.0, coarse.circle, levels=(coarse, bad))

@@ -14,7 +14,8 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
-from rootbranch.localize import _try_radius, carry_certificate, ladder_radius
+from rootbranch.contour import sample_nested
+from rootbranch.localize import SAFETY, _try_radius, carry_certificate, ladder_radius
 
 
 def f_of(text):
@@ -224,3 +225,32 @@ def test_ladder_drops_nonfinite_rungs_and_keeps_ties():
     loc = select_radius(f, 0.0, 0.5, r_max=0.2)
     (f1,) = f.kernel(0.5, loc.circle.nodes(), dz=False)
     assert ladder_radius(f, loc, 0.5, f1) == loc.r
+
+
+def _decided_at_2m(f, loc, xs):
+    """validate_step at the first x1 in xs whose check reaches the 2M nodes,
+    with the F(x1) it compared there."""
+    for x1 in xs:
+        v = validate_step(f, loc, x1)
+        if v.resolution == 2 * loc.circle.samples:
+            return v, sample_nested(f, x1, loc.circle)[1].f
+    pytest.fail("no step reached the 2M nodes")
+
+
+def test_refined_check_uses_the_2m_level_minimum():
+    # the 2M comparison divides by min |F(x0)| over the 2M nodes, the
+    # certificate's own levels[1], for a searched and for a carried circle;
+    # the far zero sits off a node of M, so that minimum is not the M one
+    f = f_of("z * (z - 1.06*exp(0.02*i) + x)")
+    searched = select_radius(f, 0.0, 0j, r_max=1.0)
+    v = validate_step(f, searched, 0.002)
+    poly = local_monic_factor(f, 0.002, searched.circle, levels=v.samples)
+    carried = carry_certificate(searched, 0.002, poly, v.samples)
+    assert carried is not None
+    for loc in (searched, carried):
+        coarse, fine = loc.levels
+        m2 = float(np.abs(fine.f).min())
+        assert m2 < loc.m == float(np.abs(coarse.f).min())
+        v, f1 = _decided_at_2m(f, loc, (loc.x0 + np.geomspace(1e-4, 0.05, 60)).tolist())
+        want = float(np.abs(f1 - fine.f).max()) / (SAFETY * m2)
+        assert v.excess.hex() == want.hex()
