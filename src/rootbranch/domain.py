@@ -8,11 +8,14 @@ receive that scalar as x.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .errors import OutOfDomainError, ProblemValidationError
 
@@ -264,6 +267,8 @@ class PathSegment:
 
     def point_at(self, arc: float) -> DomainPoint:
         """The point at the given arc distance from a (clamped to [0, len])."""
+        if math.isnan(arc):
+            raise OutOfDomainError("arc is NaN")
         if not self.pieces:
             return self.a
         arc = min(max(arc, 0.0), self.length)
@@ -272,14 +277,62 @@ class PathSegment:
         if arc == self.length:
             return self.b
         i = bisect_right(self.cum, arc) - 1
-        if i >= len(self.pieces):
-            return self.b
         piece = self.pieces[i]
         if arc == self.cum[i]:
             return self.domain.edge_point(piece.edge, piece.t0)
         frac = (arc - self.cum[i]) / piece.length
         t = piece.t0 + (piece.t1 - piece.t0) * frac
         return self.domain.edge_point(piece.edge, min(max(t, 0.0), 1.0))
+
+    def points_at(self, arcs) -> tuple[list[DomainPoint], np.ndarray]:
+        """point_at of each arc, and the coordinate of each point.
+
+        Equals point_at then ParamDomain.coordinate arc by arc, bit for
+        bit, but clamps the arcs, finds their pieces and edge-local t and
+        computes the coordinates in whole-array passes; only the points
+        themselves are built one by one.
+        """
+        arcs = np.asarray(arcs, dtype=np.float64)
+        if np.isnan(arcs).any():
+            raise OutOfDomainError("arc is NaN")
+        dom = self.domain
+        # a row at a vertex, at a or at b takes its point from here
+        fixed = [DomainPoint(vertex=v) for v in range(len(dom.vertex_names))]
+        fixed += [self.a, self.b]
+        fixed_x = np.array([dom.coordinate(p) for p in fixed])
+        if not self.pieces:
+            return [self.a] * arcs.size, np.full(arcs.size, fixed_x[-2])
+        arc = np.minimum(np.maximum(arcs, 0.0), self.length)
+        cum = np.array(self.cum)
+        # the last piece for arcs at b, which take b below
+        i = np.minimum(np.searchsorted(cum, arc, "right") - 1, len(self.pieces) - 1)
+        t0, t1, span, edge = (
+            np.array([getattr(p, k) for p in self.pieces])
+            for k in ("t0", "t1", "length", "edge")
+        )
+        # on a piece boundary t is the piece's t0
+        t = t0[i]
+        mid = np.flatnonzero((arc > 0.0) & (arc < self.length) & (arc != cum[i]))
+        k = i[mid]
+        frac = (arc[mid] - cum[k]) / span[k]
+        t[mid] = np.minimum(np.maximum(t0[k] + (t1[k] - t0[k]) * frac, 0.0), 1.0)
+        e = edge[i]
+        eu, ev, elen = (
+            np.array([getattr(d, k) for d in dom.edges]) for k in ("u", "v", "length")
+        )
+        du, dv = fixed_x[eu[e]], fixed_x[ev[e]]
+        x = np.where(dv >= du, du + t * elen[e], dv + (1.0 - t) * elen[e])
+        # t of 0 or 1 is the edge's vertex; a wins over b, as in point_at
+        code = np.where(t == 0.0, eu[e], np.where(t == 1.0, ev[e], -1))
+        code[arc == self.length] = len(fixed) - 1
+        code[arc == 0.0] = len(fixed) - 2
+        at = code >= 0
+        x[at] = fixed_x[code[at]]
+        points = [
+            fixed[c] if c >= 0 else DomainPoint(edge=j, t=tj)
+            for c, j, tj in zip(code.tolist(), e.tolist(), t.tolist())
+        ]
+        return points, x
 
 
 @dataclass(frozen=True)

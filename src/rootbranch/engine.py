@@ -889,8 +889,8 @@ def resample_branch(
     Raw adaptive samples are linearly interpolated at the target arcs and
     Newton-polished, all rows in one polish_roots call; residuals are
     reported honestly (no filtering).  When arcs_by_segment is given those
-    arcs are used, clipped to each segment's covered span (oracle tests);
-    otherwise ``total`` samples are distributed across segments
+    arcs are used, clipped to each segment's covered span (oracle tests;
+    a NaN arc raises OutOfDomainError); otherwise ``total`` samples are distributed across segments
     proportionally to covered length, at least two per segment.  cfg is
     accepted for symmetry with continue_branch; resampling has no knobs.
     """
@@ -923,6 +923,9 @@ def resample_branch(
         seg = branch.sweeps[i].segment if i < len(branch.sweeps) else None
         if arcs_by_segment is not None:
             targets = np.asarray(arcs_by_segment.get(i, ()), dtype=np.float64)
+            # also on a branch without sweeps, whose rows take no path
+            if np.isnan(targets).any():
+                raise OutOfDomainError(f"arc is NaN on segment {i}")
         elif span == 0.0 or total_len == 0.0:
             targets = np.array([lo])
         else:
@@ -936,11 +939,12 @@ def resample_branch(
         inside = (arcs[k] > arcs[j]) & (targets > arcs[j])
         t = (targets - arcs[j]) / np.where(inside, arcs[k] - arcs[j], 1.0)
         guesses.append(np.where(inside, ws[j] * (1.0 - t) + ws[k] * t, ws[j]))
-        x = np.empty(len(targets))
-        for n, (arc, jn) in enumerate(zip(targets.tolist(), j.tolist())):
-            point = seg.point_at(arc) if seg is not None else raws[jn].point
-            x[n] = branch.domain.coordinate(point)
-            rows.append((i, arc, point))
+        if seg is not None:
+            points, x = seg.points_at(targets)
+        else:
+            points = [raws[jn].point for jn in j.tolist()]
+            x = np.array([branch.domain.coordinate(p) for p in points])
+        rows.extend(zip([i] * len(points), targets.tolist(), points))
         xs.append(x)
     if not rows:
         return []

@@ -24,17 +24,26 @@ from .errors import NonFiniteError, OutOfDomainError
 
 
 class Expr:
-    """Base expression node. Subclasses implement dz / children / code.
+    """Base expression node. Subclasses implement _dz / children / code.
 
-    ``code`` is the node's operation as a Python expression over the
-    children's values {0}, {1} (and {n} for Pow's exponent); _Kernel
-    compiles it.  Const and Z need none: they are names in the compiled
-    code.  Guard and Split have none either: a value of x picks one side.
+    ``_dz`` is the node's derivative in z, given its children's
+    derivatives.  ``code`` is the node's operation as a Python expression
+    over the children's values {0}, {1} (and {n} for Pow's exponent);
+    _Kernel compiles it.  Const and Z need none: they are names in the
+    compiled code.  Guard and Split have none either: a value of x picks
+    one side.
+
+    No walk over a tree recurses (see walk and _fold), so the height of a
+    tree is bounded by memory, not by Python's recursion limit.
     """
 
     code = ""
 
     def dz(self) -> "Expr":
+        """The symbolic derivative dF/dz of this tree."""
+        return _fold(self, lambda e, kids: e._dz(*kids), {})
+
+    def _dz(self, *kids: "Expr") -> "Expr":
         raise NotImplementedError
 
     def children(self) -> tuple["Expr", ...]:
@@ -73,7 +82,7 @@ class Expr:
 class Const(Expr):
     value: complex
 
-    def dz(self):
+    def _dz(self):
         return Const(0j)
 
 
@@ -82,13 +91,13 @@ class X(Expr):
     # the kernel's caller passes x already converted to complex
     code = "x"
 
-    def dz(self):
+    def _dz(self):
         return Const(0j)
 
 
 @dataclass(frozen=True, repr=False)
 class Z(Expr):
-    def dz(self):
+    def _dz(self):
         return Const(1 + 0j)
 
 
@@ -99,8 +108,8 @@ class Add(Expr):
 
     code = "{0} + {1}"
 
-    def dz(self):
-        return add(self.a.dz(), self.b.dz())
+    def _dz(self, da, db):
+        return add(da, db)
 
     def children(self):
         return (self.a, self.b)
@@ -113,8 +122,8 @@ class Sub(Expr):
 
     code = "{0} - {1}"
 
-    def dz(self):
-        return sub(self.a.dz(), self.b.dz())
+    def _dz(self, da, db):
+        return sub(da, db)
 
     def children(self):
         return (self.a, self.b)
@@ -127,8 +136,8 @@ class Mul(Expr):
 
     code = "{0} * {1}"
 
-    def dz(self):
-        return add(mul(self.a.dz(), self.b), mul(self.a, self.b.dz()))
+    def _dz(self, da, db):
+        return add(mul(da, self.b), mul(self.a, db))
 
     def children(self):
         return (self.a, self.b)
@@ -140,8 +149,8 @@ class Neg(Expr):
 
     code = "-{0}"
 
-    def dz(self):
-        return neg(self.a.dz())
+    def _dz(self, da):
+        return neg(da)
 
     def children(self):
         return (self.a,)
@@ -156,8 +165,8 @@ class Pow(Expr):
 
     code = "asarray({0}, dtype=complex128) ** {n}"
 
-    def dz(self):
-        return mul(mul(Const(complex(self.n)), powi(self.base, self.n - 1)), self.base.dz())
+    def _dz(self, dbase):
+        return mul(mul(Const(complex(self.n)), powi(self.base, self.n - 1)), dbase)
 
     def children(self):
         return (self.base,)
@@ -169,8 +178,8 @@ class Exp(Expr):
 
     code = "exp({0})"
 
-    def dz(self):
-        return mul(Exp(self.a), self.a.dz())
+    def _dz(self, da):
+        return mul(Exp(self.a), da)
 
     def children(self):
         return (self.a,)
@@ -182,8 +191,8 @@ class Sin(Expr):
 
     code = "sin({0})"
 
-    def dz(self):
-        return mul(Cos(self.a), self.a.dz())
+    def _dz(self, da):
+        return mul(Cos(self.a), da)
 
     def children(self):
         return (self.a,)
@@ -195,8 +204,8 @@ class Cos(Expr):
 
     code = "cos({0})"
 
-    def dz(self):
-        return neg(mul(Sin(self.a), self.a.dz()))
+    def _dz(self, da):
+        return neg(mul(Sin(self.a), da))
 
     def children(self):
         return (self.a,)
@@ -216,8 +225,8 @@ class Guard(Expr):
     at_value: Expr
     elsewhere: Expr
 
-    def dz(self):
-        return Guard(self.x0, self.at_value.dz(), self.elsewhere.dz())
+    def _dz(self, dat, delse):
+        return Guard(self.x0, dat, delse)
 
     def children(self):
         return (self.at_value, self.elsewhere)
@@ -236,8 +245,8 @@ class Split(Expr):
     left: Expr
     right: Expr
 
-    def dz(self):
-        return Split(self.xc, self.left.dz(), self.right.dz())
+    def _dz(self, dleft, dright):
+        return Split(self.xc, dleft, dright)
 
     def children(self):
         return (self.left, self.right)
@@ -325,10 +334,38 @@ def cos(a: Expr) -> Expr:
     return Cos(_wrap(a))
 
 
+def walk(e: Expr):
+    """Every node of the tree at e, each parent before its children, left
+    to right (a node reached twice is yielded twice)."""
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(node.children()))
+
+
+def _fold(e: Expr, fn, done: dict):
+    """fn(node, its children's values) for every node of the tree at e,
+    children first, left to right; returns e's value.
+
+    done maps id(node) to its value, so a node reached twice (or already
+    in done) is folded once.
+    """
+    todo = [(e, False)]
+    while todo:
+        node, ready = todo.pop()
+        if id(node) in done:
+            continue
+        if ready:
+            done[id(node)] = fn(node, [done[id(c)] for c in node.children()])
+        else:
+            todo.append((node, True))
+            todo.extend((c, False) for c in reversed(node.children()))
+    return done[id(e)]
+
+
 def contains_z(e: Expr) -> bool:
-    if isinstance(e, Z):
-        return True
-    return any(contains_z(c) for c in e.children())
+    return any(isinstance(node, Z) for node in walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -348,61 +385,63 @@ def _num_text(v: complex) -> str:
     return f"({re!r} {sign} {abs(im)!r}*i)"
 
 
-def _txt(e: Expr) -> tuple[str, int]:
+def _prec(e: Expr) -> int:
+    """How tightly e's text binds, for its parent's brackets."""
     if isinstance(e, Const):
-        t = _num_text(e.value)
-        return t, (_PREC_UNARY if t.startswith("-") else _PREC_ATOM)
-    if isinstance(e, X):
-        return "x", _PREC_ATOM
-    if isinstance(e, Z):
-        return "z", _PREC_ATOM
+        return _PREC_UNARY if _num_text(e.value).startswith("-") else _PREC_ATOM
     if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        lt, lp = _txt(e.a)
-        rt, rp = _txt(e.b)
-        if lp < _PREC_ADD:
-            lt = f"({lt})"
-        if rp <= _PREC_ADD:
-            rt = f"({rt})"
-        return f"{lt} {op} {rt}", _PREC_ADD
+        return _PREC_ADD
     if isinstance(e, Mul):
-        lt, lp = _txt(e.a)
-        rt, rp = _txt(e.b)
-        if lp < _PREC_MUL:
-            lt = f"({lt})"
-        if rp < _PREC_MUL:
-            rt = f"({rt})"
-        return f"{lt}*{rt}", _PREC_MUL
+        return _PREC_MUL
+    return _PREC_UNARY if isinstance(e, Neg) else _PREC_ATOM
+
+
+def _operand(e: Expr, bracket: bool) -> list:
+    return ["(", e, ")"] if bracket else [e]
+
+
+def _pieces(e: Expr) -> list:
+    """e's text as strings and child trees, in reading order."""
+    if isinstance(e, Const):
+        return [_num_text(e.value)]
+    if isinstance(e, X):
+        return ["x"]
+    if isinstance(e, Z):
+        return ["z"]
+    if isinstance(e, (Add, Sub)):
+        op = " + " if isinstance(e, Add) else " - "
+        return [
+            *_operand(e.a, _prec(e.a) < _PREC_ADD), op,
+            *_operand(e.b, _prec(e.b) <= _PREC_ADD),
+        ]
+    if isinstance(e, Mul):
+        return [
+            *_operand(e.a, _prec(e.a) < _PREC_MUL), "*",
+            *_operand(e.b, _prec(e.b) < _PREC_MUL),
+        ]
     if isinstance(e, Neg):
-        t, p = _txt(e.a)
-        if p < _PREC_UNARY:
-            t = f"({t})"
-        return f"-{t}", _PREC_UNARY
+        return ["-", *_operand(e.a, _prec(e.a) < _PREC_UNARY)]
     if isinstance(e, Pow):
-        t, _ = _txt(e.base)
-        return f"pow({t}, {e.n})", _PREC_ATOM
-    if isinstance(e, Exp):
-        return f"exp({_txt(e.a)[0]})", _PREC_ATOM
-    if isinstance(e, Sin):
-        return f"sin({_txt(e.a)[0]})", _PREC_ATOM
-    if isinstance(e, Cos):
-        return f"cos({_txt(e.a)[0]})", _PREC_ATOM
+        return ["pow(", e.base, f", {e.n})"]
+    if isinstance(e, (Exp, Sin, Cos)):
+        return [f"{type(e).__name__.lower()}(", e.a, ")"]
     if isinstance(e, Guard):
-        return (
-            f"guard({e.x0!r}; {_txt(e.at_value)[0]}; {_txt(e.elsewhere)[0]})",
-            _PREC_ATOM,
-        )
+        return [f"guard({e.x0!r}; ", e.at_value, "; ", e.elsewhere, ")"]
     if isinstance(e, Split):
-        return (
-            f"split({e.xc!r}; {_txt(e.left)[0]}; {_txt(e.right)[0]})",
-            _PREC_ATOM,
-        )
+        return [f"split({e.xc!r}; ", e.left, "; ", e.right, ")"]
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def to_text(e: Expr) -> str:
     """Render a tree in the grammar accepted by the problem parser."""
-    return _txt(e)[0]
+    out, todo = [], [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(_pieces(item)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +563,11 @@ class _Kernel:
         self.kids: list[tuple[int, ...]] = []  # their children's ids
         ids: dict[tuple, int] = {}
         seen: dict[int, int] = {}
-        self.roots = (
-            self._intern(expr, ids, seen), self._intern(expr.dz(), ids, seen)
-        )
+
+        def intern(e: Expr, kids: list[int]) -> int:
+            return self._intern(e, tuple(kids), ids)
+
+        self.roots = (_fold(expr, intern, seen), _fold(expr.dz(), intern, seen))
         self.switches = [
             i for i, e in enumerate(self.nodes) if isinstance(e, (Guard, Split))
         ]
@@ -548,23 +589,20 @@ class _Kernel:
         self.codes: dict[tuple[bool, ...], tuple] = {}
         self.by_x: dict[bytes, tuple] = {}
 
-    def _intern(self, e: Expr, ids: dict, seen: dict) -> int:
-        i = seen.get(id(e))
-        if i is None:
-            kids = tuple(self._intern(c, ids, seen) for c in e.children())
-            if isinstance(e, Const):
-                payload = (type(e.value), repr(e.value))
-            elif isinstance(e, Pow):
-                payload = (type(e.n), repr(e.n))
-            elif isinstance(e, (Guard, Split)):
-                payload = repr(e.x0 if isinstance(e, Guard) else e.xc)
-            else:
-                payload = None
-            i = ids.setdefault((type(e), payload, kids), len(self.nodes))
-            if i == len(self.nodes):
-                self.nodes.append(e)
-                self.kids.append(kids)
-            seen[id(e)] = i
+    def _intern(self, e: Expr, kids: tuple[int, ...], ids: dict) -> int:
+        """The DAG id of e, whose children have the ids kids."""
+        if isinstance(e, Const):
+            payload = (type(e.value), repr(e.value))
+        elif isinstance(e, Pow):
+            payload = (type(e.n), repr(e.n))
+        elif isinstance(e, (Guard, Split)):
+            payload = repr(e.x0 if isinstance(e, Guard) else e.xc)
+        else:
+            payload = None
+        i = ids.setdefault((type(e), payload, kids), len(self.nodes))
+        if i == len(self.nodes):
+            self.nodes.append(e)
+            self.kids.append(kids)
         return i
 
     def __call__(self, x, z: np.ndarray, dz: bool):
@@ -817,10 +855,14 @@ def polish_roots(
     """polish_root for many rows at once: row k refines z0[k] at x[k].
 
     x and z0 are arrays of one shape, of any number of dimensions; each
-    element is a row.  Every row follows polish_root's rules with its
-    default iteration count, but all rows share one Newton loop over
-    arrays, with one kernel call for F and dF/dz per iteration.  Returns
-    the arrays (z, residual), of that shape.
+    element is a row.  All rows share one Newton loop over arrays, with
+    one kernel call for F and dF/dz per iteration.  Every row follows
+    polish_root's rules with its default iteration count, except that a
+    row stops when a Newton step gives back its current iterate bit for
+    bit, not whenever one gives back an earlier iterate: a longer cycle
+    only replays iterates already scored, so the row still ends with
+    polish_root's result.  Returns the arrays (z, residual), of that
+    shape.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
@@ -838,7 +880,10 @@ def polish_roots(
                 break
             ok = (d != 0) & np.isfinite(np.abs(d))
             live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
-            z = z - fz / d
+            step = z - fz / d
+            # the int64 view keeps 0.0 and -0.0 apart, as polish_root does
+            moved = (step.view(np.int64) != z.view(np.int64)).reshape(-1, 2).any(axis=1)
+            live, z = live[moved], step[moved]
             fz, d = f.kernel(x[live], z)
             ok = np.isfinite(fz)
             live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]

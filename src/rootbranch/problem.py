@@ -70,6 +70,7 @@ from .expressions import (
     sin,
     sub,
     to_text,
+    walk,
 )
 
 __all__ = [
@@ -464,13 +465,6 @@ def render(spec: ProblemSpec) -> str:
 # building solver objects
 
 
-def _piecewise_nodes(e: Expr):
-    if isinstance(e, (Guard, Split)):
-        yield e
-    for c in e.children():
-        yield from _piecewise_nodes(c)
-
-
 _CONT_PROBES = np.array(
     [0.0, 1.0, -1.0, 1j, -1j, 0.5 - 0.3j, -0.7 + 0.2j, 2.0 + 1.0j],
     dtype=np.complex128,
@@ -479,24 +473,24 @@ _CONT_PROBES = np.array(
 
 def _validate_entire(e: Expr) -> None:
     """Reject a negative power of a z-dependent base: F has poles in z."""
-    if isinstance(e, Pow) and e.n < 0 and contains_z(e.base):
-        raise ProblemValidationError(
-            f"{to_text(e)} is not entire in z: a negative power needs a base free of z"
-        )
-    for c in e.children():
-        _validate_entire(c)
+    for node in walk(e):
+        if isinstance(node, Pow) and node.n < 0 and contains_z(node.base):
+            raise ProblemValidationError(
+                f"{to_text(node)} is not entire in z:"
+                " a negative power needs a base free of z"
+            )
 
 
 def _validate_piecewise(expr: Expr, dom: ParamDomain) -> None:
     lo, hi = dom.coordinate_range()
     vertex_coords = {dom.coordinate(dom.vertex_point(i)) for i in range(len(dom.vertex_names))}
-    for node in _piecewise_nodes(expr):
+    for node in walk(expr):
         if isinstance(node, Guard):
             if node.x0 not in vertex_coords:
                 raise ProblemValidationError(
                     f"guard point {node.x0} is not a domain vertex coordinate"
                 )
-        else:
+        elif isinstance(node, Split):
             if not (lo <= node.xc <= hi):
                 raise ProblemValidationError(
                     f"split point {node.xc} outside coordinate range [{lo}, {hi}]"

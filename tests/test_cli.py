@@ -180,6 +180,26 @@ def test_deep_nesting_is_a_syntax_error(tmp_path, capsys, text):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "function, config",
+    [
+        ("*".join(["(z + x)"] * 300), {}),
+        ("exp(z*" * 180 + "x" + ")" * 180 + " - x", {"max_steps": 20}),
+        (" + ".join(["z"] * 3000) + " - x", {}),
+    ],
+    ids=["product of 300 factors", "180 nested exp(z*", "sum of 3000 terms"],
+)
+def test_tall_expression_within_the_nesting_bound_runs(tmp_path, capsys, function, config):
+    # each tree is hundreds or thousands of nodes tall, its dz tree taller
+    # still; no walk over either may hit the recursion limit
+    pf = tmp_path / "tall.json"
+    pf.write_text(json.dumps({**_interval_problem(function), "config": config}))
+    code = main(["--problem", str(pf), "--out", str(tmp_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == EXIT_CODES[Status(summary["status"])]
+
+
 def test_nesting_at_the_bound_reaches_the_solver(tmp_path):
     # exp of exp ... of 0 is far from 0.5: the seed is rejected by the solver
     doc = _interval_problem("exp(" * 200 + "z" + ")" * 200 + " - x")

@@ -176,3 +176,58 @@ def test_sweep_plan_covers_once_and_resumes_at_stops(dom, t):
             # and each stop is where some later sweep resumes
             later = [s.segment.point_at(s.resume_arc) for s in sweeps[j + 1:]]
             assert all(sw.segment.point_at(a) in later for a in stops)
+
+
+def _arc_cases(sw, extra):
+    """Arcs on and around every landmark of a sweep, plus extra ones."""
+    seg = sw.segment
+    marks = [0.0, -0.0, seg.length, *seg.cum, *sw.stops, sw.resume_arc]
+    near = [np.nextafter(a, d) for a in marks for d in (-np.inf, np.inf)]
+    return [*marks, *near, -1.0, -1e-300, seg.length + 1.0, 2.0 * seg.length, *extra]
+
+
+def _assert_points_at_is_point_at(dom, x0, extra):
+    for sw in dom.sweep_targets(x0):
+        seg = sw.segment
+        arcs = [float(a) for a in _arc_cases(sw, [a * seg.length for a in extra])]
+        points, x = seg.points_at(arcs)
+        assert len(points) == len(arcs) and x.dtype == np.float64
+        for arc, p, xk in zip(arcs, points, x.tolist()):
+            want = seg.point_at(arc)
+            assert p == want, (arc, p, want)
+            assert p.t.hex() == want.t.hex()
+            assert xk.hex() == dom.coordinate(want).hex(), arc
+
+
+_FRACTIONS = st.lists(st.floats(-0.2, 1.2), max_size=20)
+
+
+@settings(deadline=None)
+@given(extra=_FRACTIONS, t=st.floats(0.01, 0.99))
+def test_points_at_is_point_at_bit_for_bit(extra, t):
+    for dom in (ParamDomain.interval(), ytree()):
+        seeds = [dom.vertex_point(v) for v in range(len(dom.vertex_names))]
+        seeds += [dom.edge_point(e, t) for e in range(len(dom.edges))]
+        for x0 in seeds:
+            _assert_points_at_is_point_at(dom, x0, extra)
+
+
+@settings(deadline=None)
+@given(dom=trees(), data=st.data(), extra=_FRACTIONS)
+def test_points_at_is_point_at_on_random_trees(dom, data, extra):
+    vertex = data.draw(st.integers(0, len(dom.vertex_names) - 1))
+    edge = data.draw(st.integers(0, len(dom.edges) - 1))
+    t = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    for x0 in (dom.vertex_point(vertex), dom.edge_point(edge, t)):
+        _assert_points_at_is_point_at(dom, x0, extra)
+
+
+def test_points_at_edge_cases():
+    dom = ytree()
+    seg = sweep_from_a_to(dom, "b").segment
+    points, x = seg.points_at([])
+    assert points == [] and x.shape == (0,)
+    with pytest.raises(OutOfDomainError, match="NaN"):
+        seg.point_at(float("nan"))
+    with pytest.raises(OutOfDomainError, match="NaN"):
+        seg.points_at([0.25, float("nan")])

@@ -10,6 +10,7 @@ from rootbranch import (
     BranchSample,
     EngineConfig,
     EntireFunction,
+    OutOfDomainError,
     ParamDomain,
     Status,
     build,
@@ -210,6 +211,23 @@ def test_resample_monotone_arcs_and_residuals():
         assert s.residual < 1e-8
     for arcs in by_seg.values():
         assert all(a < b for a, b in zip(arcs, arcs[1:]))
+
+
+def test_resample_rejects_a_nan_arc():
+    # a NaN target used to land on the segment end, with arc NaN
+    f = f_of("pow(z, 2) - x")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(0.25), 0.5)
+    rows = resample_branch(f, br, 0, arcs_by_segment={0: [0.1], 1: [0.2]})
+    assert [r.segment for r in rows] == [0, 1]
+    with pytest.raises(OutOfDomainError, match="NaN"):
+        resample_branch(f, br, 0, arcs_by_segment={0: [0.1, float("nan")]})
+    # a degenerate seed: one sample and no sweep
+    g = f_of("x - 0.5")
+    br = continue_branch(g, dom, dom.interval_point(0.5), 1.0)
+    assert br.status.kind is Status.DEGENERATE_BARRIER and not br.sweeps
+    with pytest.raises(OutOfDomainError, match="NaN"):
+        resample_branch(g, br, 0, arcs_by_segment={0: [float("nan")]})
 
 
 def test_certify_steps_recount():

@@ -170,16 +170,18 @@ def test_split_array_x_evaluates_each_side_on_its_own_rows():
     assert xs.tobytes() == x.astype(np.complex128).tobytes()
 
 
-def test_polish_roots_matches_polish_root_row_for_row():
+# guard point of example1-sin, split and guard points of example2-phi
+_SPECIAL_X = {"example1-sin": [0.0], "example2-phi": [0.5, 1.0]}
+
+
+def _fixture_polish_rows():
+    """Per fixture: its name, F, and (x, z0) rows to polish."""
     rng = np.random.default_rng(2009)
-    # guard point of example1-sin, split and guard points of example2-phi
-    special = {"example1-sin": [0.0], "example2-phi": [0.5, 1.0]}
-    eps = np.finfo(float).eps
     for name in fixture_names():
         f, dom, *_ = build(parse_problem({"fixture": name}))
         lo, hi = dom.coordinate_range()
         rows = []
-        for x in [float(x) for x in np.linspace(lo, hi, 7)] + special.get(name, []):
+        for x in [float(x) for x in np.linspace(lo, hi, 7)] + _SPECIAL_X.get(name, []):
             # each root found, and a start 1e-3 off it: near a root Newton
             # does not amplify rounding differences
             for _ in range(3):
@@ -188,6 +190,12 @@ def test_polish_roots_matches_polish_root_row_for_row():
                 if r < 1e-9:
                     off = 1e-3 * (1.0 + abs(w)) * np.exp(2j * np.pi * rng.uniform())
                     rows += [(x, w), (x, w + off)]
+        yield name, f, rows
+
+
+def test_polish_roots_matches_polish_root_row_for_row():
+    eps = np.finfo(float).eps
+    for name, f, rows in _fixture_polish_rows():
         x = np.array([r[0] for r in rows])
         z0 = np.array([r[1] for r in rows])
         zv, rv = polish_roots(f, x, z0)
@@ -201,7 +209,76 @@ def test_polish_roots_matches_polish_root_row_for_row():
             # |F| over the 4 ulp allowed in z, scale with |F_z| (1 + |z|)
             scale = abs(f.eval_dz_many(xk, [zs])[0]) * (1.0 + abs(zs))
             assert abs(rv[k] - rs) <= 4 * eps * max(rs, scale), (name, xk, zk)
-        assert set(special.get(name, [])) <= set(x.tolist())
+        assert set(_SPECIAL_X.get(name, [])) <= set(x.tolist())
+
+
+def _polish_roots_every_iteration(f, x, z0):
+    """polish_roots without its stop at a repeated iterate."""
+    z0 = np.asarray(z0, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.float64)
+    fz, d = f.kernel(x, z0)
+    x, fz, d = x.ravel(), fz.ravel(), d.ravel()
+    best_z = z0.ravel().copy()
+    with np.errstate(all="ignore"):
+        start_ok = np.isfinite(fz)
+        best_r = np.where(start_ok, np.abs(fz), np.inf)
+        live = np.flatnonzero(start_ok & (best_r != 0.0))
+        z, fz, d = best_z[live], fz[live], d[live]
+        for _ in range(8):
+            if live.size == 0:
+                break
+            ok = (d != 0) & np.isfinite(np.abs(d))
+            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
+            z = z - fz / d
+            fz, d = f.kernel(x[live], z)
+            ok = np.isfinite(fz)
+            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
+            r = np.abs(fz)
+            better = r < best_r[live]
+            best_z[live[better]] = z[better]
+            best_r[live[better]] = r[better]
+            keep = (r <= 2.0 * best_r[live]) & (r != 0.0)
+            live, z, fz, d = live[keep], z[keep], fz[keep], d[keep]
+    return best_z.reshape(z0.shape), best_r.reshape(z0.shape)
+
+
+def _counting_kernel(f):
+    """Wrap f.kernel to tally the points it evaluates."""
+    points = []
+    kernel = f.kernel
+
+    def counting(x, z, dz=True):
+        points.append(np.size(z))
+        return kernel(x, z, dz)
+
+    f.kernel = counting
+    return points
+
+
+def test_polish_roots_stops_at_a_repeat_without_changing_the_result():
+    # a row whose Newton step gives back its iterate bit for bit only
+    # replays: stopping it returns the bits of iterating on, in fewer points
+    exact = [
+        ("pow(z, 2) - x", [(0.25, 0.5), (4.0, -2.0), (0.25, 0.5 + 1e-3j)]),
+        ("exp(z) - x", [(1.0, 0.0), (1.0, -0.0), (2.0, 0.7)]),
+        ("z - x", [(0.5, 0.5), (0.5, 0.25)]),
+    ]
+    cases = [(f, rows) for _name, f, rows in _fixture_polish_rows()]
+    cases += [(f_of(text), rows) for text, rows in exact]
+    saved = 0
+    for f, rows in cases:
+        x = np.array([r[0] for r in rows])
+        z0 = np.array([r[1] for r in rows], dtype=np.complex128)
+        new_points = _counting_kernel(f)
+        zv, rv = polish_roots(f, x, z0)
+        del f.kernel
+        old_points = _counting_kernel(f)
+        zw, rw = _polish_roots_every_iteration(f, x, z0)
+        del f.kernel
+        assert zv.tobytes() == zw.tobytes() and rv.tobytes() == rw.tobytes()
+        assert sum(new_points) <= sum(old_points)
+        saved += sum(old_points) - sum(new_points)
+    assert saved > 0
 
 
 def _polish_root_every_iteration(f, x, z0, max_iter=8):
