@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class ContourData:
 
     The arrays are made read-only: certificates and step checks keep them
     and hand them on instead of sampling the same nodes again.  What the
-    checks read off them (the extremes of |F| and |F'|, the winding
+    checks read off them (|F|, |F'| and their extremes, the winding
     integrand and its mean) is computed on first use and kept, so a level
     that the count, the radius search, the carry and the Rouche check all
     read is reduced once.
@@ -123,8 +123,12 @@ class ContourData:
         return float(np.maximum.reduce(self.abs_f))
 
     @_kept
+    def abs_fz(self) -> np.ndarray:
+        return np.abs(self.fz)
+
+    @_kept
     def max_abs_fz(self) -> float:
-        return float(np.maximum.reduce(np.abs(self.fz)))
+        return float(np.maximum.reduce(self.abs_fz))
 
     @_kept
     def integrand(self) -> np.ndarray:
@@ -190,10 +194,11 @@ def check_contour_clear(data: ContourData, margin: float = 1.0) -> None:
     # every node passes when the smallest |F| passes the largest |F'|
     if minf >= scale * data.max_abs_fz:
         return
-    bound = scale * np.abs(data.fz)
+    bound = scale * data.abs_fz
     slack = data.abs_f - bound
-    j = int(np.argmin(slack))
-    if slack[j] < 0.0:
+    # the minimum is NaN exactly where argmin names a NaN node: both pass
+    if np.minimum.reduce(slack) < 0.0:
+        j = int(np.argmin(slack))
         raise ZeroOnContourError(
             f"node |F| = {data.abs_f[j]:.3e} below derivative guard {bound[j]:.3e}"
         )
@@ -248,71 +253,35 @@ class MonicPoly:
 
 
 def count_zeros(f: EntireFunction, x: float, circle: Circle) -> int:
-    """Count zeros of z -> F(x, z) inside the circle, multiplicity included.
+    """Count zeros of z -> F(x, .) inside the circle, multiplicity included.
 
-    The trapezoid winding is accepted only when two consecutive node counts
-    (M and 2M, else 2M and 4M) land within 0.25 of the same integer;
-    otherwise NonIntegerWindingError.  ZeroOnContourError fires when either
-    node set comes too close to a zero.
+    The trapezoid windings on the circle's M nodes and on its doubling's
+    2M nodes, from one sample_nested call, must land within WINDING_SLACK
+    of the same integer; otherwise NonIntegerWindingError (the circle
+    passes too close to a zero for the count to be read).
+    ZeroOnContourError fires when either node set comes too close to a
+    zero.
     """
-    return _count_zeros_data(f, x, circle)[0]
+    return _count_zeros_data(x, *sample_nested(f, x, circle))
 
 
-def _count_zeros_data(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    margin: float = 1.0,
-    levels: Sequence[ContourData] = (),
-) -> tuple[int, tuple[ContourData, ...]]:
-    """count_zeros plus the samples it used (M nodes, 2M, maybe 4M), for
-    reuse downstream.  ``levels`` are samples already taken at this x on
-    the circle and then its doublings, in that order: level k is used as
-    the 2**k * M node set, and only the levels past its end are sampled.
-    Without levels the M and 2M levels come from one sample_nested call.
-    margin is check_contour_clear's."""
-    if not levels:
-        levels = sample_nested(f, x, circle)
-    used: list[ContourData] = []
-    for k in range(3):
-        if k < len(levels):
-            data = levels[k]
-        else:
-            data = sample_contour(f, x, used[-1].circle.doubled())
+def _count_zeros_data(x: float, coarse: ContourData, fine: ContourData) -> int:
+    """The zero count that F sampled at x on a circle's M nodes (coarse)
+    and on its doubling's 2M nodes (fine) settles on; see count_zeros."""
+    for data in (coarse, fine):
         # finite extremes of |F| and |F'| clear every node at once
         if not (math.isfinite(data.max_abs_f) and math.isfinite(data.max_abs_fz)):
             require_finite(x, data.z, data.f, data.fz)
-        check_contour_clear(data, margin)
-        used.append(data)
-        if k == 0:
-            continue
-        n = _settled(used[-2].winding, data.winding)
-        if n is not None:
-            if n < 0:
-                raise NonIntegerWindingError(
-                    f"winding settled on negative count {n}"
-                )
-            return n, tuple(used)
-    raise NonIntegerWindingError(
-        "winding did not settle: last two estimates "
-        f"{used[-2].winding:.6f}, {used[-1].winding:.6f}"
-    )
-
-
-def _settled(w_coarse: complex, w_fine: complex) -> Optional[int]:
-    """The integer nearest w_fine if both windings lie within WINDING_SLACK
-    of it, else None."""
-    n = int(round(w_fine.real))
-    if abs(w_coarse - n) <= WINDING_SLACK and abs(w_fine - n) <= WINDING_SLACK:
-        return n
-    return None
-
-
-def settled_count(coarse: ContourData, fine: ContourData) -> Optional[int]:
-    """The zero count that samples on a circle and on its doubling agree
-    on, as _count_zeros_data settles it at those two levels; None if they
-    do not (the count would need the next level)."""
-    return _settled(coarse.winding, fine.winding)
+        check_contour_clear(data)
+    n = int(round(fine.winding.real))
+    if abs(coarse.winding - n) > WINDING_SLACK or abs(fine.winding - n) > WINDING_SLACK:
+        raise NonIntegerWindingError(
+            "winding did not settle: estimates at M and 2M nodes "
+            f"{coarse.winding:.6f}, {fine.winding:.6f}"
+        )
+    if n < 0:
+        raise NonIntegerWindingError(f"winding settled on negative count {n}")
+    return n
 
 
 def power_sums(
@@ -421,27 +390,26 @@ def local_factor_data(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    margin: float = 1.0,
     levels: Sequence[ContourData] = (),
-) -> tuple[MonicPoly, tuple[ContourData, ...]]:
+) -> tuple[MonicPoly, tuple[ContourData, ContourData]]:
     """The monic factor of the enclosed zeros, plus the samples used.
 
     Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
-    taken about the circle center; margin is check_contour_clear's (1 at
-    step time, 2 when selecting a radius).  The returned samples are F and
-    F' at the circle's own node count, then at 2M (and 4M if the count
-    needed it), for callers that also need |F| there.  ``levels`` are F
-    and F' already taken at this x on the circle and its doublings, in
-    that order (validate_step's); only the node sets past them are sampled.
+    taken about the circle center.  The count reads exactly two levels, F
+    and F' on the circle's M nodes and on its doubling's 2M nodes, and
+    those are returned for callers that also need |F| there.  ``levels``
+    are that pair already taken at this x (validate_step's samples);
+    without them the pair comes from one sample_nested call.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    n, levels = _count_zeros_data(f, x, circle, margin, levels)
+    coarse, fine = levels or sample_nested(f, x, circle)
+    n = _count_zeros_data(x, coarse, fine)
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
     about = circle.center
-    s = _power_sums_from(levels[0], n, about)
-    return newton_to_coeffs(PowerSums(tuple(s), about=about)), levels
+    s = _power_sums_from(coarse, n, about)
+    return newton_to_coeffs(PowerSums(tuple(s), about=about)), (coarse, fine)
 
 
 def local_monic_factor(

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,16 +139,6 @@ POLE_ORDER_MIN = 0.25
 BUDGET_EXHAUSTED = "step budget exhausted"
 
 
-def is_json_int(v) -> bool:
-    """A JSON integer: an int that is not a bool (an int subclass)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def is_json_number(v) -> bool:
-    """A JSON number: an int or a float, not a bool or text."""
-    return is_json_int(v) or isinstance(v, float)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Tuning knobs of the continuation. Defaults suit well-scaled problems.
@@ -164,33 +153,6 @@ class EngineConfig:
     blowup_threshold: float = 1e8
     max_steps: int = 8000
     certify_steps: bool = False
-
-    @classmethod
-    def from_mapping(cls, overrides: dict) -> "EngineConfig":
-        """Defaults updated from problem-file overrides.
-
-        Raises ValueError for an unknown key or a value out of range:
-        certify_steps takes a JSON bool, max_steps an integer >= 1, and the
-        other knobs a finite number > 0.
-        """
-        bad = set(overrides) - {f.name for f in fields(cls)}
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        coerced = {}
-        for k, v in overrides.items():
-            default = getattr(cls, k)
-            if isinstance(default, bool):
-                ok, want = isinstance(v, bool), "true or false"
-            elif isinstance(default, int):
-                ok, want = is_json_int(v) and v >= 1, "an integer >= 1"
-            else:
-                # chained comparisons are exact for huge ints and false for NaN
-                ok = is_json_number(v) and 0 < v <= sys.float_info.max
-                want = "a finite number > 0"
-            if not ok:
-                raise ValueError(f"config {k!r} must be {want}, got {v!r}")
-            coerced[k] = float(v) if isinstance(default, float) else v
-        return replace(cls(), **coerced)
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -18,7 +18,7 @@ class ZeroOnContourError(SolverError):
 
 
 class NonIntegerWindingError(SolverError):
-    """Winding quadrature failed to settle on an integer after doubling twice."""
+    """Winding quadratures at M and 2M nodes did not settle on one integer."""
 
 
 class NoZerosInDiskError(SolverError):

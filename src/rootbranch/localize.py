@@ -32,7 +32,6 @@ from .contour import (
     check_cofactor,
     local_factor_data,
     sample_nested,
-    settled_count,
 )
 from .errors import (
     CofactorVanishesError,
@@ -47,7 +46,7 @@ from .expressions import EntireFunction, degeneracy_probe
 
 RADIUS_HALVINGS = 40  # select_radius: halvings of the start radius before giving up
 CENTER_FRAC = 0.1  # the factor's roots must lie within CENTER_FRAC * r of the center
-CLEAR_MARGIN = 2.0  # check_contour_clear's margin when selecting a radius
+CLEAR_MARGIN = 2.0  # check_contour_clear's margin on an admitted certificate
 SAFETY = 0.5  # validate_step accepts max |F(x1) - F(x0)| <= SAFETY * m
 MARGIN_BAND = 2.0  # excess above 1 / MARGIN_BAND is rechecked at 2M nodes
 
@@ -59,30 +58,39 @@ class LocalFactorization:
     Fields
     ------
     x0 : parameter coordinate the certificate was built at
-    z0 : circle center (the tracked root)
-    r  : circle radius
-    m  : min node |F(x0, z)| on the circle (> 0)
-    n  : zero count inside, multiplicity included
-    poly : MonicPoly about z0 with the enclosed zeros; at a fresh
-        localization its non-leading coefficients are numerically tiny,
-        i.e. P is (z - z0)**n to quadrature accuracy.
-    circle : the contour itself (center z0, radius r)
-    levels : F(x0, .) and F' on the circle's nodes, then on the doubled
-        circle's, as the certificate took them; validate_step compares
-        F(x1) with them level by level, against each level's own
-        min |F(x0)| (levels[0].min_abs_f is m), which the level keeps
-        from its contour check.  Both passed check_contour_clear at
-        CLEAR_MARGIN, so min |F| > 0 on each.
+    poly : MonicPoly about the circle center with the enclosed zeros; at a
+        fresh localization P is (z - z0)**n to quadrature accuracy.
+    circle : the contour itself
+    levels : F(x0, .) and F' on the circle's M nodes, then on its 2M
+        nodes: the two levels the count read.  validate_step compares F(x1)
+        with them level by level, against each level's own min |F(x0)|.
+        Both passed check_contour_clear at CLEAR_MARGIN, so min |F| > 0.
+
+    z0, r, m and n are read from those: the circle's center (the tracked
+    root) and radius, levels[0]'s min |F(x0)|, and poly's degree (the
+    zero count, multiplicity included).
     """
 
     x0: float
-    z0: complex
-    r: float
-    m: float
-    n: int
     poly: MonicPoly
     circle: Circle
     levels: tuple[ContourData, ContourData]
+
+    @property
+    def z0(self) -> complex:
+        return self.circle.center
+
+    @property
+    def r(self) -> float:
+        return self.circle.radius
+
+    @property
+    def m(self) -> float:
+        return self.levels[0].min_abs_f
+
+    @property
+    def n(self) -> int:
+        return self.poly.degree
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,8 @@ class StepValidation:
     SAFETY * m; values <= 1 are accepted.  resolution records the node
     count of the deciding comparison (doubled when the margin was thin).
     samples (on acceptance) are F and F' at x1 on the M nodes and then on
-    the 2M nodes, whichever level decided: the factor at x1 takes them as
-    its levels.
+    the 2M nodes, both levels whichever of them decided: the factor at x1
+    takes them as its levels.
     """
 
     accepted: bool
@@ -147,7 +155,7 @@ def select_radius(
 def _try_radius(f, x0, z0, r):
     try:
         circle = Circle(z0, r)
-        poly, levels = local_factor_data(f, x0, circle, CLEAR_MARGIN)
+        poly, levels = local_factor_data(f, x0, circle)
     except (
         ZeroOnContourError,
         NonIntegerWindingError,
@@ -156,22 +164,29 @@ def _try_radius(f, x0, z0, r):
         ValueError,
     ):
         return None
-    if not _hugs_center(poly, r):
+    loc = _admit(x0, poly, circle, levels)
+    if loc is None:
         return None
     try:
         check_cofactor(f, x0, circle, poly)
     except (CofactorVanishesError, NonFiniteError):
         return None
-    return LocalFactorization(
-        x0=float(x0),
-        z0=z0,
-        r=r,
-        m=levels[0].min_abs_f,
-        n=poly.degree,
-        poly=poly,
-        circle=circle,
-        levels=levels[:2],
-    )
+    return loc
+
+
+def _admit(x0, poly, circle, levels) -> Optional[LocalFactorization]:
+    """The certificate (x0, poly, circle, levels) if it passes the radius
+    search's tests past the count and before the cofactor probe, else
+    None: poly's roots lie within CENTER_FRAC * r of the center, and both
+    levels are clear of zeros at CLEAR_MARGIN."""
+    if not _hugs_center(poly, circle.radius):
+        return None
+    try:
+        for level in levels:
+            check_contour_clear(level, CLEAR_MARGIN)
+    except ZeroOnContourError:
+        return None
+    return LocalFactorization(float(x0), poly, circle, levels)
 
 
 def carry_certificate(
@@ -183,33 +198,13 @@ def carry_certificate(
     """loc's circle as the certificate at x1, or None where select_radius
     would not admit it there.
 
-    samples are validate_step's F(x1) on loc.circle's two node levels,
-    and poly the factor local_monic_factor found from them, cofactor probe
-    included.  The radius search's other tests run on what is at hand: the
-    containment of poly's roots, the contour checks at CLEAR_MARGIN, and
-    a count that settles on these two levels (one that needed 4M nodes is
-    not carried), from the windings and extremes of |F| and |F'| that the
-    factor's count already took on them.  On the same samples the search
-    would recount the same factor, so what passes equals
+    samples are validate_step's F(x1) on loc.circle's M and 2M nodes, and
+    poly the factor local_monic_factor found from them, its count read
+    from exactly these two levels and its cofactor probe passed; the rest
+    of the radius search is _admit.  So what passes equals
     _try_radius(f, x1, loc.z0, loc.r) bit for bit, without a kernel call.
     """
-    if not _hugs_center(poly, loc.r) or settled_count(*samples) != poly.degree:
-        return None
-    try:
-        for level in samples:
-            check_contour_clear(level, CLEAR_MARGIN)
-    except ZeroOnContourError:
-        return None
-    return LocalFactorization(
-        x0=float(x1),
-        z0=loc.z0,
-        r=loc.r,
-        m=samples[0].min_abs_f,
-        n=poly.degree,
-        poly=poly,
-        circle=loc.circle,
-        levels=samples,
-    )
+    return _admit(x1, poly, loc.circle, samples)
 
 
 def _hugs_center(poly: MonicPoly, r: float) -> bool:

@@ -42,12 +42,12 @@ import json
 import math
 import re as _re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, is_json_int, is_json_number
+from .engine import EngineConfig
 from .domain import DomainPoint, ParamDomain
 from .errors import ProblemSyntaxError, ProblemValidationError
 from .expressions import (
@@ -323,6 +323,43 @@ def _norm_domain(d) -> dict:
     return {"kind": "tree", "vertices": list(verts), "edges": ne}
 
 
+def is_json_int(v) -> bool:
+    """A JSON integer: an int that is not a bool (an int subclass)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool or text."""
+    return is_json_int(v) or isinstance(v, float)
+
+
+def _engine_config(overrides: dict) -> EngineConfig:
+    """EngineConfig's defaults updated from problem-file overrides.
+
+    Raises ValueError for an unknown key or a value out of range:
+    certify_steps takes a JSON bool, max_steps an integer >= 1, and the
+    other knobs a finite number > 0.
+    """
+    bad = set(overrides) - {f.name for f in fields(EngineConfig)}
+    if bad:
+        raise ValueError(f"unknown config keys: {sorted(bad)}")
+    coerced = {}
+    for k, v in overrides.items():
+        default = getattr(EngineConfig, k)
+        if isinstance(default, bool):
+            ok, want = isinstance(v, bool), "true or false"
+        elif isinstance(default, int):
+            ok, want = is_json_int(v) and v >= 1, "an integer >= 1"
+        else:
+            # chained comparisons are exact for huge ints and false for NaN
+            ok = is_json_number(v) and 0 < v <= sys.float_info.max
+            want = "a finite number > 0"
+        if not ok:
+            raise ValueError(f"config {k!r} must be {want}, got {v!r}")
+        coerced[k] = float(v) if isinstance(default, float) else v
+    return replace(EngineConfig(), **coerced)
+
+
 def _as_float(v, what: str) -> float:
     """A JSON number as a float; ProblemValidationError unless it is one
     and finite (a JSON integer can be too large for float())."""
@@ -395,7 +432,7 @@ def parse_problem(data) -> ProblemSpec:
     if not isinstance(config, dict):
         raise ProblemValidationError("'config' must be an object")
     # reject unknown/ill-typed overrides early
-    EngineConfig.from_mapping(config)
+    _engine_config(config)
 
     if sources == ["fixture"]:
         name = data["fixture"]
@@ -548,7 +585,7 @@ def build(spec: ProblemSpec):
     dom = _build_domain(spec.domain)
     seed_pt = _build_seed_point(spec.seed, dom)
     z0 = complex(spec.seed["z"][0], spec.seed["z"][1])
-    cfg = EngineConfig.from_mapping(spec.config)
+    cfg = _engine_config(spec.config)
     x_range = dom.coordinate_range()
 
     if spec.function is not None:

@@ -207,3 +207,47 @@ def test_nesting_at_the_bound_reaches_the_solver(tmp_path):
     pf.write_text(json.dumps(doc))
     code = main(["--problem", str(pf), "--out", str(tmp_path)])
     assert code == EXIT_CODES[Status.SEED_INVALID]
+
+
+@pytest.mark.parametrize(
+    "function, domain, seed, code, diagnostic",
+    [
+        # z -> x*z - x is constant at the seed x = 0: no step is taken
+        ("x*z - x", {"kind": "interval"}, {"x": 0.0, "z": [1.0, 0.0]}, 3, "at_seed"),
+        # a one-vertex tree has nothing to sweep
+        (
+            "z*z - 1 - x",
+            {"kind": "tree", "vertices": ["a"], "edges": []},
+            {"point": {"vertex": "a"}, "z": [1.0, 0.0]},
+            0,
+            "trivial_domain",
+        ),
+    ],
+    ids=["degenerate seed", "one-vertex tree"],
+)
+def test_branch_without_sweeps_writes_its_seed_row(
+    tmp_path, function, domain, seed, code, diagnostic
+):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({"function": function, "domain": domain, "seed": seed}))
+    out = tmp_path / "out"
+    assert main(["--problem", str(pf), "--out", str(out)]) == code
+    text = (out / "branch.csv").read_text()
+    assert text == "segment,arc,edge,t,re_w,im_w,residual\n0,0,-,0,1,0,0\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diagnostics"][diagnostic] is True
+    assert summary["engine_samples"] == summary["output_samples"] == 1
+
+
+def test_too_few_samples_is_a_usage_error(tmp_path, capsys):
+    assert main(["--fixture", "remark-exp", "--samples", "1", "--out", str(tmp_path)]) == 1
+    assert "--samples must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_missing_problem_file_reports_the_os_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-problem.json"
+    assert main(["--problem", str(missing), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rootbranch: [Errno 2] No such file or directory")
+    assert str(missing) in err and "Traceback" not in err

@@ -116,6 +116,30 @@ def test_count_stable_under_node_doubling():
             assert count_zeros(f, 0.0, Circle(0j, 2.0, m)) == deg
 
 
+def test_count_reads_only_the_m_and_2m_levels(monkeypatch):
+    # pow(z, 4) - 2 on the unit circle: the winding is -0.267 at 16 nodes,
+    # -0.016 at 32 and -0.0001 at 64.  The M and 2M levels do not settle on
+    # one integer, which says the circle passes close to a zero: the count
+    # refuses the circle from one kernel call at 2M nodes, and does not go
+    # on to 4M nodes, where it would read 0
+    f = f_of("pow(z, 4) - 2")
+    circle = Circle(0j, 1.0, 16)
+    sizes = []
+    kernel = f.kernel
+
+    def counting(x, z, **kw):
+        sizes.append(np.size(z))
+        return kernel(x, z, **kw)
+
+    monkeypatch.setattr(f, "kernel", counting)
+    with pytest.raises(NonIntegerWindingError, match="did not settle"):
+        count_zeros(f, 0.0, circle)
+    assert sizes == [32]
+    with pytest.raises(NonIntegerWindingError, match="did not settle"):
+        local_monic_factor(f, 0.0, circle)
+    assert sizes == [32, 32]
+
+
 def test_power_sums_examples():
     f = f_of("pow(z, 2) - 1.0")
     ps = power_sums(f, 0.0, Circle(0j, 2.0, 128), 2)
@@ -429,4 +453,4 @@ def test_nonfinite_level_fails_the_count_as_nonfinite(name, value):
     arrays[name][3] = complex(arrays[name][3].real, value)
     bad = ContourData(fine.circle, **arrays)
     with pytest.raises(NonFiniteError, match=r"z=\(0\.7"):
-        _count_zeros_data(f, 0.0, coarse.circle, levels=(coarse, bad))
+        _count_zeros_data(0.0, coarse, bad)

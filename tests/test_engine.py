@@ -628,3 +628,24 @@ def test_sin_family_ends_on_oscillation(a):
     assert d["reason"] == "oscillation"
     assert d["accepted_steps"] <= 1000
     assert d["endpoint_degenerate"] is True
+
+
+def test_step_root_rejects_a_polished_root_that_misses_or_jumps(monkeypatch):
+    # a real certificate of the simple root 0.5 of z^2 - x at x = 0.25; the
+    # step to 0.26 is accepted as it stands, and rejected when the polished
+    # root misses residual_tol or lands more than 2 * loc.r from w
+    f = f_of("pow(z, 2) - x")
+    loc = engine.select_radius(f, 0.25, 0.5 + 0j, 0.2)
+    tol, x1, w = 1e-8, 0.26, 0.5 + 0j
+    w1, res1, streak, factor = engine._step_root(f, loc, x1, w, 0, tol)
+    assert w1 == pytest.approx(math.sqrt(x1), abs=1e-12) and res1 <= tol
+    assert streak == 0 and factor is not None
+
+    def polished(value, residual):
+        monkeypatch.setattr(engine, "polish_root", lambda *args: (value, residual))
+        return engine._step_root(f, loc, x1, w, 0, tol)
+
+    assert polished(w1, tol)[0] == w1
+    assert polished(w1, math.nextafter(tol, 1.0)) == (None, 0.0, 0, None)
+    assert polished(w + 1.99 * loc.r, 0.0)[0] == w + 1.99 * loc.r
+    assert polished(w + 2.01 * loc.r, 0.0) == (None, 0.0, 0, None)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def test_select_radius_simple_root():
     assert loc.m > 0
     r = poly_roots(loc.poly)
     assert abs(r[0] - 0.5) < 1e-10
+
+
+def test_certificate_reads_z0_r_m_n_from_what_it_stores():
+    # a certificate stores x0, poly, circle and levels; the rest is read
+    # from those, so the search and the carry cannot build one that
+    # disagrees with itself
+    f = f_of("pow(z, 2) - x")
+    loc = select_radius(f, 0.25, 0.5, r_max=0.4)
+    assert [fl.name for fl in fields(loc)] == ["x0", "poly", "circle", "levels"]
+    assert (loc.z0, loc.r) == (loc.circle.center, loc.circle.radius) == (0.5, 0.4)
+    assert loc.m == loc.levels[0].min_abs_f == float(np.abs(loc.levels[0].f).min())
+    assert loc.n == loc.poly.degree == 1
+    assert [d.circle for d in loc.levels] == [loc.circle, loc.circle.doubled()]
 
 
 def test_select_radius_double_root():
