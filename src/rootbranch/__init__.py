@@ -10,12 +10,10 @@ continuation ends.
 from .contour import (
     Circle,
     MonicPoly,
-    PowerSums,
     count_zeros,
     local_monic_factor,
     newton_to_coeffs,
     poly_roots,
-    power_sums,
 )
 from .domain import DomainPoint, Edge, ParamDomain, PathSegment, SweepSegment
 from .engine import (
@@ -31,6 +29,7 @@ from .engine import (
     resample_branch,
 )
 from .errors import (
+    CertificateError,
     CofactorVanishesError,
     DegenerateAtPointError,
     NoConvergenceError,
@@ -45,7 +44,6 @@ from .errors import (
     ZeroOnContourError,
 )
 from .expressions import (
-    DegeneracyResult,
     EntireFunction,
     SeriesForm,
     degeneracy_probe,
@@ -60,10 +58,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchSample",
+    "CertificateError",
     "Circle",
     "CofactorVanishesError",
     "DegenerateAtPointError",
-    "DegeneracyResult",
     "DomainPoint",
     "Edge",
     "EngineConfig",
@@ -79,7 +77,6 @@ __all__ = [
     "OutOfDomainError",
     "ParamDomain",
     "PathSegment",
-    "PowerSums",
     "ProblemSpec",
     "ProblemSyntaxError",
     "ProblemValidationError",
@@ -107,7 +104,6 @@ __all__ = [
     "poly_roots",
     "polish_root",
     "polish_roots",
-    "power_sums",
     "build",
     "render",
     "resample_branch",

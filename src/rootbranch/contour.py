@@ -224,14 +224,6 @@ def _power_sums_from(data: ContourData, n: int, about: complex) -> list[complex]
 
 
 @dataclass(frozen=True)
-class PowerSums:
-    """Power sums s[k] = sum of (zero - about)**k over zeros in the disk."""
-
-    s: tuple[complex, ...]
-    about: complex = 0j
-
-
-@dataclass(frozen=True)
 class MonicPoly:
     """Monic polynomial in u = z - about, coefficients descending.
 
@@ -284,27 +276,14 @@ def _count_zeros_data(x: float, coarse: ContourData, fine: ContourData) -> int:
     return n
 
 
-def power_sums(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    n: int,
-    about: complex = 0j,
-) -> PowerSums:
-    """Power sums s_0..s_n of the enclosed zeros about the given shift."""
-    data = sample_contour(f, x, circle)
-    require_finite(x, data.z, data.f, data.fz)
-    check_contour_clear(data)
-    return PowerSums(tuple(_power_sums_from(data, n, about)), about=about)
-
-
-def newton_to_coeffs(ps: PowerSums) -> MonicPoly:
+def newton_to_coeffs(s: Sequence[complex], about: complex = 0j) -> MonicPoly:
     """Newton's identities: power sums -> monic coefficients.
 
+    s[k] is the sum of (zero - about)**k over the zeros, s[0] their count.
     For P(u) = u**n + a_1 u**(n-1) + ... + a_n with power sums s_k,
-    a_k = -(s_k + a_1 s_{k-1} + ... + a_{k-1} s_1) / k.
+    a_k = -(s_k + a_1 s_{k-1} + ... + a_{k-1} s_1) / k; P is returned as a
+    polynomial in u = z - about.
     """
-    s = ps.s
     n = int(round(s[0].real))
     if abs(s[0] - n) > 0.5:
         raise NonIntegerWindingError(f"s_0 = {s[0]:.6f} is not close to an integer")
@@ -322,7 +301,7 @@ def newton_to_coeffs(ps: PowerSums) -> MonicPoly:
         # its ratio 0 / k has met both parts
         re, im, q = -acc.real, -acc.imag, 1.0 / k
         a.append(complex((re + im * 0.0) * q, (im - re * 0.0) * q))
-    return MonicPoly(tuple(a), about=ps.about)
+    return MonicPoly(tuple(a), about=about)
 
 
 POLY_POLISH_ROUNDS = 6  # poly_roots: Newton rounds per companion-matrix root
@@ -394,12 +373,12 @@ def local_factor_data(
 ) -> tuple[MonicPoly, tuple[ContourData, ContourData]]:
     """The monic factor of the enclosed zeros, plus the samples used.
 
-    Composition count_zeros -> power_sums -> newton_to_coeffs, with the sums
-    taken about the circle center.  The count reads exactly two levels, F
-    and F' on the circle's M nodes and on its doubling's 2M nodes, and
-    those are returned for callers that also need |F| there.  ``levels``
-    are that pair already taken at this x (validate_step's samples);
-    without them the pair comes from one sample_nested call.
+    The zero count n, then the power sums s_0..s_n on the M nodes about
+    the circle center, then newton_to_coeffs.  The count reads exactly two
+    levels, F and F' on the circle's M nodes and on its doubling's 2M
+    nodes, and those are returned for callers that also need |F| there.
+    ``levels`` are that pair already taken at this x (validate_step's
+    samples); without them the pair comes from one sample_nested call.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
@@ -408,8 +387,7 @@ def local_factor_data(
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
     about = circle.center
-    s = _power_sums_from(coarse, n, about)
-    return newton_to_coeffs(PowerSums(tuple(s), about=about)), (coarse, fine)
+    return newton_to_coeffs(_power_sums_from(coarse, n, about), about), (coarse, fine)
 
 
 def local_monic_factor(

@@ -108,6 +108,10 @@ class ParamDomain:
             if key in seen:
                 raise ProblemValidationError(f"duplicate edge {key}")
             seen.add(key)
+        # the total bounds every depth and every sweep length
+        total = sum(e.length for e in self.edges)
+        if not math.isfinite(total):
+            raise ProblemValidationError(f"total edge length {total} is not finite")
 
     def _search(self, x0: DomainPoint) -> dict[int, Optional[tuple[int, Piece]]]:
         """Breadth-first search of the tree from x0.

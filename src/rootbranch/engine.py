@@ -28,16 +28,13 @@ import numpy as np
 from .contour import ContourData, MonicPoly, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
-    CofactorVanishesError,
+    CertificateError,
     DegenerateAtPointError,
-    NoConvergenceError,
     NonFiniteError,
     NonIntegerWindingError,
     NoRadiusFoundError,
-    NoZerosInDiskError,
     OutOfDomainError,
     SolverError,
-    ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_roots
 from .localize import (
@@ -48,16 +45,6 @@ from .localize import (
     select_radius,
     validate_step,
 )
-
-_STEP_ERRORS = (
-    ZeroOnContourError,
-    NonIntegerWindingError,
-    NoZerosInDiskError,
-    CofactorVanishesError,
-    NoConvergenceError,
-    NonFiniteError,
-)
-
 
 class Status(str, enum.Enum):
     COMPLETED = "Completed"
@@ -210,14 +197,14 @@ def classify_termination(
                 {"max_abs_w": peak, "last_residual": window[-1].residual},
             )
     try:
-        probe = degeneracy_probe(f, x_limit)
-    except (OutOfDomainError, NonFiniteError):
-        probe = None
-    if probe is not None and probe.degenerate:
+        constant = degeneracy_probe(f, x_limit)
+    except OutOfDomainError:
+        constant = None
+    if constant is not None:
         return TerminationStatus(
             Status.DEGENERATE_BARRIER,
             {
-                "constant": probe.constant,
+                "constant": constant,
                 "x_limit": x_limit,
                 "window_diameter": _window_diameter(ws),
             },
@@ -521,9 +508,9 @@ def extend_segment(
             except DegenerateAtPointError as e:
                 radius_tries += RADIUS_HALVINGS + 1
                 kind = Status.DEGENERATE_BARRIER
-                diag = {"constant": getattr(e, "constant", None), "at_frontier": True}
+                diag = {"constant": e.constant, "at_frontier": True}
                 break
-            except (NoRadiusFoundError, NonFiniteError, OutOfDomainError):
+            except (NoRadiusFoundError, OutOfDomainError):
                 # select_radius raises only after trying every halving
                 radius_tries += RADIUS_HALVINGS + 1
                 stalled = "no admissible radius at frontier"
@@ -557,7 +544,7 @@ def extend_segment(
         if cfg.certify_steps:
             try:
                 n_after = count_zeros(f, cx, loc.circle)
-            except _STEP_ERRORS:
+            except (CertificateError, NonFiniteError):
                 n_after = -1
             if n_after != loc.n:
                 certify_failures += 1
@@ -657,7 +644,7 @@ def _step_root(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"
             )
         roots = poly_roots(poly1, tol=residual_tol)
-    except _STEP_ERRORS:
+    except (CertificateError, NonFiniteError):
         return None, 0.0, ambiguous_streak, None
 
     m = match_root(roots, w)
@@ -704,7 +691,7 @@ def _snap_to_end(
     order = endgame.pole_order()
     pole = order is not None and order >= POLE_ORDER_MIN
     try:
-        if pole and degeneracy_probe(f, cx_end).degenerate:
+        if pole and degeneracy_probe(f, cx_end) is not None:
             return None
         wb, resb = polish_root(f, cx_end, w)
     except OutOfDomainError:
@@ -719,12 +706,12 @@ def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     end = seg.point_at(seg.length)
     cx = seg.domain.coordinate(end)
     try:
-        pr = degeneracy_probe(f, cx)
-    except (OutOfDomainError, NonFiniteError):
+        constant = degeneracy_probe(f, cx)
+    except OutOfDomainError:
         return {}
-    out = {"endpoint_degenerate": pr.degenerate, "endpoint_coordinate": cx}
-    if pr.degenerate:
-        out["endpoint_constant"] = pr.constant
+    out = {"endpoint_degenerate": constant is not None, "endpoint_coordinate": cx}
+    if constant is not None:
+        out["endpoint_constant"] = constant
     return out
 
 
@@ -763,13 +750,13 @@ def continue_branch(
             (),
             domain,
         )
-    probe = degeneracy_probe(f, cx0)
-    if probe.degenerate:
+    constant = degeneracy_probe(f, cx0)
+    if constant is not None:
         return RootBranch(
             (BranchSample(0, 0.0, x0, w0, res0),),
             TerminationStatus(
                 Status.DEGENERATE_BARRIER,
-                {"constant": probe.constant, "at_seed": True, **_NO_STEPS},
+                {"constant": constant, "at_seed": True, **_NO_STEPS},
             ),
             x0,
             (),

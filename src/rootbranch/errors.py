@@ -13,23 +13,27 @@ class NonFiniteError(SolverError):
     """Function evaluation produced inf or nan."""
 
 
-class ZeroOnContourError(SolverError):
+class CertificateError(SolverError):
+    """This circle or step does not certify; the caller tries another."""
+
+
+class ZeroOnContourError(CertificateError):
     """A zero lies on (or numerically too close to) the integration contour."""
 
 
-class NonIntegerWindingError(SolverError):
+class NonIntegerWindingError(CertificateError):
     """Winding quadratures at M and 2M nodes did not settle on one integer."""
 
 
-class NoZerosInDiskError(SolverError):
+class NoZerosInDiskError(CertificateError):
     """Zero count inside the disk is 0, so no monic factor exists."""
 
 
-class NoConvergenceError(SolverError):
+class NoConvergenceError(CertificateError):
     """Polynomial root refinement did not meet the residual contract."""
 
 
-class CofactorVanishesError(SolverError):
+class CofactorVanishesError(CertificateError):
     """F/P dropped below the nonvanishing floor inside the disk."""
 
 
@@ -39,6 +43,10 @@ class NoRadiusFoundError(SolverError):
 
 class DegenerateAtPointError(SolverError):
     """z -> F(x0, z) is constant at the probed parameter point."""
+
+    def __init__(self, message: str, constant: complex):
+        self.constant = constant
+        super().__init__(message)
 
 
 class ProblemSyntaxError(SolverError):

@@ -758,30 +758,20 @@ class SeriesForm:
 # degeneracy probe and Newton polish
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
-    """Outcome of sampling z -> F(x0, z) for constancy.
-
-    degenerate : True when all probe values agree within tol.
-    constant   : the shared value (degenerate case only).
-    """
-
-    degenerate: bool
-    constant: Optional[complex] = None
-
-
 PROBE_RADII = (1.0, 10.0)  # degeneracy_probe: circles |z| = r it samples
 PROBE_SAMPLES = 64  # degeneracy_probe: points per circle
 PROBE_TOL_REL = 1e-10  # degeneracy_probe: spread <= PROBE_TOL_REL * (1 + max |F|)
 
 
-def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
-    """Decide heuristically whether z -> F(x0, z) is constant.
+def degeneracy_probe(f: EntireFunction, x0: float) -> Optional[complex]:
+    """The constant value of z -> F(x0, z), or None where it is not
+    constant, decided heuristically.
 
     Samples the origin plus PROBE_SAMPLES points on each circle |z| = r
     for r in PROBE_RADII and compares the spread against
     PROBE_TOL_REL * (1 + max |F|).  A nonfinite value anywhere is immediate
-    evidence of nonconstancy.
+    evidence of nonconstancy.  The constant may be 0, so test the result
+    with ``is None``.
     """
     pts = [np.zeros(1, dtype=np.complex128)]
     for r in PROBE_RADII:
@@ -790,7 +780,7 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
     zs = np.concatenate(pts)
     (vals,) = f.kernel(x0, zs, dz=False)
     if not np.isfinite(vals).all():
-        return DegeneracyResult(False)
+        return None
     tol = PROBE_TOL_REL * (1.0 + float(np.abs(vals).max()))
     # two-sweep diameter estimate: farthest from the origin value, then
     # farthest from that
@@ -798,8 +788,8 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> DegeneracyResult:
     i2 = int(np.argmax(np.abs(vals - vals[i1])))
     spread = float(np.abs(vals[i2] - vals[i1]))
     if spread <= tol:
-        return DegeneracyResult(True, constant=complex(vals[0]))
-    return DegeneracyResult(False)
+        return complex(vals[0])
+    return None
 
 
 # Newton iterations of polish_root by default, and of every polish_roots row

@@ -34,12 +34,10 @@ from .contour import (
     sample_nested,
 )
 from .errors import (
-    CofactorVanishesError,
+    CertificateError,
     DegenerateAtPointError,
     NonFiniteError,
-    NonIntegerWindingError,
     NoRadiusFoundError,
-    NoZerosInDiskError,
     ZeroOnContourError,
 )
 from .expressions import EntireFunction, degeneracy_probe
@@ -142,36 +140,26 @@ def select_radius(
         if loc is not None:
             return loc
         r *= 0.5
-    pr = degeneracy_probe(f, x0)
-    if pr.degenerate:
-        err = DegenerateAtPointError(f"z -> F({x0}, z) is constant ({pr.constant})")
-        err.constant = pr.constant
-        raise err
+    constant = degeneracy_probe(f, x0)
+    if constant is not None:
+        raise DegenerateAtPointError(f"z -> F({x0}, z) is constant ({constant})", constant)
     raise NoRadiusFoundError(
         f"no admissible radius in [{r_max * 0.5 ** RADIUS_HALVINGS:.3e}, {r_max:.3e}] at x={x0}"
     )
 
 
 def _try_radius(f, x0, z0, r):
+    """The certificate select_radius admits at radius r, or None.  The
+    ValueError is Circle's, at a radius that underflowed to 0."""
     try:
         circle = Circle(z0, r)
         poly, levels = local_factor_data(f, x0, circle)
-    except (
-        ZeroOnContourError,
-        NonIntegerWindingError,
-        NoZerosInDiskError,
-        NonFiniteError,
-        ValueError,
-    ):
+        loc = _admit(x0, poly, circle, levels)
+        if loc is not None:
+            check_cofactor(f, x0, circle, poly)
+        return loc
+    except (CertificateError, NonFiniteError, ValueError):
         return None
-    loc = _admit(x0, poly, circle, levels)
-    if loc is None:
-        return None
-    try:
-        check_cofactor(f, x0, circle, poly)
-    except (CofactorVanishesError, NonFiniteError):
-        return None
-    return loc
 
 
 def _admit(x0, poly, circle, levels) -> Optional[LocalFactorization]:

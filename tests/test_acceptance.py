@@ -10,7 +10,6 @@ from rootbranch import (
     Circle,
     EngineConfig,
     ParamDomain,
-    PowerSums,
     Status,
     build,
     continue_branch,
@@ -91,7 +90,7 @@ def test_criterion_2_newton_roundtrip():
         s = np.array(
             [deg] + [np.sum(roots**k) for k in range(1, deg + 1)], dtype=complex
         )
-        back = newton_to_coeffs(PowerSums(s, 0j))
+        back = newton_to_coeffs(s)
         err = float(np.max(np.abs(np.array(back.coeffs) - coeffs)))
         worst = max(worst, err)
         assert err <= 1e-9

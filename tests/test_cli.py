@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from rootbranch import EntireFunction, Status, fixture_names, parse_expression
+from rootbranch import (
+    EntireFunction,
+    ProblemValidationError,
+    Status,
+    build,
+    fixture_names,
+    parse_expression,
+    parse_problem,
+)
 from rootbranch.cli import EXIT_CODES, main
 
 
@@ -108,6 +116,33 @@ def test_invalid_tree_problem_fails_cleanly(tmp_path, capsys):
     pf.write_text(json.dumps(doc))
     assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.strip()
+
+
+OVERFLOW_MESSAGE = "total edge length inf is not finite"
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["a", "b", "c"], [["a", "b", 1e308], ["b", "c", 1e308]]),
+        # seeded at leaf a, the sweep a-c-b is 2e308 long
+        (["c", "a", "b"], [["c", "a", 1e308], ["c", "b", 1e308]]),
+    ],
+    ids=["chain", "star"],
+)
+def test_tree_whose_length_overflows_is_invalid(tmp_path, capsys, vertices, edges):
+    doc = {
+        "function": "pow(z, 2) - 1",
+        "domain": {"kind": "tree", "vertices": vertices, "edges": edges},
+        "seed": {"point": {"vertex": "a"}, "z": [1.0, 0.0]},
+    }
+    with pytest.raises(ProblemValidationError, match=OVERFLOW_MESSAGE):
+        build(parse_problem(doc))
+    pf = tmp_path / "huge.json"
+    pf.write_text(json.dumps(doc))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    assert OVERFLOW_MESSAGE in capsys.readouterr().err
+    assert not (tmp_path / "branch.csv").exists()
 
 
 def test_unknown_fixture_fails_cleanly(tmp_path, capsys):

@@ -7,14 +7,12 @@ from rootbranch import (
     Circle,
     EntireFunction,
     MonicPoly,
-    PowerSums,
     ZeroOnContourError,
     count_zeros,
     local_monic_factor,
     newton_to_coeffs,
     parse_expression,
     poly_roots,
-    power_sums,
 )
 from rootbranch.contour import (
     DENORMAL_FLOOR,
@@ -140,45 +138,50 @@ def test_count_reads_only_the_m_and_2m_levels(monkeypatch):
     assert sizes == [32, 32]
 
 
+def _power_sums(f, circle, n, about=0j):
+    """s_0..s_n about the given shift, from the circle's M nodes at x = 0."""
+    return _power_sums_from(sample_nested(f, 0.0, circle)[0], n, about)
+
+
 def test_power_sums_examples():
     f = f_of("pow(z, 2) - 1.0")
-    ps = power_sums(f, 0.0, Circle(0j, 2.0, 128), 2)
-    assert abs(ps.s[1]) < 1e-10
-    assert abs(ps.s[2] - 2.0) < 1e-10
+    s = _power_sums(f, Circle(0j, 2.0, 128), 2)
+    assert abs(s[1]) < 1e-10
+    assert abs(s[2] - 2.0) < 1e-10
 
     g = poly_fn([2.0, -3.0, 1.0])  # (z - 1)(z - 2)
-    ps = power_sums(g, 0.0, Circle(0j, 3.0, 128), 2)
-    assert abs(ps.s[1] - 3.0) < 1e-9
-    assert abs(ps.s[2] - 5.0) < 1e-9
+    s = _power_sums(g, Circle(0j, 3.0, 128), 2)
+    assert abs(s[1] - 3.0) < 1e-9
+    assert abs(s[2] - 5.0) < 1e-9
 
     h = f_of("pow(z, 3)")
-    ps = power_sums(h, 0.0, Circle(0j, 1.0, 128), 3)
-    assert abs(ps.s[1]) < 1e-10 and abs(ps.s[2]) < 1e-10 and abs(ps.s[3]) < 1e-10
+    s = _power_sums(h, Circle(0j, 1.0, 128), 3)
+    assert abs(s[1]) < 1e-10 and abs(s[2]) < 1e-10 and abs(s[3]) < 1e-10
 
 
 def test_power_sums_about_center():
     # shifting the reference point shifts the sums consistently
     g = poly_fn([2.0, -3.0, 1.0])
-    ps = power_sums(g, 0.0, Circle(1.5 + 0j, 1.0, 128), 2, about=1.5 + 0j)
+    s = _power_sums(g, Circle(1.5 + 0j, 1.0, 128), 2, about=1.5 + 0j)
     # roots 1, 2 relative to 1.5: -0.5 and 0.5
-    assert abs(ps.s[1]) < 1e-10
-    assert abs(ps.s[2] - 0.5) < 1e-10
+    assert abs(s[1]) < 1e-10
+    assert abs(s[2] - 0.5) < 1e-10
 
 
 def test_newton_identities_examples():
-    p = newton_to_coeffs(PowerSums(np.array([2.0, 3.0, 5.0], dtype=complex), 0j))
+    p = newton_to_coeffs(np.array([2.0, 3.0, 5.0], dtype=complex))
     assert np.allclose(p.coeffs, [1.0, -3.0, 2.0], atol=1e-12)
 
     for n in (1, 2, 5):
         s = np.zeros(n + 1, dtype=complex)
         s[0] = n
-        p = newton_to_coeffs(PowerSums(s, 0j))
+        p = newton_to_coeffs(s)
         expect = np.zeros(n + 1)
         expect[0] = 1.0
         assert np.allclose(p.coeffs, expect, atol=1e-12)
 
     w = 0.3 - 0.7j
-    p = newton_to_coeffs(PowerSums(np.array([1.0, w], dtype=complex), 0j))
+    p = newton_to_coeffs(np.array([1.0, w], dtype=complex))
     assert np.allclose(p.coeffs, [1.0, -w], atol=1e-14)
 
 
@@ -190,7 +193,7 @@ def test_newton_round_trip_random():
         s = np.array(
             [deg] + [np.sum(roots**k) for k in range(1, deg + 1)], dtype=complex
         )
-        p = newton_to_coeffs(PowerSums(s, 0j))
+        p = newton_to_coeffs(s)
         expect = np.poly(roots)
         assert np.max(np.abs(np.array(p.coeffs) - expect)) < 1e-10
 
@@ -401,7 +404,7 @@ def test_certificate_arithmetic_keeps_its_bits(data, lead):
 
         # Newton's identities on these sums, with s_0 the count itself
         s = [complex(n)] + [complex(v) for v in old_s[1:]]
-        poly = newton_to_coeffs(PowerSums(tuple(s), about))
+        poly = newton_to_coeffs(s, about)
         assert _bits(poly.coeffs) == _bits(_old_newton(np.array(s), n))
 
         # the cofactor probe with that factor, led by 1 + 0j or 1 - 0j

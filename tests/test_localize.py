@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from rootbranch import (
+    CertificateError,
+    CofactorVanishesError,
     DegenerateAtPointError,
     EntireFunction,
+    NoConvergenceError,
+    NonIntegerWindingError,
     NoRadiusFoundError,
+    NoZerosInDiskError,
+    ZeroOnContourError,
     count_zeros,
     local_monic_factor,
     parse_expression,
@@ -16,6 +22,7 @@ from rootbranch import (
     validate_step,
 )
 from rootbranch.contour import sample_nested
+from rootbranch import localize
 from rootbranch.localize import SAFETY, _try_radius, carry_certificate, ladder_radius
 
 
@@ -86,6 +93,33 @@ def test_select_radius_degenerate_point():
     with pytest.raises(DegenerateAtPointError) as ei:
         select_radius(f, 0.0, 1.0, r_max=1.0)
     assert ei.value.constant == 0.0
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ZeroOnContourError,
+        NonIntegerWindingError,
+        NoZerosInDiskError,
+        NoConvergenceError,
+        CofactorVanishesError,
+    ],
+)
+def test_a_certificate_failure_makes_the_radius_search_try_another(monkeypatch, error):
+    assert issubclass(error, CertificateError)
+    f = f_of("pow(z, 2) - x")
+    assert _try_radius(f, 0.25, 0.5, 0.2) is not None
+
+    def fail(*args, **kwargs):
+        raise error("this circle does not certify")
+
+    monkeypatch.setattr(localize, "local_factor_data", fail)
+    assert _try_radius(f, 0.25, 0.5, 0.2) is None
+
+
+def test_degenerate_point_error_carries_its_constant():
+    c = 0.5 - 2j
+    assert DegenerateAtPointError("z -> F(x, z) is constant", c).constant == c
 
 
 def test_validate_step_examples():

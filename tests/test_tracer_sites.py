@@ -2,7 +2,11 @@
 through; every such binding must still exist, or a traced run crashes."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import rootbranch
+from rootbranch import build, cli, parse_problem
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -22,3 +26,41 @@ def test_every_traced_binding_resolves():
         for binding in bindings:
             owner, attr = tracer._resolve(binding)
             assert callable(getattr(owner, attr)), (name, binding)
+
+
+# z**2 = 0.25 + x + 0.5*i*x, as a series in z with x-polynomial coefficients
+SERIES_PROBLEM = {
+    "series": ["(-0.25 + 0.0*i) + (-1.0 + -0.5*i)*pow(x, 1)", "0", "1"],
+    "domain": {"kind": "interval"},
+    "seed": {"x": 0.0, "z": [0.5, 0.0]},
+}
+
+
+def test_traced_runs_read_every_result_and_count_every_step(tmp_path):
+    tracer = _load_tracer()
+    f, dom, seed, z0, cfg = build(parse_problem(SERIES_PROBLEM))
+    with tracer.Tracer() as t:
+        assert cli.run(parse_problem({"fixture": "monic-cubic-interval"}), tmp_path, 50) == 0
+        # through the package, whose binding the tracer replaces
+        branch = rootbranch.continue_branch(f, dom, seed, z0, cfg)
+    metrics, per_solve, errors = t.metrics()
+    assert errors == []
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert branch.status.kind.value == "Completed"
+    assert per_solve == [
+        summary["diagnostics"]["accepted_steps"],
+        branch.status.diagnostics["accepted_steps"],
+    ]
+    assert min(per_solve) > 0
+    # each reader ran on a returned result: .resolution and .excess on
+    # validate_step's, .ambiguous on match_root's, .degree on the factor,
+    # .r and .n on the certificate
+    spans = {name: 0 for name in t.names}
+    for i in t.name_of:
+        spans[t.names[i]] += 1
+    assert metrics["localize.validate_calls"] > 0
+    assert metrics["localize.validate_accepted"] > 0
+    assert spans["engine.match_root"] > 0
+    assert metrics["contour.factor_calls"] > metrics["contour.factor_failures"]
+    assert metrics["localize.radius_tries"] > 0
+    assert metrics["localize.select_calls"] > metrics["localize.select_failures"]
