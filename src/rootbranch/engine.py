@@ -369,25 +369,28 @@ class Endgame:
         return -num / den
 
 
+def _zero_counts() -> dict:
+    return dict.fromkeys(
+        ("accepted_steps", "localizations", "radius_tries", "carried", "certify_failures"),
+        0,
+    )
+
+
 @dataclass
 class SegmentRun:
     """extend_segment outcome: samples plus the termination if not completed.
 
-    accepted counts the certified steps taken; certify_failures counts the
-    ones whose audit recount (certify_steps) disagreed with the certificate;
-    localizations counts the select_radius calls and radius_tries the radii
-    they tried; carried counts the accepted steps whose circle was kept as
-    the next certificate.
+    counts holds the segment's step counts: accepted_steps, the certified
+    steps taken; localizations, the select_radius calls, and radius_tries,
+    the radii they tried; carried, the accepted steps whose circle was kept
+    as the next certificate; certify_failures, the accepted steps whose
+    audit recount (certify_steps) disagreed with the certificate.
     """
 
     samples: list[BranchSample]
     status: TerminationStatus
     location: Optional[DomainPoint]
-    accepted: int = 0
-    certify_failures: int = 0
-    localizations: int = 0
-    radius_tries: int = 0
-    carried: int = 0
+    counts: dict = field(default_factory=_zero_counts)
 
     @property
     def completed(self) -> bool:
@@ -400,13 +403,11 @@ def extend_segment(
     w_start: complex,
     cfg: Optional[EngineConfig] = None,
     seg_index: int = 0,
-    junction: Optional[dict] = None,
 ) -> SegmentRun:
     """Continue the branch along one sweep segment from its resume point.
 
-    Steps land exactly on the sweep's stops (where later segments resume);
-    the branch value there and at the end is recorded into ``junction``
-    keyed by the domain point, write-once.
+    Steps land exactly on the sweep's stops, where later segments resume
+    from the samples there.
 
     One loop over explicit state: the frontier (s, pt, cx, w), the step h,
     the certificate loc at the frontier (None: localize first), the reason
@@ -434,8 +435,6 @@ def extend_segment(
     with unresolved: true.
     """
     cfg = cfg or EngineConfig()
-    if junction is None:
-        junction = {}
     seg, s, stops = sweep.segment, sweep.resume_arc, sweep.stops
     dom = seg.domain
     length = seg.length
@@ -445,7 +444,6 @@ def extend_segment(
     w, res = polish_root(f, cx, complex(w_start))
     samples: list[BranchSample] = [BranchSample(seg_index, s, pt, w, res)]
     if s >= length:
-        junction.setdefault(pt, w)
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
 
     endgame = Endgame(length, s, w)
@@ -453,8 +451,8 @@ def extend_segment(
     h_max = H_MAX_FRAC * length
     loc = None
     stalled: Optional[str] = None
-    grow_run = ambiguous_streak = accepted = certify_failures = 0
-    localizations = radius_tries = carried = 0
+    grow_run = ambiguous_streak = 0
+    counts = _zero_counts()
     kept = False  # loc is a circle kept from the step before
     scale = 1.0
     retries_left = STALL_RETRIES
@@ -466,7 +464,6 @@ def extend_segment(
                 end = _snap_to_end(f, seg, seg_index, w, cfg.residual_tol, endgame)
             if end is not None:
                 samples.append(end)
-                junction.setdefault(end.point, end.w)
                 kind, diag = Status.COMPLETED, {"snapped": True, "snap_gap": rem}
                 break
             if stalled == BUDGET_EXHAUSTED:
@@ -498,22 +495,22 @@ def extend_segment(
         if loc is None:
             r_max = max(R_MAX_BASE, R_MAX_REL * abs(w))
             start = r_max * scale
-            localizations += 1
+            counts["localizations"] += 1
             kept = False
             try:
                 loc = select_radius(f, cx, w, start)
             except DegenerateAtPointError as e:
-                radius_tries += RADIUS_HALVINGS + 1
+                counts["radius_tries"] += RADIUS_HALVINGS + 1
                 kind = Status.DEGENERATE_BARRIER
                 diag = {"constant": e.constant, "at_frontier": True}
                 break
             except NoRadiusFoundError:
                 # select_radius raises only after trying every halving
-                radius_tries += RADIUS_HALVINGS + 1
+                counts["radius_tries"] += RADIUS_HALVINGS + 1
                 stalled = "no admissible radius at frontier"
                 continue
             # the kept radius is start * 2**-k, found on try k + 1
-            radius_tries += 1 + round(math.log2(start / loc.r))
+            counts["radius_tries"] += 1 + round(math.log2(start / loc.r))
 
         target = min(s + h, next((a for a in stops if a > s), length))
         pt1 = seg.point_at(target)
@@ -537,22 +534,20 @@ def extend_segment(
         smp = BranchSample(seg_index, s, pt, w, res1)
         samples.append(smp)
         endgame.add(s, w)
-        accepted += 1
+        counts["accepted_steps"] += 1
+        accepted = counts["accepted_steps"]
         if cfg.certify_steps:
             try:
                 n_after = count_zeros(f, cx, loc.circle)
             except (CertificateError, NonFiniteError):
                 n_after = -1
             if n_after != loc.n:
-                certify_failures += 1
-        if s in stops:
-            junction.setdefault(pt, w)
+                counts["certify_failures"] += 1
         if abs(w) > cfg.blowup_threshold:
             kind = Status.ASYMPTOTIC_BLOWUP
             diag = {"max_abs_w": abs(w), "last_residual": res1}
             break
         if s >= length:
-            junction.setdefault(pt, w)
             kind, diag = Status.COMPLETED, {}
             break
         if accepted % LADDER_EVERY == 0:
@@ -574,21 +569,12 @@ def extend_segment(
             scale = min(1.0, r_keep / r_max)
         loc = carry_certificate(loc, cx, poly1, levels1) if r_keep == loc.r else None
         kept = loc is not None
-        carried += kept
+        counts["carried"] += kept
 
     if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
         diag = {**diag, **_endpoint_diagnostics(f, seg)}
     where = None if kind is Status.COMPLETED else pt
-    return SegmentRun(
-        samples,
-        TerminationStatus(kind, diag),
-        where,
-        accepted,
-        certify_failures,
-        localizations,
-        radius_tries,
-        carried,
-    )
+    return SegmentRun(samples, TerminationStatus(kind, diag), where, counts)
 
 
 def _budget_verdict(endgame: Endgame, w: complex) -> tuple[Status, dict]:
@@ -706,7 +692,11 @@ def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     return out
 
 
-_NO_STEPS = {"accepted_steps": 0, "localizations": 0, "radius_tries": 0, "carried": 0}
+def _stepless(domain, kind, diag, samples, where) -> RootBranch:
+    """A branch that ends before its first segment, every step count 0."""
+    counts = _zero_counts()
+    del counts["certify_failures"]
+    return RootBranch(samples, TerminationStatus(kind, {**diag, **counts}), where, (), domain)
 
 
 def continue_branch(
@@ -722,10 +712,11 @@ def continue_branch(
     SEED_TOL of zero (relative to the local function scale), else
     SeedInvalid.  A degenerate seed point (z -> F(x0, z) constant) is a
     DegenerateBarrier at x0.  The domain is covered by leaf-directed sweep
-    segments from x0 with shared prefixes deduplicated; junction values are
-    recorded once and reused, so the branch is single-valued at junctions
-    by construction.  Raises OutOfDomainError, before evaluating F, when
-    f.x_range is set and does not cover the domain's coordinate range.
+    segments from x0 with shared prefixes deduplicated; a segment resumes
+    from the first value the branch took at its resume point, so the branch
+    is single-valued at junctions by construction.  Raises
+    OutOfDomainError, before evaluating F, when f.x_range is set and does
+    not cover the domain's coordinate range.
     """
     cfg = cfg or EngineConfig()
     lo, hi = domain.coordinate_range()
@@ -737,76 +728,49 @@ def continue_branch(
     w0, res0 = polish_root(f, cx0, complex(z0))
     tol0 = SEED_TOL * (1.0 + _seed_scale(f, cx0, w0))
     if not np.isfinite(res0) or res0 > tol0:
-        return RootBranch(
-            (),
-            TerminationStatus(
-                Status.SEED_INVALID,
-                {"seed_residual": res0, "seed_tolerance": tol0, **_NO_STEPS},
-            ),
-            x0,
-            (),
-            domain,
-        )
+        diag = {"seed_residual": res0, "seed_tolerance": tol0}
+        return _stepless(domain, Status.SEED_INVALID, diag, (), x0)
+    seed = (BranchSample(0, 0.0, x0, w0, res0),)
     constant = degeneracy_probe(f, cx0)
     if constant is not None:
-        return RootBranch(
-            (BranchSample(0, 0.0, x0, w0, res0),),
-            TerminationStatus(
-                Status.DEGENERATE_BARRIER,
-                {"constant": constant, "at_seed": True, **_NO_STEPS},
-            ),
-            x0,
-            (),
-            domain,
-        )
-
+        diag = {"constant": constant, "at_seed": True}
+        return _stepless(domain, Status.DEGENERATE_BARRIER, diag, seed, x0)
     sweeps = tuple(domain.sweep_targets(x0))
     if not sweeps:
-        return RootBranch(
-            (BranchSample(0, 0.0, x0, w0, res0),),
-            TerminationStatus(
-                Status.COMPLETED, {"trivial_domain": True, **_NO_STEPS}
-            ),
-            None,
-            (),
-            domain,
-        )
+        return _stepless(domain, Status.COMPLETED, {"trivial_domain": True}, seed, None)
 
-    junction: dict[DomainPoint, complex] = {x0: w0}
+    # the branch value at each point reached, the first one kept
+    values: dict[DomainPoint, complex] = {x0: w0}
     all_samples: list[BranchSample] = []
     runs: list[SegmentRun] = []
     status = TerminationStatus(Status.COMPLETED, {})
     where: Optional[DomainPoint] = None
     for i, sw in enumerate(sweeps):
         start = sw.segment.point_at(sw.resume_arc)
-        if start not in junction:
+        if start not in values:
             raise SolverError(
                 f"internal: no junction value at resume point of sweep {i}"
             )
-        run = extend_segment(
-            f, sw, junction[start], cfg, seg_index=i, junction=junction
-        )
+        run = extend_segment(f, sw, values[start], cfg, seg_index=i)
+        for smp in run.samples:
+            values.setdefault(smp.point, smp.w)
         runs.append(run)
         all_samples.extend(run.samples)
         if not run.completed:
             status, where = run.status, run.location
             break
 
-    # roll the step tallies of every segment that ran up to the branch status
-    diag = {
-        **status.diagnostics,
-        "accepted_steps": sum(r.accepted for r in runs),
-        "localizations": sum(r.localizations for r in runs),
-        "radius_tries": sum(r.radius_tries for r in runs),
-        "carried": sum(r.carried for r in runs),
-    }
+    # roll the step counts of every segment that ran up to the branch status
+    counts = {k: sum(r.counts[k] for r in runs) for k in runs[0].counts}
+    failures = counts.pop("certify_failures")
+    diag = {**status.diagnostics, **counts}
     snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
     if status.kind is Status.COMPLETED and snaps:
         diag["snapped"] = True
         diag["snap_gap"] = max(d["snap_gap"] for d in snaps)
     if cfg.certify_steps:
         diag["certify_checked"] = diag["accepted_steps"]
-        diag["certify_failures"] = sum(r.certify_failures for r in runs)
+        diag["certify_failures"] = failures
     status = TerminationStatus(status.kind, diag)
     return RootBranch(tuple(all_samples), status, where, sweeps, domain)
 

@@ -46,7 +46,6 @@ RADIUS_HALVINGS = 40  # select_radius: halvings of the start radius before givin
 CENTER_FRAC = 0.1  # the factor's roots must lie within CENTER_FRAC * r of the center
 CLEAR_MARGIN = 2.0  # check_contour_clear's margin on an admitted certificate
 SAFETY = 0.5  # validate_step accepts max |F(x1) - F(x0)| <= SAFETY * m
-MARGIN_BAND = 2.0  # excess above 1 / MARGIN_BAND is rechecked at 2M nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ class LocalFactorization:
     circle : the contour itself
     levels : F(x0, .) and F' on the circle's M nodes, then on its 2M
         nodes: the two levels the count read.  validate_step compares F(x1)
-        with them level by level, against each level's own min |F(x0)|.
+        with the 2M level, against that level's own min |F(x0)|.
         Both passed check_contour_clear at CLEAR_MARGIN, so min |F| > 0.
 
     z0, r, m and n are read from those: the circle's center (the tracked
@@ -95,12 +94,11 @@ class LocalFactorization:
 class StepValidation:
     """Outcome of a Rouche step check.
 
-    excess is max |F(x1) - F(x0)| over the contour nodes divided by
-    SAFETY * m; values <= 1 are accepted.  resolution records the node
-    count of the deciding comparison (doubled when the margin was thin).
-    samples (on acceptance) are F and F' at x1 on the M nodes and then on
-    the 2M nodes, both levels whichever of them decided: the factor at x1
-    takes them as its levels.
+    excess is max |F(x1) - F(x0)| over the 2M contour nodes divided by
+    SAFETY times min |F(x0)| there; values <= 1 are accepted.  resolution
+    is the node count compared, 2M.  samples (on acceptance) are F and F'
+    at x1 on the M nodes and then on the 2M nodes: the factor at x1 takes
+    them as its levels.
     """
 
     accepted: bool
@@ -209,30 +207,26 @@ def validate_step(
 ) -> StepValidation:
     """Check the Rouche condition for moving the parameter from loc.x0 to x1.
 
-    Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m on the
-    certificate circle.  F(x1) is sampled once, at 2M nodes
-    (sample_nested), and compared on the M nodes first.  When the margin
-    lands within a factor MARGIN_BAND of the threshold on the accept side,
-    the comparison is made again on all 2M nodes, against the
-    certificate's F(x0) there and that level's own min |F(x0)| (node sets
-    nest, so refinement can only tighten).  The threshold is positive at
-    both levels: every LocalFactorization passed select_radius's contour
-    checks, which demand min |F| > 0 on each.  A non-finite F(x1) on the
-    compared nodes rejects the step; F'(x1) is sampled along, unchecked,
-    for the factor at x1.
+    Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m2 on the
+    certificate circle's 2M nodes, where m2 is min |F(x0)| on those nodes
+    (loc.levels[1]).  F(x1) is sampled once, at 2M nodes (sample_nested),
+    and compared once.  The 2M nodes contain the M nodes, so no step
+    passes that a comparison on the M nodes alone would reject.  The
+    threshold is positive: every LocalFactorization passed select_radius's
+    contour checks, which demand min |F| > 0 on each level.  A non-finite
+    F(x1) rejects the step; F'(x1) is sampled along, unchecked, for the
+    factor at x1.
     """
     taken = sample_nested(f, x1, loc.circle)
-    for k, (level, d) in enumerate(zip(loc.levels, taken)):
-        resolution = level.circle.samples
-        if not np.isfinite(d.f).all():
-            return StepValidation(False, float("inf"), resolution)
-        diff = float(np.maximum.reduce(np.abs(d.f - level.f)))
-        excess = diff / (SAFETY * level.min_abs_f)
-        if excess > 1.0:
-            return StepValidation(False, excess, resolution)
-        # a thin margin on the M nodes is decided again at 2M
-        if excess < 1.0 / MARGIN_BAND or k == len(loc.levels) - 1:
-            return StepValidation(True, excess, resolution, taken)
+    fine, f1 = loc.levels[1], taken[1].f
+    resolution = fine.circle.samples
+    if not np.isfinite(f1).all():
+        return StepValidation(False, float("inf"), resolution)
+    diff = float(np.maximum.reduce(np.abs(f1 - fine.f)))
+    excess = diff / (SAFETY * fine.min_abs_f)
+    if excess > 1.0:
+        return StepValidation(False, excess, resolution)
+    return StepValidation(True, excess, resolution, taken)
 
 
 def ladder_radius(

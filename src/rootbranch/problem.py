@@ -199,8 +199,7 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "num":
-            self.take()
-            return Const(complex(float(t.text)))
+            return Const(complex(self.number()))
         if t.text == "(":
             self.take()
             e = self.expr()
@@ -246,11 +245,18 @@ class _Parser:
         if self.peek().text == "-":
             self.take()
             sign = -1.0
-        t = self.peek()
-        if t.kind != "num":
+        if self.peek().kind != "num":
             self.fail("expected a number")
-        self.take()
-        return sign * float(t.text)
+        return sign * self.number()
+
+    def number(self) -> float:
+        """Take the number token here: too large for a float fails, and
+        underflow reads as 0.0, as in JSON."""
+        t = self.take()
+        v = float(t.text)
+        if math.isinf(v):
+            self.fail(f"number {t.text} does not fit a float", t)
+        return v
 
     def signed_int(self) -> int:
         t0 = self.peek()
@@ -280,7 +286,9 @@ class ProblemSpec:
 
     Exactly one of function/series/fixture is set.  domain and seed are
     kept in their normalized JSON shapes so render/parse round-trips are
-    exact; build() turns the spec into solver objects.
+    exact; build() turns the spec into solver objects.  expr is the
+    expression tree parse_problem read from function or series (None for
+    a fixture); it takes no part in equality.
     """
 
     function: Optional[str] = None
@@ -289,6 +297,7 @@ class ProblemSpec:
     domain: Optional[dict] = None
     seed: Optional[dict] = None
     config: dict = field(default_factory=dict)
+    expr: Optional[Expr] = field(default=None, compare=False, repr=False)
 
 
 _TOP_KEYS = {"function", "series", "fixture", "domain", "seed", "config"}
@@ -449,21 +458,18 @@ def parse_problem(data) -> ProblemSpec:
     if "domain" not in data or "seed" not in data:
         raise ProblemValidationError("'domain' and 'seed' are required")
     domain = _norm_domain(data["domain"])
-    seed = _norm_seed(data["seed"], domain)
+    rest = dict(domain=domain, seed=_norm_seed(data["seed"], domain), config=dict(config))
 
     if sources == ["function"]:
         text = data["function"]
         if not isinstance(text, str):
             raise ProblemValidationError("'function' must be expression text")
-        parse_expression(text)  # syntax-check now; build() parses again
-        return ProblemSpec(
-            function=text, domain=domain, seed=seed, config=dict(config)
-        )
+        return ProblemSpec(function=text, expr=parse_expression(text), **rest)
 
     coeffs = data["series"]
     if not isinstance(coeffs, list) or not coeffs:
         raise ProblemValidationError("'series' must be a nonempty list")
-    texts = []
+    texts, trees = [], []
     for k, c in enumerate(coeffs):
         if is_json_number(c):
             c = repr(_as_float(c, f"series coefficient {k}"))
@@ -475,9 +481,8 @@ def parse_problem(data) -> ProblemSpec:
         if contains_z(e):
             raise ProblemValidationError(f"series coefficient {k} mentions z")
         texts.append(c)
-    return ProblemSpec(
-        series=tuple(texts), domain=domain, seed=seed, config=dict(config)
-    )
+        trees.append(e)
+    return ProblemSpec(series=tuple(texts), expr=SeriesForm(tuple(trees)).expr, **rest)
 
 
 def render(spec: ProblemSpec) -> str:
@@ -564,7 +569,8 @@ def build(spec: ProblemSpec):
     """Turn a spec into (EntireFunction, ParamDomain, seed point, z0, config).
 
     Fixture specs are resolved first; their config is overridden by the
-    problem document's own config entries.
+    problem document's own config entries.  The expression is the tree
+    parse_problem kept on the spec; a spec made by hand is parsed first.
     """
     if spec.fixture is not None:
         from .fixtures import get_fixture
@@ -578,10 +584,7 @@ def build(spec: ProblemSpec):
     cfg = _engine_config(spec.config)
     x_range = dom.coordinate_range()
 
-    if spec.function is not None:
-        expr = parse_expression(spec.function)
-    else:
-        expr = SeriesForm(tuple(parse_expression(c) for c in spec.series)).expr
+    expr = spec.expr if spec.expr is not None else parse_problem(render(spec)).expr
     _validate_entire(expr)
     _validate_piecewise(expr, dom)
     return EntireFunction(expr, x_range=x_range), dom, seed_pt, z0, cfg

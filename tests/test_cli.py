@@ -235,6 +235,28 @@ def _interval_problem(function):
 
 
 @pytest.mark.parametrize(
+    "doc, col",
+    [
+        (_interval_problem("z - 1e999"), 5),
+        (_interval_problem("pow(z, 1e999) - 1"), 8),
+        (_interval_problem("guard(1e999; z; z)"), 7),
+        ({"series": ["1e999", "1"], "domain": {"kind": "interval"},
+          "seed": {"x": 0.5, "z": [0.0, 0.0]}}, 1),
+    ],
+    ids=["constant", "exponent", "guard point", "series coefficient"],
+)
+def test_number_too_large_for_a_float_is_a_syntax_error(tmp_path, capsys, doc, col):
+    pf = tmp_path / "huge.json"
+    pf.write_text(json.dumps(doc))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "rootbranch: syntax error: number 1e999 does not fit a float"
+        f" (line 1, col {col})\n"
+    )
+
+
+@pytest.mark.parametrize(
     "text",
     [
         json.dumps(_interval_problem("exp(" * 250 + "z" + ")" * 250 + " - x")),

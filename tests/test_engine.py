@@ -398,11 +398,11 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     assert len(runs) > 1
     # select_radius keeps start * 2**-k after k + 1 tries
     tries = [1 + round(math.log2(start / r)) for _, _, start, r in calls]
-    assert d["localizations"] == len(calls) == sum(r.localizations for r in runs)
-    assert d["radius_tries"] == sum(tries) == sum(r.radius_tries for r in runs)
-    assert d["accepted_steps"] == sum(r.accepted for r in runs)
+    assert d["localizations"] == len(calls) == sum(r.counts["localizations"] for r in runs)
+    assert d["radius_tries"] == sum(tries) == sum(r.counts["radius_tries"] for r in runs)
+    assert d["accepted_steps"] == sum(r.counts["accepted_steps"] for r in runs)
     kept = sum(seq.count("kept") for seq in events)
-    assert d["carried"] == kept == sum(r.carried for r in runs) > 0
+    assert d["carried"] == kept == sum(r.counts["carried"] for r in runs) > 0
     # every accepted step that does not end its segment hands the next
     # proposal exactly one certificate: its own circle kept, or a new search
     followed = 0

@@ -182,10 +182,10 @@ def test_select_radius_halving_budget():
 
 
 def test_accepted_step_reuses_the_check_samples(monkeypatch):
-    # the check samples F(x1) once, at 2M nodes, and the thin-margin
-    # comparison takes F(x0) there from the certificate; the factor at x1
-    # takes F(x1) on the M- and 2M-node circles from the check: none of
-    # those node sets is evaluated again
+    # the check samples F(x1) once, at 2M nodes, and compares it there with
+    # F(x0) from the certificate; the factor at x1 takes F(x1) on the M-
+    # and 2M-node circles from the check: none of those node sets is
+    # evaluated again
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.2)
     m = loc.circle.samples
@@ -197,13 +197,9 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
         return kernel(x, z, **kw)
 
     monkeypatch.setattr(f, "kernel", counting)
-    for x1 in 0.25 + np.geomspace(1e-4, 0.2, 80):
-        calls.clear()
-        v = validate_step(f, loc, float(x1))
-        if v.accepted and v.resolution == 2 * m:
-            break
-    else:
-        pytest.fail("no step was decided at doubled resolution")
+    x1 = 0.26
+    v = validate_step(f, loc, x1)
+    assert v.accepted and v.resolution == 2 * m
     assert [(x, z.size) for x, z in calls] == [(x1, 2 * m)]
     reused = (loc.circle.nodes(), loc.circle.doubled().nodes())
     assert [d.z.size for d in v.samples] == [m, 2 * m]
@@ -218,6 +214,23 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     kept = [d.f for d in loc.levels]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
     assert not any(a.flags.writeable for a in kept)
+
+
+def test_step_check_reads_every_2m_node():
+    # x*(z**128 - 1) vanishes on the unit circle's 128 nodes, so F(x1)
+    # equals F(x0) there for every x1; between them |z**128 - 1| = 2, and
+    # the 2M nodes see a change of 2 * x1 against m = 1
+    f = f_of("z + x*(pow(z, 128) - 1)")
+    loc = select_radius(f, 0.0, 0j, 1.0)
+    assert (loc.r, loc.n, loc.circle.samples) == (1.0, 1, 128)
+    v = validate_step(f, loc, 0.3)
+    assert not v.accepted
+    assert v.excess == pytest.approx(1.2)
+    assert v.resolution == 256
+    for x1 in (0.05, 0.1, 0.15, 0.2):
+        v = validate_step(f, loc, x1)
+        assert v.accepted
+        assert v.excess == pytest.approx(4 * x1)
 
 
 def test_circle_is_carried_exactly_where_the_radius_search_admits_it():
@@ -275,18 +288,8 @@ def test_ladder_drops_nonfinite_rungs_and_keeps_ties():
     assert ladder_radius(f, loc, 0.5, f1) == loc.r
 
 
-def _decided_at_2m(f, loc, xs):
-    """validate_step at the first x1 in xs whose check reaches the 2M nodes,
-    with the F(x1) it compared there."""
-    for x1 in xs:
-        v = validate_step(f, loc, x1)
-        if v.resolution == 2 * loc.circle.samples:
-            return v, sample_nested(f, x1, loc.circle)[1].f
-    pytest.fail("no step reached the 2M nodes")
-
-
 def test_refined_check_uses_the_2m_level_minimum():
-    # the 2M comparison divides by min |F(x0)| over the 2M nodes, the
+    # the step check divides by min |F(x0)| over the 2M nodes, the
     # certificate's own levels[1], for a searched and for a carried circle;
     # the far zero sits off a node of M, so that minimum is not the M one
     f = f_of("z * (z - 1.06*exp(0.02*i) + x)")
@@ -299,6 +302,8 @@ def test_refined_check_uses_the_2m_level_minimum():
         coarse, fine = loc.levels
         m2 = float(np.abs(fine.f).min())
         assert m2 < loc.m == float(np.abs(coarse.f).min())
-        v, f1 = _decided_at_2m(f, loc, (loc.x0 + np.geomspace(1e-4, 0.05, 60)).tolist())
+        x1 = loc.x0 + 0.01
+        v = validate_step(f, loc, x1)
+        f1 = sample_nested(f, x1, loc.circle)[1].f
         want = float(np.abs(f1 - fine.f).max()) / (SAFETY * m2)
         assert v.excess.hex() == want.hex()

@@ -1,14 +1,18 @@
+import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from rootbranch import (
     EngineConfig,
+    ProblemSpec,
     ProblemSyntaxError,
     ProblemValidationError,
     build,
     parse_problem,
+    problem,
     render,
 )
 
@@ -191,6 +195,56 @@ def test_readme_config_table_lists_every_key():
         if line.startswith("| `")
     }
     assert defaults == EngineConfig().as_dict()
+
+
+def test_readme_constants_live_where_it_says():
+    # each clause of the section names constants, then "in `rootbranch.m`"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"in\s+`rootbranch\.(\w+)`", section)
+    placed = [
+        (module, name)
+        for text, module in zip(parts[::2], parts[1::2])
+        for name in re.findall(r"`([A-Z][A-Z0-9_]*)`", text)
+    ]
+    assert {module for module, _ in placed} == {"contour", "engine", "expressions", "localize"}
+    missing = [
+        (module, name)
+        for module, name in placed
+        if not hasattr(importlib.import_module(f"rootbranch.{module}"), name)
+    ]
+    assert not missing
+
+
+def test_build_parses_each_text_once(monkeypatch):
+    # parse_problem keeps the tree it checked on the spec and build uses it
+    texts = []
+    parse = problem.parse_expression
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(problem, "parse_expression", counting)
+    docs = [
+        interval_problem(),
+        series_problem(["-x", "0", "1"]),
+        {"fixture": "monic-cubic-ytree"},
+    ]
+    for doc, parses in zip(docs, [1, 3, 4]):
+        texts.clear()
+        build(parse_problem(doc))
+        assert len(texts) == parses, doc
+    # the tree takes no part in equality, and a spec made by hand builds
+    spec = parse_problem(interval_problem())
+    by_hand = ProblemSpec(function=spec.function, domain=spec.domain, seed=spec.seed)
+    assert by_hand == spec and by_hand.expr is None
+    assert str(build(by_hand)[0].expr) == str(build(spec)[0].expr)
+
+
+def test_number_that_underflows_reads_as_zero():
+    spec = parse_problem(interval_problem("pow(z, 2) - x + 1e-999"))
+    assert str(spec.expr) == str(parse_problem(interval_problem()).expr)
 
 
 def test_seed_out_of_range_rejected():
