@@ -314,12 +314,14 @@ def poly_roots(p: MonicPoly, tol: float = 1e-8) -> np.ndarray:
     matrix (numpy.roots) followed by at most POLY_POLISH_ROUNDS Newton
     steps per root.  Every returned root satisfies
     |P(root)| <= tol * (1 + max |coeff|) ** degree, else NoConvergenceError.
+    Degree 1 returns -a1 without that test, which it cannot fail for
+    tol >= 0: P(-a1) is exactly 0 for a finite a1, and NaN otherwise.
     """
     c = np.asarray(p.coeffs, dtype=np.complex128)
     deg = p.degree
     if deg == 1:
-        u = np.array([-c[1]])
-    elif deg == 2:
+        return np.array([-c[1]]) + p.about
+    if deg == 2:
         u = _quadratic(c[1], c[2])
     else:
         u = np.roots(c)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,23 +30,32 @@ class Edge:
     length: float
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    """Canonical point: either a vertex, or strictly interior to an edge.
-
-    Canonical form makes equality and hashing reliable: edge endpoints are
-    always expressed as vertex points.
-    """
-
+class _PointFields(NamedTuple):
     vertex: int | None = None
     edge: int | None = None
     t: float = 0.0
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+
+class DomainPoint(_PointFields):
+    """Canonical point: either a vertex, or strictly interior to an edge.
+
+    Canonical form makes equality and hashing reliable: edge endpoints are
+    always expressed as vertex points.  A named tuple (immutable, and
+    equal to the plain tuple of its fields); the constructor and _replace
+    check the form, _make does not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertex: int | None = None, edge: int | None = None, t: float = 0.0):
+        if (vertex is None) == (edge is None):
             raise ValueError("point must set exactly one of vertex/edge")
-        if self.edge is not None and not (0.0 < self.t < 1.0):
+        if edge is not None and not (0.0 < t < 1.0):
             raise ValueError("interior point needs 0 < t < 1")
+        return super().__new__(cls, vertex, edge, t)
+
+    def _replace(self, **changes) -> "DomainPoint":
+        return DomainPoint(**{**self._asdict(), **changes})
 
 
 class ParamDomain:
@@ -294,7 +303,7 @@ class PathSegment:
         Equals point_at then ParamDomain.coordinate arc by arc, bit for
         bit, but clamps the arcs, finds their pieces and edge-local t and
         computes the coordinates in whole-array passes; only the points
-        themselves are built one by one.
+        themselves are built one by one, without a check each.
         """
         arcs = np.asarray(arcs, dtype=np.float64)
         if np.isnan(arcs).any():
@@ -336,8 +345,13 @@ class PathSegment:
         code[arc == 0.0] = len(fixed) - 2
         at = code >= 0
         x[at] = fixed_x[code[at]]
+        # DomainPoint's check, once for every interior row: _make skips it
+        inner = t[~at]
+        if not ((inner > 0.0) & (inner < 1.0)).all():
+            raise ValueError("interior point needs 0 < t < 1")
+        make = DomainPoint._make
         points = [
-            fixed[c] if c >= 0 else DomainPoint(edge=j, t=tj)
+            fixed[c] if c >= 0 else make((None, j, tj))
             for c, j, tj in zip(code.tolist(), e.tolist(), t.tolist())
         ]
         return points, x

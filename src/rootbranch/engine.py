@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,9 +60,11 @@ class TerminationStatus:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BranchSample:
-    """One point of the tracked branch: w(point) with its residual |F|."""
+class BranchSample(NamedTuple):
+    """One point of the tracked branch: w(point) with its residual |F|.
+
+    A named tuple, so resample_branch builds its rows at tuple cost.
+    """
 
     segment: int
     arc: float
@@ -827,7 +829,9 @@ def resample_branch(
             order = sorted(live, key=lambda i: raw[i] - int(raw[i]), reverse=True)
             for j in range(short):
                 quota[order[j % len(order)]] += 1
-    rows: list[tuple[int, float, DomainPoint]] = []
+    segs: list[int] = []
+    arcs_out: list[float] = []
+    points_out: list[DomainPoint] = []
     xs: list[np.ndarray] = []
     guesses: list[np.ndarray] = []
     for i in sorted(by_seg):
@@ -857,12 +861,11 @@ def resample_branch(
         else:
             points = [raws[jn].point for jn in j.tolist()]
             x = np.array([branch.domain.coordinate(p) for p in points])
-        rows.extend(zip([i] * len(points), targets.tolist(), points))
+        segs += [i] * len(points)
+        arcs_out += targets.tolist()
+        points_out += points
         xs.append(x)
-    if not rows:
+    if not segs:
         return []
     w, res = polish_roots(f, np.concatenate(xs), np.concatenate(guesses))
-    return [
-        BranchSample(i, arc, point, wn, rn)
-        for (i, arc, point), wn, rn in zip(rows, w.tolist(), res.tolist())
-    ]
+    return list(map(BranchSample, segs, arcs_out, points_out, w.tolist(), res.tolist()))

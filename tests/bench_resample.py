@@ -9,11 +9,21 @@ The file name does not match ``test_*.py``, so the default test run
 times only resampling it: the arc-to-point map per segment, the
 interpolated guesses and the Newton polish of every row.  Every call is
 checked to give as many rows as asked, each within the residual bound.
+A second benchmark times the row-building layer alone: PathSegment.points_at
+over 1000 arcs of one Y-tree segment.
 """
 
+import numpy as np
 import pytest
 
-from rootbranch import build, continue_branch, parse_problem, resample_branch
+from rootbranch import (
+    DomainPoint,
+    ParamDomain,
+    build,
+    continue_branch,
+    parse_problem,
+    resample_branch,
+)
 
 Y_TREE = {
     "kind": "tree",
@@ -46,3 +56,15 @@ def test_resample_branch(benchmark, name):
     out = benchmark(resample_branch, f, branch, rows)
     assert len(out) == rows
     assert max(s.residual for s in out) <= cfg.residual_tol
+
+
+def test_points_at(benchmark):
+    dom = ParamDomain.tree(Y_TREE["vertices"], Y_TREE["edges"])
+    a, b = dom.vertex_point("a"), dom.vertex_point("b")
+    seg = next(sw.segment for sw in dom.sweep_targets(a) if sw.segment.b == b)
+    # from a, through the junction c, to b
+    arcs = np.linspace(0.0, seg.length, 1000)
+    points, x = benchmark(seg.points_at, arcs)
+    assert len(points) == len(x) == 1000
+    assert all(type(p) is DomainPoint for p in points)
+    assert points[0] == a and points[-1] == b

@@ -30,6 +30,7 @@ from rootbranch.contour import (
 )
 from rootbranch.errors import (
     CofactorVanishesError,
+    NoConvergenceError,
     NonFiniteError,
     NonIntegerWindingError,
 )
@@ -209,6 +210,42 @@ def test_poly_roots_quadratic_and_polish():
     r = poly_roots(p)
     expect = np.array([1.0 + 1.0j - 0.5, 1.0 + 1.0j + 0.5])
     assert np.allclose(np.sort_complex(r), np.sort_complex(expect), atol=1e-12)
+
+
+def _general_roots(p, tol):
+    """poly_roots' path for degree 2 and up (sort, then the residual
+    test), run on a degree-1 factor."""
+    c = np.asarray(p.coeffs, dtype=np.complex128)
+    u = np.array([-c[1]])
+    u = u[np.lexsort((u.imag, u.real))]
+    bound = tol * (1.0 + float(np.abs(c).max())) ** p.degree
+    res = float(np.abs(np.polyval(c, u)).max())
+    if res > bound:
+        raise NoConvergenceError(f"root residual {res:.3e} exceeds contract {bound:.3e}")
+    return u + p.about
+
+
+_PARTS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    re=_PARTS,
+    im=_PARTS,
+    about=st.sampled_from([0j, complex(-0.0, -0.0), 1 + 1j, -2.5e-8 + 3j, 1e300 - 1e300j]),
+    tol=st.sampled_from([1e-8, 0.0, 1.0, 1e-300]),
+)
+def test_poly_roots_degree_one_matches_the_general_path(re, im, about, tol):
+    # degree 1 returns -a1 without the residual test, which cannot fail
+    # there: P(-a1) is 0 for a finite a1 and NaN otherwise
+    p = MonicPoly((1.0, complex(re, im)), about)
+    with np.errstate(all="ignore"):
+        want = _general_roots(p, tol)
+        got = poly_roots(p, tol=tol)
+    assert got.dtype == want.dtype and got.shape == want.shape == (1,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_poly_roots_ordering_deterministic():

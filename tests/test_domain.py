@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootbranch import OutOfDomainError, ParamDomain, ProblemValidationError
+from rootbranch import DomainPoint, OutOfDomainError, ParamDomain, ProblemValidationError
 
 
 def ytree():
@@ -231,3 +231,48 @@ def test_points_at_edge_cases():
         seg.point_at(float("nan"))
     with pytest.raises(OutOfDomainError, match="NaN"):
         seg.points_at([0.25, float("nan")])
+
+
+def test_points_at_builds_the_points_point_at_builds():
+    # points_at builds its interior points without the constructor's
+    # check; each is still a DomainPoint that equals and hashes as
+    # point_at's, at a vertex, at a, at b and inside every piece
+    dom = ytree()
+    seg = sweep_from_a_to(dom, "b").segment
+    arcs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, seg.length]
+    points, _ = seg.points_at(arcs)
+    kinds = set()
+    for arc, p in zip(arcs, points):
+        want = seg.point_at(arc)
+        assert type(p) is type(want) is DomainPoint
+        assert p == want and hash(p) == hash(want)
+        kinds.add(p.vertex if p.edge is None else "edge")
+    assert kinds == {1, 0, 2, "edge"}
+
+
+def test_domain_point_is_a_checked_named_tuple():
+    p = DomainPoint(edge=1, t=0.25)
+    assert p == (None, 1, 0.25) and p[1] == 1 and tuple(p) == (None, 1, 0.25)
+    assert repr(p) == "DomainPoint(vertex=None, edge=1, t=0.25)"
+    assert DomainPoint(vertex=2) == DomainPoint(2, None, 0.0)
+    assert hash(DomainPoint(vertex=2)) == hash(DomainPoint(vertex=2))
+    for bad in (
+        dict(vertex=0, edge=0),
+        dict(),
+        dict(edge=0, t=0.0),
+        dict(edge=0, t=1.0),
+        dict(edge=0, t=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            DomainPoint(**bad)
+    # _replace goes through the same check; _make is the unchecked way in
+    assert p._replace(t=0.5) == DomainPoint(edge=1, t=0.5)
+    with pytest.raises(ValueError):
+        p._replace(t=1.0)
+    with pytest.raises(ValueError):
+        p._replace(vertex=0)
+    for name in ("vertex", "edge", "t"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    with pytest.raises(AttributeError):
+        p.other = 0

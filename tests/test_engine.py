@@ -213,6 +213,21 @@ def test_resample_monotone_arcs_and_residuals():
         assert all(a < b for a, b in zip(arcs, arcs[1:]))
 
 
+def test_branch_sample_is_a_named_tuple():
+    pt = ParamDomain.interval().interval_point(0.5)
+    smp = BranchSample(0, 0.5, pt, 1 + 2j, 1e-12)
+    assert smp == BranchSample(segment=0, arc=0.5, point=pt, w=1 + 2j, residual=1e-12)
+    assert smp == (0, 0.5, pt, 1 + 2j, 1e-12) and smp[2] is smp.point is pt
+    assert repr(smp) == (
+        "BranchSample(segment=0, arc=0.5, point=DomainPoint(vertex=None, edge=0,"
+        " t=0.5), w=(1+2j), residual=1e-12)"
+    )
+    assert smp._replace(w=3j).w == 3j and smp.w == 1 + 2j
+    for name in ("segment", "arc", "point", "w", "residual"):
+        with pytest.raises(AttributeError):
+            setattr(smp, name, 0)
+
+
 def test_resample_rejects_a_nan_arc():
     # a NaN target used to land on the segment end, with arc NaN
     f = f_of("pow(z, 2) - x")

@@ -166,12 +166,18 @@ def test_accepted_step_preserves_count():
 
 
 def test_validate_step_nonfinite_is_rejected():
-    f = f_of("exp(pow(z, 2))*x - 1.0")
-    loc = select_radius(f, 1.0, 0.0, r_max=0.5)
-    # push the parameter somewhere F overflows on the circle: not possible
-    # for this f, so instead check the reported resolution is the node count
-    v = validate_step(f, loc, 0.9)
-    assert v.resolution >= loc.circle.samples
+    # F = z away from x = 0.5 and NaN at every node there, since
+    # (x - x) * pow(x - 0.5, -1) is 0 * inf; the parser does not fold x - x.
+    # A NaN difference would pass the excess test (NaN > 1 is false), so
+    # only the finiteness check rejects the step
+    f = f_of("z - (x - x)*pow(x - 0.5, -1)")
+    loc = select_radius(f, 0.25, 0.0, r_max=0.5)
+    assert np.isnan(sample_nested(f, 0.5, loc.circle)[1].f).all()
+    v = validate_step(f, loc, 0.5)
+    assert v.accepted is False
+    assert v.excess == math.inf
+    assert v.samples == ()
+    assert v.resolution == 2 * loc.circle.samples
 
 
 def test_select_radius_halving_budget():
