@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .contour import ContourData, MonicPoly, count_zeros, local_monic_factor, poly_roots
+from .contour import MonicPoly, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
     CertificateError,
@@ -40,6 +40,7 @@ from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_r
 from .localize import (
     RADIUS_HALVINGS,
     LocalFactorization,
+    StepValidation,
     carry_certificate,
     ladder_radius,
     select_radius,
@@ -104,6 +105,8 @@ H_MAX_FRAC = 0.125  # largest step, as a fraction of the segment length
 H_MIN = 1e-12  # a step halved below this stalls the frontier
 GROW_AFTER = 3  # clean accepts in a row before the step grows
 GROW_FACTOR = 1.5
+# an accepted step whose Rouche excess is at most this doubles the next one
+GROW_EXCESS = 0.25
 TIE_BREAK_AFTER = 12  # ambiguous matches in a row before the tie-break
 SEED_TOL = 1e-9  # seed residual bound, relative to 1 + the |F| scale near the seed
 WINDOW = 16  # recent samples the stall classifier looks at
@@ -257,12 +260,13 @@ def _blowup_evidence(window: Sequence[BranchSample], length: float) -> bool:
 class _Shell:
     """Running summary of the samples of one endgame shell."""
 
-    __slots__ = ("lo", "hi", "extrema", "n", "su", "sv", "suu", "suv")
+    __slots__ = ("lo", "hi", "extrema", "max_abs", "n", "su", "sv", "suu", "suv")
 
     def __init__(self) -> None:
         self.lo = [math.inf, math.inf]  # per coordinate (Re w, Im w)
         self.hi = [-math.inf, -math.inf]
         self.extrema = [0, 0]
+        self.max_abs = 0.0  # largest |w|
         # least-squares sums of u = log(length - s), v = log|w| (w != 0)
         self.n = 0
         self.su = self.sv = self.suu = self.suv = 0.0
@@ -277,9 +281,10 @@ class Endgame:
     Shell k holds the accepted samples with length / (length - s) in
     [2**k, 2**(k+1)).  Each shell keeps the range of Re w and Im w, the
     extrema (direction reversals by more than OSC_TOL) of each coordinate,
-    attributed to the shell of the extreme sample, and the sums of a
-    least-squares fit of log|w| against log(length - s).  add() is O(1)
-    and the state is O(number of shells); no per-sample history is kept.
+    attributed to the shell of the extreme sample, the largest |w|, and
+    the sums of a least-squares fit of log|w| against log(length - s).
+    add() is O(1) and the state is O(number of shells); no per-sample
+    history is kept.
     The rules read the last ENDGAME_SHELLS completed shells, those below
     the shell of the latest sample.  The record starts from the sample
     (s, w), which must lie before the segment end.
@@ -316,8 +321,10 @@ class Endgame:
                     self.shells[self._at[c]].extrema[c] += 1
                 self._dir[c] = 1 if move > 0.0 else -1
                 self._extreme[c], self._at[c] = v, k
-        if w != 0:
-            u, v = math.log(rem), math.log(abs(w))
+        a = abs(w)
+        sh.max_abs = max(sh.max_abs, a)
+        if a != 0:
+            u, v = math.log(rem), math.log(a)
             sh.n += 1
             sh.su += u
             sh.sv += v
@@ -370,6 +377,19 @@ class Endgame:
         num = n * sum(sh.suv for sh in got) - su * sum(sh.sv for sh in got)
         return -num / den
 
+    def grows(self, order: float) -> bool:
+        """Whether each completed shell's largest |w| is at least
+        2**(order / 2) times the previous shell's.
+
+        A pole of order p multiplies the largest |w| by about 2**p from one
+        shell to the next; a bounded branch, whose fit is noise, does not.
+        """
+        got = self._completed()
+        if got is None:
+            return False
+        grow = 2.0 ** (0.5 * order)
+        return all(b.max_abs >= grow * a.max_abs for a, b in zip(got, got[1:]))
+
 
 def _zero_counts() -> dict:
     return dict.fromkeys(
@@ -386,7 +406,8 @@ class SegmentRun:
     steps taken; localizations, the select_radius calls, and radius_tries,
     the radii they tried; carried, the accepted steps whose circle was kept
     as the next certificate; certify_failures, the accepted steps whose
-    audit recount (certify_steps) disagreed with the certificate.
+    audit recount (certify_steps: the zeros in the certificate's circle at
+    the step's arc midpoint) disagreed with the certificate.
     """
 
     samples: list[BranchSample]
@@ -420,7 +441,9 @@ def extend_segment(
     keeps loc, unless loc was kept from the step before: then the same h
     is proposed again from a fresh localization.  An acceptance moves the
     frontier and keeps loc's circle as the certificate there when
-    carry_certificate admits it, else drops loc.
+    carry_certificate admits it, else drops loc.  It doubles h when its
+    Rouche excess is at most GROW_EXCESS, else grows h by GROW_FACTOR
+    after GROW_AFTER acceptances in a row; h never exceeds h_max.
 
     Localization halves from r_max * scale, where r_max =
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
@@ -432,9 +455,10 @@ def extend_segment(
     Every accepted sample goes into an Endgame record.  Every LADDER_EVERY
     accepted steps the segment ends NonConvergent when the record shows
     oscillation.  When the step budget runs out the record decides:
-    oscillation gives NonConvergent, a fitted pole order of at least
-    POLE_ORDER_MIN a soft AsymptoticBlowup, anything else NonConvergent
-    with unresolved: true.
+    oscillation gives NonConvergent, a fitted pole order p of at least
+    POLE_ORDER_MIN a soft AsymptoticBlowup when the largest |w| of each
+    completed shell is at least 2**(p / 2) times the previous shell's,
+    anything else NonConvergent with unresolved: true.
     """
     cfg = cfg or EngineConfig()
     seg, s, stops = sweep.segment, sweep.resume_arc, sweep.stops
@@ -532,7 +556,7 @@ def extend_segment(
                 stalled = "step size underflow"
             continue
 
-        s, pt, cx, w = target, pt1, cx1, w1
+        s_prev, s, pt, cx, w = s, target, pt1, cx1, w1
         smp = BranchSample(seg_index, s, pt, w, res1)
         samples.append(smp)
         endgame.add(s, w)
@@ -540,10 +564,11 @@ def extend_segment(
         accepted = counts["accepted_steps"]
         if cfg.certify_steps:
             try:
-                n_after = count_zeros(f, cx, loc.circle)
+                cx_mid = dom.coordinate(seg.point_at(0.5 * (s_prev + s)))
+                n_mid = count_zeros(f, cx_mid, loc.circle)
             except (CertificateError, NonFiniteError):
-                n_after = -1
-            if n_after != loc.n:
+                n_mid = -1
+            if n_mid != loc.n:
                 counts["certify_failures"] += 1
         if abs(w) > cfg.blowup_threshold:
             kind = Status.ASYMPTOTIC_BLOWUP
@@ -560,11 +585,15 @@ def extend_segment(
         if accepted >= cfg.max_steps:
             stalled = BUDGET_EXHAUSTED
             continue
+        poly1, check = factor
+        levels1 = check.samples
         grow_run += 1
-        if grow_run >= GROW_AFTER:
+        if check.excess <= GROW_EXCESS:
+            h = min(2.0 * h, h_max)
+            grow_run = 0
+        elif grow_run >= GROW_AFTER:
             h = min(h * GROW_FACTOR, h_max)
             grow_run = 0
-        poly1, levels1 = factor
         r_keep = loc.r
         if accepted % LADDER_EVERY == 0:
             r_keep = ladder_radius(f, loc, cx, levels1[0].f)
@@ -585,7 +614,7 @@ def _budget_verdict(endgame: Endgame, w: complex) -> tuple[Status, dict]:
     if osc is not None:
         return Status.NON_CONVERGENT, osc
     order = endgame.pole_order()
-    if order is not None and order >= POLE_ORDER_MIN:
+    if order is not None and order >= POLE_ORDER_MIN and endgame.grows(order):
         return Status.ASYMPTOTIC_BLOWUP, {
             "max_abs_w": abs(w),
             "pole_order": order,
@@ -606,7 +635,7 @@ def _step_root(
     Optional[complex],
     float,
     int,
-    Optional[tuple[MonicPoly, tuple[ContourData, ...]]],
+    Optional[tuple[MonicPoly, StepValidation]],
 ]:
     """Propose the step from loc.x0 to x1; return (w1, residual, streak,
     factor).
@@ -615,8 +644,8 @@ def _step_root(
     at x1 does not carry the certified count or its roots fail, the match
     is ambiguous, or the polished root misses residual_tol or jumps out of
     the certificate.  streak counts the ambiguous matches in a row.  factor
-    (on acceptance) is the factor at x1 and the F(x1) samples on
-    loc.circle's node levels it came from, the Rouche check's.
+    (on acceptance) is the factor at x1 and the accepted Rouche check,
+    whose F(x1) samples on loc.circle's node levels the factor came from.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
@@ -654,7 +683,7 @@ def _step_root(
         pass
     if res1 > residual_tol or abs(w1 - w) > 2.0 * loc.r:
         return None, 0.0, 0, None
-    return w1, res1, 0, (poly1, check.samples)
+    return w1, res1, 0, (poly1, check)
 
 
 def _snap_to_end(

@@ -297,15 +297,95 @@ def test_certify_steps_recount():
     assert d["accepted_steps"] == d["certify_checked"]
 
 
+def _rotating_pair_run(k, cfg=None):
+    # the roots of z**2 - 4*exp(2*pi*i*k*x) are +-2*exp(i*pi*k*x), and they
+    # turn k/2 times about 0 over the interval
+    f = f_of(f"pow(z, 2) - 4*exp(2*pi*i*{k}*x)")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(0.0), 2.0, cfg)
+    err = max(
+        abs(s.w - 2.0 * np.exp(1j * np.pi * k * dom.coordinate(s.point)))
+        for s in br.samples
+    )
+    return br, err
+
+
+def test_certify_steps_recount_can_fail():
+    # at k = 64 a root crosses the first certificate's circle within a step
+    # whose ends both count one zero; the recount at the step's midpoint
+    # sees the crossing
+    br, _ = _rotating_pair_run(64, EngineConfig(certify_steps=True))
+    assert br.status.diagnostics["certify_failures"] >= 1
+
+
+def test_margin_to_spare_doubles_the_next_step():
+    # w = 0.3 + 0.2*x: each Rouche check uses little of its margin, so the
+    # step doubles up to h_max = 1/8 where the 1.5x ramp took 19 steps
+    f = f_of("(z - (0.3 + 0.2*x))*(z - 2)")
+    dom = ParamDomain.interval()
+    br = continue_branch(f, dom, dom.interval_point(0.0), 0.3)
+    assert br.status.kind is Status.COMPLETED
+    assert br.status.diagnostics["accepted_steps"] <= 11
+    for s in br.samples:
+        assert abs(s.w - (0.3 + 0.2 * dom.coordinate(s.point))) <= 1e-12
+
+
+def test_next_proposal_follows_the_rouche_excess(monkeypatch):
+    # one segment of length 1 from x = 0, so h_max = H_MAX_FRAC and a step
+    # is x1 - x0; a proposal that lands on x = 1 may be cut short
+    checks = []
+    validate = engine.validate_step
+
+    def recording(f, loc, x1):
+        check = validate(f, loc, x1)
+        checks.append((loc.x0, x1, check))
+        return check
+
+    monkeypatch.setattr(engine, "validate_step", recording)
+    f = f_of("pow(z, 2) - x")
+    dom = ParamDomain.interval()
+    assert continue_branch(f, dom, dom.interval_point(0.0), 0.0).completed
+    h_max = engine.H_MAX_FRAC
+
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-15)
+
+    low = high = 0
+    for (x0, x1, check), (y0, y1, _) in zip(checks, checks[1:]):
+        if y0 != x1 or y1 == 1.0:
+            continue  # the step was rejected past the check, or next one cut
+        h, h_next = x1 - x0, y1 - y0
+        if check.excess <= engine.GROW_EXCESS:
+            low += 1
+            assert close(h_next, min(2.0 * h, h_max)), (h, h_next)
+        else:
+            assert check.excess <= 1.0
+            high += 1
+            assert close(h_next, h) or close(h_next, min(1.5 * h, h_max)), (h, h_next)
+            if h < h_max:
+                assert not close(h_next, 2.0 * h), (h, h_next)
+    assert low > 0 and high > 0
+
+
+def test_certificate_bound_run_keeps_its_steps():
+    # the rotating pair at k = 8 is certificate-bound: its Rouche checks use
+    # most of their margin, so its steps stay the ramp's and the branch is
+    # right
+    br, err = _rotating_pair_run(8)
+    assert br.status.kind is Status.COMPLETED
+    assert br.status.diagnostics["accepted_steps"] == 186
+    assert err <= 1e-12
+
+
 def test_completed_run_keeps_snap_diagnostics():
-    # remark-exp stalls 2.8e-12 short of x = 0 and snaps onto the end
+    # remark-exp stalls 3.6e-12 short of x = 0 and snaps onto the end
     f, dom, x0, z0, cfg = build(parse_problem({"fixture": "remark-exp"}))
     br = continue_branch(f, dom, x0, z0, cfg)
     assert br.status.kind is Status.COMPLETED
     d = br.status.diagnostics
     assert d["snapped"] is True
     assert 0.0 < d["snap_gap"] <= 1e-9
-    assert d["accepted_steps"] == 74
+    assert d["accepted_steps"] == 82
 
 
 def test_step_budget_does_not_decide_the_exp_blowup():
@@ -553,6 +633,33 @@ def test_step_budget_exhaustion_without_evidence_is_unresolved():
     assert d["reason"] == "step budget exhausted"
     assert d["unresolved"] is True
     assert d["accepted_steps"] == 5
+
+
+@pytest.mark.parametrize("max_steps", [7800, 8000])
+def test_budget_verdict_needs_growing_shells(max_steps):
+    # two bounded root curves that turn fast, w = p1(x) with max |w| 3.18;
+    # a budget of 7800 steps runs out where the shell fit reads a pole order
+    # of 0.35, above POLE_ORDER_MIN, although |w| does not grow from shell
+    # to shell; 8000 is the default budget
+    p1 = (
+        "-1.48036031572512 - 0.18585538277397395*i"
+        " + (0.502192702511723 + 1.639861434898572*i)*x"
+        " + 1.4420069223272254*exp(2*pi*i*96*x)"
+    )
+    p2 = (
+        "0.6106951200759654 + 0.010601603888488853*i"
+        " + (1.2777998430805804 - 0.6276096563426337*i)*x"
+        " + 1.316168238433498*exp(2*pi*i*50*x)"
+    )
+    f = f_of(f"(z - ({p1}))*(z - ({p2}))")
+    dom = ParamDomain.interval()
+    z0 = -1.48036031572512 + 1.4420069223272254 - 0.18585538277397395j
+    cfg = EngineConfig(max_steps=max_steps)
+    br = continue_branch(f, dom, dom.interval_point(0.0), z0, cfg)
+    d = br.status.diagnostics
+    assert br.completed or (
+        br.status.kind is Status.NON_CONVERGENT and d.get("unresolved") is True
+    ), d
 
 
 def _interior_pole_run(text, x0, z0, config, closed_form):
