@@ -2,14 +2,16 @@
 
 The parameter x is real (the arc coordinate of a domain point), z is
 complex.  Trees are data: EntireFunction evaluates F and its exact symbolic
-dF/dz (so contour integrands need no finite differences) through one path,
-compiled straight-line numpy code (see _Kernel), vectorized over an array
-of z values at a float x, or over rows (x[k], z[k]) for a float array x of
-z's shape.
+dF/dz (so contour integrands need no finite differences) through one
+compiled straight-line code (see _Kernel): on numpy arrays, vectorized over
+an array of z values at a float x or over rows (x[k], z[k]) for a float
+array x of z's shape, and on Python complex numbers at one point (x, z).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -457,9 +459,27 @@ class EntireFunction:
             self._compiled = _Kernel(self.expr)
         return self._compiled(x, z, dz)
 
+    def at(self, x: float, z: complex, dz: bool = True) -> tuple[complex, ...]:
+        """(F, dF/dz) at one point, or (F,) when dz is False, as Python
+        complex numbers.
+
+        The kernel's code runs on Python complex numbers and cmath (see
+        _Kernel.at), which may round a last bit differently from numpy's
+        array loops.  Where that arithmetic raises or gives a value that is
+        not finite, the point goes through kernel instead, so a non-finite
+        value is always kernel's.  Unchecked, like kernel.
+        """
+        x = self._check_x(x)
+        if self._compiled is None:
+            self._compiled = _Kernel(self.expr)
+        return self._compiled.at(x, complex(z), dz)
+
     def eval(self, x: float, z: complex) -> complex:
         """Evaluate F(x, z) for scalar z. Raises NonFiniteError on overflow."""
-        return complex(self.eval_many(x, np.asarray([z], dtype=np.complex128))[0])
+        (v,) = self.at(x, z, dz=False)
+        if not cmath.isfinite(v):
+            raise NonFiniteError(f"F(x={x}, z={complex(z)}) is not finite")
+        return v
 
     def eval_many(self, x: float, z: np.ndarray) -> np.ndarray:
         """Vectorized F(x, z) over an array of z values."""
@@ -492,11 +512,40 @@ def x_key(x: float) -> bytes:
 
 
 _F64 = struct.Struct("<d")
-_X_CACHE = 8  # x values whose x-only part one kernel keeps
+_X_CACHE = 8  # x values whose x-only part one kernel keeps, on each path
+
+
+def _remember(cache: dict, key: bytes, value: tuple) -> tuple:
+    """cache[key] = value, first dropping the oldest of _X_CACHE keys."""
+    if len(cache) >= _X_CACHE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _as_rows(value, z: np.ndarray) -> np.ndarray:
+    out = np.asarray(value, dtype=np.complex128)
+    return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()
+
+
+def _as_complex(value, _z=None, dtype=None) -> complex:
+    """asarray and rows of the one-point path: the value as a complex."""
+    return complex(value)
+
+
+# the names the compiled code calls, on numpy arrays and at one point
+_ARRAY_OPS = {
+    "asarray": np.asarray, "complex128": np.complex128, "rows": _as_rows,
+    "exp": np.exp, "sin": np.sin, "cos": np.cos,
+}
+_POINT_OPS = {
+    "asarray": _as_complex, "complex128": complex, "rows": _as_complex,
+    "exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos,
+}
 
 
 class _Kernel:
-    """F and dF/dz of one function as compiled straight-line numpy code.
+    """F and dF/dz of one function as compiled straight-line code.
 
     The value tree and its symbolic dz tree are hash-consed into one DAG,
     so each distinct subexpression is computed once per call.  Constants
@@ -516,6 +565,9 @@ class _Kernel:
     points, so a group is one cell between them, numbered by the count of
     points <= x plus the count of points < x.  (np.unique is avoided: its
     first call imports numpy.ma.)
+
+    The same code object runs a second time under _POINT_OPS, on Python
+    complex numbers and cmath, for one point (see at).
     """
 
     def __init__(self, expr: Expr):
@@ -535,19 +587,20 @@ class _Kernel:
             e.x0 if isinstance(e, Guard) else e.xc
             for e in (self.nodes[i] for i in self.switches)
         ])
-        self.names = {
-            "asarray": np.asarray, "complex128": np.complex128, "rows": _as_rows,
-            "exp": np.exp, "sin": np.sin, "cos": np.cos,
-        }
+        consts = {}
         for i, e in enumerate(self.nodes):
             if isinstance(e, Const):
-                self.names[f"c{i}"] = e.value
+                consts[f"c{i}"] = e.value
             elif isinstance(e, Pow):
-                self.names[f"n{i}"] = e.n
+                consts[f"n{i}"] = e.n
+        self.names = {**_ARRAY_OPS, **consts}
+        self.point_names = {**_POINT_OPS, **consts}
         # signature -> its (x part, z part); x bits -> (its z part, the x
-        # part's values at x)
+        # part's values at x); the same for the one-point path
         self.codes: dict[tuple[bool, ...], tuple] = {}
         self.by_x: dict[bytes, tuple] = {}
+        self.point_codes: dict[tuple[bool, ...], tuple] = {}
+        self.point_by_x: dict[bytes, tuple] = {}
 
     def _intern(self, e: Expr, kids: tuple[int, ...], ids: dict) -> int:
         """The DAG id of e, whose children have the ids kids."""
@@ -572,12 +625,31 @@ class _Kernel:
             key = x_key(x)
             hit = self.by_x.get(key)
             if hit is None:
-                xpart, zpart = self._parts(self._signature(x))
-                if len(self.by_x) >= _X_CACHE:
-                    del self.by_x[next(iter(self.by_x))]
-                hit = self.by_x[key] = (zpart, xpart(complex(x)))
+                xpart, zpart = self._parts(x, self.codes)
+                hit = _remember(self.by_x, key, (zpart, xpart(complex(x))))
             zpart, xvals = hit
             return zpart(xvals, z, dz)
+
+    def at(self, x: float, z: complex, dz: bool) -> tuple[complex, ...]:
+        """__call__ at the one point (x, z), run under point_names.
+
+        The x part's values are kept per x as in __call__, apart from it.
+        Where the Python arithmetic raises, or F or dF/dz is not finite,
+        __call__ evaluates the point instead.
+        """
+        key = x_key(x)
+        hit = self.point_by_x.get(key)
+        try:
+            if hit is None:
+                xpart, zpart = self._parts(x, self.point_codes)
+                hit = _remember(self.point_by_x, key, (zpart, xpart(complex(x))))
+            zpart, xvals = hit
+            out = zpart(xvals, z, dz)
+            if cmath.isfinite(out[0]) and cmath.isfinite(out[-1]):
+                return out
+        except (OverflowError, ZeroDivisionError, ValueError):
+            pass
+        return tuple(complex(v[0]) for v in self(x, np.array([z]), dz))
 
     def _rows(self, x: np.ndarray, z: np.ndarray, dz: bool):
         """Row k at (x[k], z[k]); each cell's code runs on its rows."""
@@ -585,12 +657,12 @@ class _Kernel:
         pts = self.points
         cell = np.searchsorted(pts, x, "right") + np.searchsorted(pts, x, "left")
         if x.size and (cell == cell.flat[0]).all():
-            xpart, zpart = self._parts(self._signature(float(x.flat[0])))
+            xpart, zpart = self._parts(float(x.flat[0]), self.codes)
             return zpart(xpart(xc), z, dz)
         out = tuple(np.empty(z.shape, dtype=np.complex128) for _ in range(1 + dz))
         for c in np.flatnonzero(np.bincount(cell.ravel())).tolist():
             rows = cell == c
-            xpart, zpart = self._parts(self._signature(float(x[rows][0])))
+            xpart, zpart = self._parts(float(x[rows][0]), self.codes)
             for o, v in zip(out, zpart(xpart(xc[rows]), z[rows], dz)):
                 o[rows] = v
         return out
@@ -602,11 +674,18 @@ class _Kernel:
             for e in (self.nodes[i] for i in self.switches)
         )
 
-    def _parts(self, sig: tuple[bool, ...]) -> tuple:
-        return self.codes.get(sig) or self._compile(sig)
+    def _parts(self, x: float, codes: dict) -> tuple:
+        """The (x part, z part) of x's choice signature, from codes or
+        point_codes."""
+        sig = self._signature(x)
+        if sig not in codes:
+            self._compile(sig)
+        return codes[sig]
 
-    def _compile(self, sig: tuple[bool, ...]) -> tuple:
-        """The x part and the z part for one choice signature.
+    def _compile(self, sig: tuple[bool, ...]) -> None:
+        """The x part and the z part for one choice signature, as one code
+        object run under names into codes and under point_names into
+        point_codes.
 
         The z part computes F's nodes first and returns (F,) there unless
         dz is asked for; then the rest of dF/dz's nodes."""
@@ -654,13 +733,17 @@ class _Kernel:
             f"return ({f}, {d})",
         ]
         # every line but the def lines is a function body
-        code = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in src)
-        scope: dict = {}
-        exec(compile(code, "<rootbranch kernel>", "exec"), self.names, scope)
+        text = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in src)
+        code = compile(text, "<rootbranch kernel>", "exec")
+        for names, codes in (
+            (self.names, self.codes), (self.point_names, self.point_codes)
+        ):
+            scope: dict = {}
+            exec(code, names, scope)
+            codes[sig] = (scope["xpart"], scope["zpart"])
         if not self.switches:
             # the only signature there is: the DAG is not needed again
             self.nodes = self.kids = []
-        return self.codes.setdefault(sig, (scope["xpart"], scope["zpart"]))
 
     def _name(self, i: int) -> str:
         e = self.nodes[i]
@@ -763,28 +846,29 @@ def polish_root(
 
     Returns the best iterate and its residual |F(x, z)|.  Stops early when
     the residual stops improving, and when an iterate repeats an earlier
-    one bit for bit (the kernel is deterministic, so the rest would replay
-    a cycle that cannot improve the best); never moves to a worse iterate.
-    Each iterate costs one kernel call for F and dF/dz together.
+    one bit for bit (the evaluation is deterministic, so the rest would
+    replay a cycle that cannot improve the best); never moves to a worse
+    iterate.  Each iterate costs one call of the one-point evaluator
+    f.at for F and dF/dz together, on Python complex numbers.
     """
     z = best_z = complex(z0)
-    fz, d = _pair_at(f, x, z)
-    if not np.isfinite(fz):
+    fz, d = f.at(x, z)
+    if not cmath.isfinite(fz):
         return best_z, float("inf")
     r = best_r = abs(fz)
     # hex keeps 0.0 and -0.0 apart, which the kernel may tell apart
     seen = {(z.real.hex(), z.imag.hex())}
     for _ in range(max_iter):
         # a non-finite d is a break as well
-        if r == 0.0 or d == 0 or not np.isfinite(abs(d)):
+        if r == 0.0 or d == 0 or not math.isfinite(abs(d)):
             break
         z = z - fz / d
         key = (z.real.hex(), z.imag.hex())
         if key in seen:
             break
         seen.add(key)
-        fz, d = _pair_at(f, x, z)
-        if not np.isfinite(fz):
+        fz, d = f.at(x, z)
+        if not cmath.isfinite(fz):
             break
         r = abs(fz)
         if r < best_r:
@@ -792,11 +876,6 @@ def polish_root(
         elif r > 2.0 * best_r:
             break
     return best_z, best_r
-
-
-def _pair_at(f: EntireFunction, x: float, z: complex) -> tuple[complex, complex]:
-    fv, dv = f.kernel(x, np.asarray([z], dtype=np.complex128))
-    return complex(fv[0]), complex(dv[0])
 
 
 def polish_roots(
@@ -810,9 +889,10 @@ def polish_roots(
     polish_root's rules with its default iteration count, except that a
     row stops when a Newton step gives back its current iterate bit for
     bit, not whenever one gives back an earlier iterate: a longer cycle
-    only replays iterates already scored, so the row still ends with
-    polish_root's result.  Returns the arrays (z, residual), of that
-    shape.
+    only replays iterates already scored.  numpy's array arithmetic may
+    round a last bit differently from polish_root's Python arithmetic, so
+    a row agrees with polish_root to a few ulp, not bit for bit.  Returns
+    the arrays (z, residual), of that shape.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
@@ -856,8 +936,3 @@ def _reached(roots, kids: dict, reads_z: dict) -> set[int]:
             seen.add(i)
             todo.extend(kids[i])
     return seen
-
-
-def _as_rows(value, z: np.ndarray) -> np.ndarray:
-    out = np.asarray(value, dtype=np.complex128)
-    return out if out.shape == z.shape else np.broadcast_to(out, z.shape).copy()

@@ -10,12 +10,16 @@ the solver makes per step: the radius search at a new frontier, the
 Rouche check with the factor at x1 that reuses its samples, and the
 Newton polish of the root taken from that factor.  Every call is checked
 to give the result the solver would keep, so a benchmark of a failing
-path cannot pass for a fast one.
+path cannot pass for a fast one.  One more benchmark times the
+evaluation each Newton iterate makes, (F, dF/dz) at one point, through
+the one-point evaluator f.at and through f.kernel on a 1-element array.
 """
 
+import numpy as np
 import pytest
 
-from rootbranch import build, local_monic_factor, parse_problem, poly_roots
+from rootbranch import EntireFunction, SeriesForm, build, local_monic_factor
+from rootbranch import parse_expression, parse_problem, poly_roots
 from rootbranch.expressions import polish_root
 from rootbranch.localize import select_radius, validate_step
 
@@ -61,3 +65,35 @@ def test_polish_root(benchmark, name):
     (w1,) = poly_roots(local_monic_factor(f, x1, loc.circle, levels=check.samples))
     _w, residual = benchmark(polish_root, f, x1, complex(w1))
     assert residual <= 1e-10
+
+
+# a monic quintic whose coefficients move with x, given as a series like
+# the benchmark's poly-dense families
+QUINTIC = (
+    "(0.3 + 0.1*i) - 0.2*x", "(-0.5 + 0.2*i) + 0.4*x", "(0.7 - 0.3*i)*x",
+    "1.1 - 0.6*x", "(-0.2 + 0.9*i) + 0.3*x", "1.0",
+)
+
+
+def _one_point(name):
+    """A function and a point (x, z) near a root, where polish runs."""
+    if name == "quintic-series":
+        f = EntireFunction(SeriesForm(tuple(map(parse_expression, QUINTIC))).expr)
+        return f, 0.3, 0.5 + 0.5j
+    f, *_ = build(parse_problem({"fixture": name}))
+    x0, z0, h = POINTS[name]
+    return f, x0 + h, z0
+
+
+@pytest.mark.parametrize("path", ["at", "kernel"])
+@pytest.mark.parametrize("name", ["remark-exp-asymptotic", "quintic-series"])
+def test_one_point_pair(benchmark, name, path):
+    f, x, z = _one_point(name)
+    zs = np.array([z])
+    if path == "at":
+        fv, dv = benchmark(f.at, x, z)
+    else:
+        fv, dv = (complex(v[0]) for v in benchmark(f.kernel, x, zs))
+    # both paths give the same pair up to numpy's last-bit rounding
+    for got, want in zip((fv, dv), f.kernel(x, zs)):
+        assert abs(got - want[0]) <= 1e-14 * abs(want[0])

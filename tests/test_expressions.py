@@ -1,4 +1,6 @@
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -282,8 +284,7 @@ def _polish_root_every_iteration(f, x, z0, max_iter=8):
     """polish_root without its stop at a repeated iterate."""
 
     def pair(z):
-        fv, dv = f.kernel(x, np.asarray([z], dtype=np.complex128))
-        return complex(fv[0]), complex(dv[0])
+        return f.at(x, z)
 
     z = best_z = complex(z0)
     fz, d = pair(z)
@@ -340,16 +341,16 @@ def test_polish_stops_at_a_repeat_without_changing_the_result(
 
 def test_polish_stops_when_newton_cycles():
     # Newton cycles 0 -> 1 -> 0 on z^3 - 2z + 2: the repeat of 0 ends it
-    # after two kernel calls instead of running all iterations
+    # after two one-point evaluations instead of running all iterations
     c = f_of("pow(z, 3) - 2.0*z + 2.0")
     calls = []
-    kernel = c.kernel
+    at = c.at
 
     def counting(x, z, **kw):
-        calls.append(z.size)
-        return kernel(x, z, **kw)
+        calls.append(z)
+        return at(x, z, **kw)
 
-    c.kernel = counting
+    c.at = counting
     assert polish_root(c, 0.0, 0j) == (1.0, 1.0)
     assert len(calls) == 2
     calls.clear()
@@ -629,6 +630,132 @@ def test_kernel_matches_tree_walk_bit_for_bit(expr, xs):
     )
     _assert_same_bits(f.kernel(x2, z2), walk, _bits_any_nan)
     _assert_same_bits(f.kernel(x2, z2, dz=False), walk[:1], _bits_any_nan)
+
+
+def _walk_point(e, x, z):
+    """_walk at one point, on Python complex numbers: each node runs the
+    Python operation its Expr.code names in the one-point namespace
+    (complex for asarray, cmath for exp, sin and cos).  Raises where that
+    arithmetic raises."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, X):
+        return complex(x)
+    if isinstance(e, Z):
+        return z
+    if isinstance(e, (Guard, Split)):
+        take = x == e.x0 if isinstance(e, Guard) else x <= e.xc
+        return _walk_point(e.children()[0 if take else 1], x, z)
+    v = [_walk_point(c, x, z) for c in e.children()]
+    if isinstance(e, Add):
+        return v[0] + v[1]
+    if isinstance(e, Sub):
+        return v[0] - v[1]
+    if isinstance(e, Mul):
+        return v[0] * v[1]
+    if isinstance(e, Neg):
+        return -v[0]
+    if isinstance(e, Pow):
+        return complex(v[0]) ** e.n
+    return {Exp: cmath.exp, Sin: cmath.sin, Cos: cmath.cos}[type(e)](v[0])
+
+
+def _walk_point_or_none(e, x, z):
+    """_walk_point as a complex, or None where it raises or is not finite."""
+    try:
+        v = complex(_walk_point(e, x, z))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    return v if cmath.isfinite(v) else None
+
+
+def _point_bits(values):
+    return [struct.pack("<dd", v.real, v.imag) for v in values]  # signed zeros too
+
+
+def _eval_or_raise(ev, x, z):
+    try:
+        return complex(ev(x, z))
+    except NonFiniteError:
+        return NonFiniteError
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=TREES, xs=X_SEQUENCES)
+def test_one_point_matches_cmath_walk_bit_for_bit(expr, xs):
+    # f.at runs the kernel's code on Python complex numbers; where that
+    # arithmetic raises or is not finite it gives the array kernel's bits
+    f = EntireFunction(expr)
+    dz = expr.dz()
+    for x in xs:
+        for z in NODES_Z.tolist():
+            walk = [_walk_point_or_none(e, x, z) for e in (expr, dz)]
+            array = [complex(v[0]) for v in f.kernel(x, np.array([z]))]
+            want = array if None in walk else walk
+            assert _point_bits(f.at(x, z)) == _point_bits(want)
+            # F alone: the x part runs dF/dz's x-only nodes too, so where
+            # only the walk of dF/dz fails, either answer may come back
+            if walk[0] is None:
+                allowed = array[:1]
+            else:
+                allowed = walk[:1] + (array[:1] if walk[1] is None else [])
+            assert _point_bits(f.at(x, z, dz=False))[0] in _point_bits(allowed)
+            # NonFiniteError exactly where the array path raises it
+            one = _eval_or_raise(f.eval, x, z)
+            many = _eval_or_raise(lambda x, z: f.eval_many(x, np.array([z]))[0], x, z)
+            assert (one is NonFiniteError) == (many is NonFiniteError)
+            if one is not NonFiniteError:
+                assert _point_bits([one]) == _point_bits(f.at(x, z, dz=False))
+
+
+def _on_the_array_kernel(f):
+    """f with its one-point evaluator replaced by the array kernel on a
+    1-element array."""
+    g = EntireFunction(f.expr, f.x_range)
+
+    def at(x, z, dz=True):
+        return tuple(complex(v[0]) for v in g.kernel(x, np.array([complex(z)]), dz))
+
+    g.at = at
+    return g
+
+
+@pytest.mark.parametrize(
+    "text, x, z, error",
+    [
+        # exp(exp(40)) = exp(2.35e17) overflows: F is inf on both paths
+        ("exp(exp(z))", 0.5, 40.0, OverflowError),
+        # the same overflow, where numpy's F is a finite 0
+        ("exp(-exp(exp(z))) + z - 40.0", 0.5, 40.0, OverflowError),
+        # a negative power of an x-only base at x = 0
+        ("z - pow(x, -1)", 0.0, 1.0, ZeroDivisionError),
+        # z*1e200*1e200 is inf without raising; cmath.sin(inf) raises
+        ("sin(z*1e200*1e200)", 0.5, 1.0, ValueError),
+    ],
+)
+def test_one_point_falls_back_to_the_array_kernel(text, x, z, error):
+    f = f_of(text)
+    with pytest.raises(error):
+        _walk_point(f.expr, x, complex(z))
+    g = _on_the_array_kernel(f)
+    for dz in (True, False):
+        assert _point_bits(f.at(x, z, dz)) == _point_bits(g.at(x, z, dz))
+    assert _polish_bits(polish_root(f, x, z)) == _polish_bits(polish_root(g, x, z))
+    want = _eval_or_raise(lambda x, z: f.eval_many(x, np.array([z]))[0], x, z)
+    got = _eval_or_raise(f.eval, x, z)
+    if want is NonFiniteError:
+        assert got is NonFiniteError
+    else:
+        assert _point_bits([got]) == _point_bits([want])
+
+
+def test_polish_root_at_a_fixture_step_makes_no_kernel_call():
+    # a step of monic-cubic-interval off its seed root 1 at x = 0
+    f, *_ = build(parse_problem({"fixture": "monic-cubic-interval"}))
+    points = _counting_kernel(f)
+    _w, residual = polish_root(f, 1e-3, 1.0)
+    assert residual < 1e-15
+    assert points == []
 
 
 def test_kernel_keys_x_on_its_bits():
