@@ -22,7 +22,6 @@ from .engine import (
     RootBranch,
     Status,
     TerminationStatus,
-    classify_termination,
     continue_branch,
     extend_segment,
     match_root,
@@ -31,7 +30,6 @@ from .engine import (
 from .errors import (
     CertificateError,
     CofactorVanishesError,
-    DegenerateAtPointError,
     NoConvergenceError,
     NonFiniteError,
     NonIntegerWindingError,
@@ -61,7 +59,6 @@ __all__ = [
     "CertificateError",
     "Circle",
     "CofactorVanishesError",
-    "DegenerateAtPointError",
     "DomainPoint",
     "Edge",
     "EngineConfig",
@@ -88,7 +85,6 @@ __all__ = [
     "SweepSegment",
     "TerminationStatus",
     "ZeroOnContourError",
-    "classify_termination",
     "continue_branch",
     "count_zeros",
     "degeneracy_probe",

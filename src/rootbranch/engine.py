@@ -13,7 +13,8 @@ where the following localizations start halving, and the endgame record
 segment end.
 
 Termination is classified, never silent: Completed, AsymptoticBlowup,
-DegenerateBarrier, NonConvergent, or SeedInvalid.
+DegenerateBarrier, NonConvergent, or SeedInvalid.  How a stalled frontier
+ends is decided in one place, the stall block of extend_segment.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .contour import MonicPoly, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
     CertificateError,
-    DegenerateAtPointError,
     NonFiniteError,
     NonIntegerWindingError,
     NoRadiusFoundError,
     OutOfDomainError,
     SolverError,
 )
-from .expressions import EntireFunction, degeneracy_probe, polish_root, polish_roots
+from .expressions import EntireFunction, degeneracy_probe, modulus, polish_root, polish_roots
 from .localize import (
     RADIUS_HALVINGS,
     LocalFactorization,
@@ -181,49 +181,10 @@ def match_root(candidates: Sequence[complex], w_prev: complex) -> RootMatch:
     return RootMatch(None, True)
 
 
-def classify_termination(
-    f: EntireFunction,
-    window: Sequence[BranchSample],
-    x_limit: float,
-    cfg: EngineConfig,
-) -> Optional[TerminationStatus]:
-    """Classify a stalled continuation from its recent sample window.
-
-    Order: blowup by threshold, then degeneracy of z -> F(x_limit, z), then
-    oscillation (window diameter above OSC_TOL).  None means the window is
-    converged and nondegenerate: the caller may retry with fresh steps.
-    """
-    ws = [s.w for s in window]
-    if ws:
-        peak = max(abs(w) for w in ws)
-        if peak > cfg.blowup_threshold and window[-1].residual <= cfg.residual_tol:
-            return TerminationStatus(
-                Status.ASYMPTOTIC_BLOWUP,
-                {"max_abs_w": peak, "last_residual": window[-1].residual},
-            )
-    constant = degeneracy_probe(f, x_limit)
-    if constant is not None:
-        return TerminationStatus(
-            Status.DEGENERATE_BARRIER,
-            {
-                "constant": constant,
-                "x_limit": x_limit,
-                "window_diameter": _window_diameter(ws),
-            },
-        )
-    diam = _window_diameter(ws)
-    if diam > OSC_TOL:
-        return TerminationStatus(
-            Status.NON_CONVERGENT,
-            {"window_diameter": diam, "x_limit": x_limit},
-        )
-    return None
-
-
-def _window_diameter(ws: Sequence[complex]) -> float:
-    if len(ws) < 2:
+def _window_diameter(window: Sequence[BranchSample]) -> float:
+    if len(window) < 2:
         return 0.0
-    arr = np.asarray(list(ws), dtype=np.complex128)
+    arr = np.array([s.w for s in window], dtype=np.complex128)
     return float(np.abs(arr[:, None] - arr[None, :]).max())
 
 
@@ -434,16 +395,25 @@ def extend_segment(
 
     One loop over explicit state: the frontier (s, pt, cx, w), the step h,
     the certificate loc at the frontier (None: localize first), the reason
-    the frontier stalled (if it did) and the counters; a stall is
-    classified from the last WINDOW samples.  A pass either resolves a
-    stall (snap onto the end, classify, or retry with fresh steps), or
-    proposes one step from the certificate.  A rejection halves h and
-    keeps loc, unless loc was kept from the step before: then the same h
-    is proposed again from a fresh localization.  An acceptance moves the
-    frontier and keeps loc's circle as the certificate there when
-    carry_certificate admits it, else drops loc.  It doubles h when its
-    Rouche excess is at most GROW_EXCESS, else grows h by GROW_FACTOR
-    after GROW_AFTER acceptances in a row; h never exceeds h_max.
+    the frontier stalled (if it did) and the counters.  A pass either
+    resolves a stall or proposes one step from the certificate.  A stall
+    (the step underflowed H_MIN, no radius was admissible, or the step
+    budget ran out) ends, in this order: Completed when _snap_to_end
+    snaps it onto the segment end; the budget verdict (below); a soft
+    AsymptoticBlowup when _blowup_evidence reads the last WINDOW samples
+    as a pole; DegenerateBarrier when degeneracy_probe finds
+    z -> F(x, z) constant at the frontier; NonConvergent when those
+    samples are wider than OSC_TOL.  Otherwise the window has converged
+    and the frontier is retried with fresh steps, STALL_RETRIES times,
+    before it ends NonConvergent with converged_window.
+
+    A rejection halves h and keeps loc, unless loc was kept from the step
+    before: then the same h is proposed again from a fresh localization.
+    An acceptance moves the frontier and keeps loc's circle as the
+    certificate there when carry_certificate admits it, else drops loc.
+    It doubles h when its Rouche excess is at most GROW_EXCESS, else
+    grows h by GROW_FACTOR after GROW_AFTER acceptances in a row; h never
+    exceeds h_max.
 
     Localization halves from r_max * scale, where r_max =
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
@@ -500,22 +470,24 @@ def extend_segment(
                 kind = Status.ASYMPTOTIC_BLOWUP
                 diag = {"max_abs_w": abs(w), "reason": stalled, "soft": True}
                 break
-            ts = classify_termination(f, window, cx, cfg)
-            # a converged, nondegenerate window retries with fresh steps
-            if ts is None and retries_left > 0:
+            diam = _window_diameter(window)
+            constant = degeneracy_probe(f, cx)
+            if constant is not None:
+                kind = Status.DEGENERATE_BARRIER
+                diag = {"constant": constant, "x_limit": cx, "window_diameter": diam}
+            elif diam > OSC_TOL:
+                kind = Status.NON_CONVERGENT
+                diag = {"window_diameter": diam, "x_limit": cx}
+            elif retries_left > 0:
+                # a converged, nondegenerate window retries with fresh steps
                 retries_left -= 1
                 h = max(1000.0 * H_MIN, min(H0_FRAC * rem, h_max))
                 loc = stalled = None
                 continue
-            if ts is None:
-                ts = TerminationStatus(
-                    Status.NON_CONVERGENT,
-                    {
-                        "window_diameter": _window_diameter([sm.w for sm in window]),
-                        "converged_window": True,
-                    },
-                )
-            kind, diag = ts.kind, {**ts.diagnostics, "reason": stalled}
+            else:
+                kind = Status.NON_CONVERGENT
+                diag = {"window_diameter": diam, "converged_window": True}
+            diag["reason"] = stalled
             break
 
         if loc is None:
@@ -525,11 +497,6 @@ def extend_segment(
             kept = False
             try:
                 loc = select_radius(f, cx, w, start)
-            except DegenerateAtPointError as e:
-                counts["radius_tries"] += RADIUS_HALVINGS + 1
-                kind = Status.DEGENERATE_BARRIER
-                diag = {"constant": e.constant, "at_frontier": True}
-                break
             except NoRadiusFoundError:
                 # select_radius raises only after trying every halving
                 counts["radius_tries"] += RADIUS_HALVINGS + 1
@@ -677,7 +644,7 @@ def _step_root(
     # e.g. exp(u)-1 with u below cancellation scale) the matched
     # candidate only adds quadrature noise; keep the incumbent
     try:
-        if abs(f.eval(x1, w)) == 0.0:
+        if f.eval(x1, w) == 0:
             w1, res1 = w, 0.0
     except NonFiniteError:
         pass
@@ -808,9 +775,11 @@ def continue_branch(
 
 def _seed_scale(f: EntireFunction, cx: float, w: complex) -> float:
     """Typical |F| magnitude near the seed, for a relative seed tolerance."""
-    r = 0.5 * (1.0 + abs(w))
+    r = 0.5 * (1.0 + modulus(w))
     for _ in range(3):
-        zs = w + r * np.exp(2j * np.pi * np.arange(8) / 8)
+        # a circle past the float range has non-finite nodes, and so F
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = w + r * np.exp(2j * np.pi * np.arange(8) / 8)
         try:
             return float(np.abs(f.eval_many(cx, zs)).max())
         except NonFiniteError:

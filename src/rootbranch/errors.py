@@ -41,14 +41,6 @@ class NoRadiusFoundError(SolverError):
     """Radius scan exhausted its halving budget without an admissible circle."""
 
 
-class DegenerateAtPointError(SolverError):
-    """z -> F(x0, z) is constant at the probed parameter point."""
-
-    def __init__(self, message: str, constant: complex):
-        self.constant = constant
-        super().__init__(message)
-
-
 class ProblemSyntaxError(SolverError):
     """Problem file or expression text failed to parse."""
 

@@ -839,6 +839,15 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> Optional[complex]:
 POLISH_MAX_ITER = 8
 
 
+def modulus(c: complex) -> float:
+    """abs(c), or inf where finite parts have a modulus past the float
+    range: abs() of a Python complex raises there, np.abs gives inf."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def polish_root(
     f: EntireFunction, x: float, z0: complex, max_iter: int = POLISH_MAX_ITER
 ) -> tuple[complex, float]:
@@ -855,12 +864,12 @@ def polish_root(
     fz, d = f.at(x, z)
     if not cmath.isfinite(fz):
         return best_z, float("inf")
-    r = best_r = abs(fz)
+    r = best_r = modulus(fz)
     # hex keeps 0.0 and -0.0 apart, which the kernel may tell apart
     seen = {(z.real.hex(), z.imag.hex())}
     for _ in range(max_iter):
         # a non-finite d is a break as well
-        if r == 0.0 or d == 0 or not math.isfinite(abs(d)):
+        if r == 0.0 or d == 0 or not math.isfinite(modulus(d)):
             break
         z = z - fz / d
         key = (z.real.hex(), z.imag.hex())
@@ -870,7 +879,7 @@ def polish_root(
         fz, d = f.at(x, z)
         if not cmath.isfinite(fz):
             break
-        r = abs(fz)
+        r = modulus(fz)
         if r < best_r:
             best_z, best_r = z, r
         elif r > 2.0 * best_r:

@@ -35,12 +35,12 @@ from .contour import (
 )
 from .errors import (
     CertificateError,
-    DegenerateAtPointError,
     NonFiniteError,
     NoRadiusFoundError,
     ZeroOnContourError,
 )
-from .expressions import EntireFunction, degeneracy_probe
+# degeneracy_probe is not called here: perfbench/tracer.py wraps this binding
+from .expressions import EntireFunction, degeneracy_probe  # noqa: F401
 
 RADIUS_HALVINGS = 40  # select_radius: halvings of the start radius before giving up
 CENTER_FRAC = 0.1  # the factor's roots must lie within CENTER_FRAC * r of the center
@@ -121,9 +121,10 @@ def select_radius(
     A radius is accepted when the contour is clear of zeros with a stable
     integer count n >= 1, the factor's roots hug the center (within
     CENTER_FRAC * r, by the Cauchy bound 2 * max |a_k|**(1/k)), and the
-    cofactor F/P stays bounded away from zero inside.  After RADIUS_HALVINGS failures the
-    point is probed for degeneracy: DegenerateAtPointError if
-    z -> F(x0, z) is constant, else NoRadiusFoundError.
+    cofactor F/P stays bounded away from zero inside.  After
+    RADIUS_HALVINGS halvings it raises NoRadiusFoundError; whether
+    z -> F(x0, z) is constant there is the caller's question (the engine
+    asks it where the frontier stalls).
 
     CLEAR_MARGIN > 1 makes the zero-on-contour checks stricter here than
     at step time, so a kept certificate never sits on the exact threshold
@@ -138,9 +139,6 @@ def select_radius(
         if loc is not None:
             return loc
         r *= 0.5
-    constant = degeneracy_probe(f, x0)
-    if constant is not None:
-        raise DegenerateAtPointError(f"z -> F({x0}, z) is constant ({constant})", constant)
     raise NoRadiusFoundError(
         f"no admissible radius in [{r_max * 0.5 ** RADIUS_HALVINGS:.3e}, {r_max:.3e}] at x={x0}"
     )

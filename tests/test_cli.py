@@ -310,6 +310,28 @@ def test_nesting_at_the_bound_reaches_the_solver(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "function, z0, status",
+    [
+        # |F| at the seed has finite parts and a modulus past the float range
+        ("1e308*(z+1) + 1e308*i*(z+1)", 0.5, Status.SEED_INVALID),
+        # the seed root itself has a modulus past the float range
+        ("z - (1.5e308 + 1.5e308*i)", 1.5e308 + 1.5e308j, None),
+    ],
+    ids=["residual", "seed"],
+)
+def test_moduli_past_the_float_range_end_in_a_status(tmp_path, capsys, function, z0, status):
+    doc = {**_interval_problem(function), "seed": {"x": 0.0, "z": [z0.real, z0.imag]}}
+    pf = tmp_path / "huge.json"
+    pf.write_text(json.dumps(doc))
+    code = main(["--problem", str(pf), "--out", str(tmp_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == EXIT_CODES[Status(summary["status"])]
+    if status is not None:
+        assert code == EXIT_CODES[status]
+
+
+@pytest.mark.parametrize(
     "function, domain, seed, code, diagnostic",
     [
         # z -> x*z - x is constant at the seed x = 0: no step is taken

@@ -14,7 +14,6 @@ from rootbranch import (
     ParamDomain,
     Status,
     build,
-    classify_termination,
     continue_branch,
     fixture_names,
     get_fixture,
@@ -30,13 +29,6 @@ from rootbranch.cli import main
 
 def f_of(text):
     return EntireFunction(parse_expression(text))
-
-
-def window_at(dom, arcs, ws, residual=1e-12):
-    return [
-        BranchSample(0, float(a), dom.interval_point(min(float(a), 1.0)), w, residual)
-        for a, w in zip(arcs, ws)
-    ]
 
 
 def test_match_root_nearest():
@@ -69,39 +61,71 @@ def test_polish_root_newton():
     assert res < 1e-12
 
 
-def test_classify_blowup():
+def _interval_run(text, x0, z0):
+    f = f_of(text)
     dom = ParamDomain.interval()
-    f = f_of("z - x")
-    ws = [1e8 * (1 + 0.1 * k) for k in range(8)]
-    win = window_at(dom, np.linspace(0.9, 0.99, 8), ws)
-    ts = classify_termination(f, win, 0.99, EngineConfig())
-    assert ts is not None and ts.kind is Status.ASYMPTOTIC_BLOWUP
-    assert ts.diagnostics["max_abs_w"] >= 1e8
+    br = continue_branch(f, dom, dom.interval_point(x0), z0)
+    return br, br.status.diagnostics
+
+
+def test_start_above_the_blowup_threshold_ends_after_one_step():
+    # the README example: every accepted sample is tested against the hard
+    # threshold where it is appended, so the first step ends the run
+    br, d = _interval_run("z - 1e9", 0.0, 1e9)
+    assert br.status.kind is Status.ASYMPTOTIC_BLOWUP
+    assert d["accepted_steps"] == 1
+    assert d["max_abs_w"] == 1e9 and d["last_residual"] == 0.0
 
 
 def test_classify_degenerate_barrier():
-    dom = ParamDomain.interval()
-    f = f_of("x*x*z - x")
-    win = window_at(dom, np.linspace(0.01, 0.001, 8), [1.0] * 8)
-    ts = classify_termination(f, win, 0.0, EngineConfig())
-    assert ts is not None and ts.kind is Status.DEGENERATE_BARRIER
-    assert ts.diagnostics["constant"] == 0.0
+    # w = 1 solves F for every x, and F(0.25, z) is identically 0: the step
+    # underflows just short of 0.25, where the stall's probe sees a constant
+    br, d = _interval_run("pow(x - 0.25, 2)*(z - 1)", 0.0, 1.0)
+    assert br.status.kind is Status.DEGENERATE_BARRIER
+    assert d["reason"] == "step size underflow"
+    assert d["accepted_steps"] == 104
+    assert d["x_limit"] == pytest.approx(0.25, abs=1e-9)
+    assert abs(d["constant"]) < 1e-20
+    assert d["window_diameter"] == 0.0
+    assert "at_seed" not in d
 
 
 def test_classify_oscillation():
-    dom = ParamDomain.interval()
-    f = f_of("z - x")
-    win = window_at(dom, np.linspace(0.5, 0.51, 8), [0.0, 1.0] * 4)
-    ts = classify_termination(f, win, 0.51, EngineConfig())
-    assert ts is not None and ts.kind is Status.NON_CONVERGENT
-    assert ts.diagnostics["window_diameter"] == pytest.approx(1.0)
+    # w = sqrt(x - 0.25) from x = 1 reaches the branch point at 0.25 with a
+    # window wider than OSC_TOL, and z -> F(0.25, z) is not constant
+    br, d = _interval_run("pow(z, 2) - (x - 0.25)", 1.0, math.sqrt(0.75))
+    assert br.status.kind is Status.NON_CONVERGENT
+    assert d["reason"] == "step size underflow"
+    assert d["window_diameter"] == pytest.approx(1.54e-5, rel=1e-2)
+    assert d["window_diameter"] > engine.OSC_TOL
+    assert d["x_limit"] == pytest.approx(0.25, abs=1e-9)
+    assert "converged_window" not in d
 
 
-def test_classify_converged_returns_none():
-    dom = ParamDomain.interval()
-    f = f_of("z - x")
-    win = window_at(dom, np.linspace(0.5, 0.5001, 8), [0.5 + 1e-10 * k for k in range(8)])
-    assert classify_termination(f, win, 0.5001, EngineConfig()) is None
+def test_stall_with_a_converged_window_is_nonconvergent_after_its_retries():
+    # the double root at x = 0 splits as 100 +- sqrt(x): the step underflows
+    # near the seed with a window narrower than OSC_TOL, every retry too
+    br, d = _interval_run("pow(z - 100, 2) - x", 0.0, 100.0)
+    assert br.status.kind is Status.NON_CONVERGENT
+    assert d["converged_window"] is True
+    assert d["window_diameter"] <= engine.OSC_TOL
+    assert d["accepted_steps"] == 8
+    assert "x_limit" not in d
+
+
+@pytest.mark.parametrize("scale", ["1e-05", "1.78e-05", "3.16e-05", "5.62e-05"])
+def test_stall_retry_gets_past_a_converged_stall(monkeypatch, scale):
+    # the double root at x = 0 stalls the first step; a fresh step passes it
+    text = f"pow({scale}*z, 2) - x"
+    br, d = _interval_run(text, 0.0, 0.0)
+    assert br.completed
+    if scale == "1e-05":
+        assert d["accepted_steps"] == 183
+    monkeypatch.setattr(engine, "STALL_RETRIES", 0)
+    br, d = _interval_run(text, 0.0, 0.0)
+    assert br.status.kind is Status.NON_CONVERGENT
+    assert d["converged_window"] is True
+    assert d["accepted_steps"] == 0
 
 
 def test_continue_branch_interval_quadratic():
