@@ -43,10 +43,10 @@ from .errors import (
 )
 from .expressions import (
     EntireFunction,
-    SeriesForm,
     degeneracy_probe,
     polish_root,
     polish_roots,
+    series,
 )
 from .fixtures import Fixture, fixture_names, get_fixture, list_fixtures
 from .localize import LocalFactorization, StepValidation, select_radius, validate_step
@@ -78,7 +78,6 @@ __all__ = [
     "ProblemSyntaxError",
     "ProblemValidationError",
     "RootBranch",
-    "SeriesForm",
     "Status",
     "StepValidation",
     "SolverError",
@@ -104,5 +103,6 @@ __all__ = [
     "render",
     "resample_branch",
     "select_radius",
+    "series",
     "validate_step",
 ]

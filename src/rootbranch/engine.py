@@ -190,8 +190,12 @@ def _window_diameter(window: Sequence[BranchSample]) -> float:
 
 def _blowup_evidence(window: Sequence[BranchSample], length: float) -> bool:
     """Soft asymptote test of a stalled window: |w| above BLOWUP_SOFT,
-    monotone growth, and 1/|w| heading linearly to zero at (or just past)
-    the segment end."""
+    monotone growth, and a least-squares line through 1/|w| against arc
+    whose zero lies in [s - rem/4, length + 3*rem/4], where s is the
+    window's last arc and rem = length - s.
+
+    That interval holds all of the segment past s - rem/4, so a pole
+    inside the segment counts as well as one at or just past its end."""
     if len(window) < 8:
         return False
     mags = np.array([abs(s.w) for s in window])
@@ -709,7 +713,8 @@ def continue_branch(
     The seed is Newton-polished and must satisfy |F(x0, w0)| within
     SEED_TOL of zero (relative to the local function scale), else
     SeedInvalid.  A degenerate seed point (z -> F(x0, z) constant) is a
-    DegenerateBarrier at x0.  The domain is covered by leaf-directed sweep
+    DegenerateBarrier at x0, and a seed root of modulus past the float
+    range an AsymptoticBlowup at x0.  The domain is covered by leaf-directed sweep
     segments from x0 with shared prefixes deduplicated; a segment resumes
     from the first value the branch took at its resume point, so the branch
     is single-valued at junctions by construction.  Raises
@@ -733,6 +738,10 @@ def continue_branch(
     if constant is not None:
         diag = {"constant": constant, "at_seed": True}
         return _stepless(domain, Status.DEGENERATE_BARRIER, diag, seed, x0)
+    if not math.isfinite(modulus(w0)):
+        # no circle about w0 has finite nodes, so no step can be taken
+        diag = {"max_abs_w": math.inf, "at_seed": True}
+        return _stepless(domain, Status.ASYMPTOTIC_BLOWUP, diag, seed, x0)
     sweeps = tuple(domain.sweep_targets(x0))
     if not sweeps:
         return _stepless(domain, Status.COMPLETED, {"trivial_domain": True}, seed, None)

@@ -32,8 +32,9 @@ class Expr:
     derivatives.  ``code`` is the node's operation as a Python expression
     over the children's values {0}, {1} (and {n} for Pow's exponent);
     _Kernel compiles it.  Const and Z need none: they are names in the
-    compiled code.  Guard and Split have none either: a value of x picks
-    one side.
+    compiled code.  A switch (Guard, Split) has none either: its takes(x)
+    picks one side.  _Unary, _Binary and _Switch own their nodes' fields
+    and children.
 
     No walk over a tree recurses (see walk and _fold), so the height of a
     tree is bounded by memory, not by Python's recursion limit.
@@ -82,58 +83,48 @@ class Z(Expr):
 
 
 @dataclass(frozen=True, repr=False)
-class Add(Expr):
+class _Unary(Expr):
+    a: Expr
+
+    def children(self):
+        return (self.a,)
+
+
+@dataclass(frozen=True, repr=False)
+class _Binary(Expr):
     a: Expr
     b: Expr
 
+    def children(self):
+        return (self.a, self.b)
+
+
+class Add(_Binary):
     code = "{0} + {1}"
 
     def _dz(self, da, db):
         return add(da, db)
 
-    def children(self):
-        return (self.a, self.b)
 
-
-@dataclass(frozen=True, repr=False)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
+class Sub(_Binary):
     code = "{0} - {1}"
 
     def _dz(self, da, db):
         return sub(da, db)
 
-    def children(self):
-        return (self.a, self.b)
 
-
-@dataclass(frozen=True, repr=False)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
+class Mul(_Binary):
     code = "{0} * {1}"
 
     def _dz(self, da, db):
         return add(mul(da, self.b), mul(self.a, db))
 
-    def children(self):
-        return (self.a, self.b)
 
-
-@dataclass(frozen=True, repr=False)
-class Neg(Expr):
-    a: Expr
-
+class Neg(_Unary):
     code = "-{0}"
 
     def _dz(self, da):
         return neg(da)
-
-    def children(self):
-        return (self.a,)
 
 
 @dataclass(frozen=True, repr=False)
@@ -152,84 +143,64 @@ class Pow(Expr):
         return (self.base,)
 
 
-@dataclass(frozen=True, repr=False)
-class Exp(Expr):
-    a: Expr
-
+class Exp(_Unary):
     code = "exp({0})"
 
     def _dz(self, da):
         return mul(Exp(self.a), da)
 
-    def children(self):
-        return (self.a,)
 
-
-@dataclass(frozen=True, repr=False)
-class Sin(Expr):
-    a: Expr
-
+class Sin(_Unary):
     code = "sin({0})"
 
     def _dz(self, da):
         return mul(Cos(self.a), da)
 
-    def children(self):
-        return (self.a,)
 
-
-@dataclass(frozen=True, repr=False)
-class Cos(Expr):
-    a: Expr
-
+class Cos(_Unary):
     code = "cos({0})"
 
     def _dz(self, da):
         return neg(mul(Sin(self.a), da))
 
-    def children(self):
-        return (self.a,)
-
 
 @dataclass(frozen=True, repr=False)
-class Guard(Expr):
-    """Piecewise value pinned at one parameter point.
+class _Switch(Expr):
+    """Piecewise choice at the parameter point ``at``: ``a`` where the
+    switch takes x, ``b`` elsewhere.
 
-    Evaluates ``at_value`` when x equals x0 exactly, ``elsewhere`` otherwise.
-    Only the selected branch is evaluated (row by row for an array x), so
-    the other branch may be singular at x0 (the usual use: removable limits
-    at a domain boundary).
+    Only the chosen side is evaluated (row by row for an array x), so the
+    other side may be singular at ``at``.
     """
 
-    x0: float
-    at_value: Expr
-    elsewhere: Expr
+    at: float
+    a: Expr
+    b: Expr
 
-    def _dz(self, dat, delse):
-        return Guard(self.x0, dat, delse)
+    def takes(self, x: float) -> bool:
+        raise NotImplementedError
 
-    def children(self):
-        return (self.at_value, self.elsewhere)
-
-
-@dataclass(frozen=True, repr=False)
-class Split(Expr):
-    """Two-sided piecewise switch at a parameter value.
-
-    Evaluates ``left`` for x <= xc and ``right`` for x > xc, each only on
-    its own rows for an array x.  Problem validation checks the two sides
-    agree at xc so F stays continuous.
-    """
-
-    xc: float
-    left: Expr
-    right: Expr
-
-    def _dz(self, dleft, dright):
-        return Split(self.xc, dleft, dright)
+    def _dz(self, da, db):
+        return type(self)(self.at, da, db)
 
     def children(self):
-        return (self.left, self.right)
+        return (self.a, self.b)
+
+
+class Guard(_Switch):
+    """``a`` when x equals ``at`` exactly, ``b`` otherwise (the usual use:
+    removable limits at a domain boundary)."""
+
+    def takes(self, x):
+        return x == self.at
+
+
+class Split(_Switch):
+    """``a`` for x <= at and ``b`` beyond.  Problem validation checks the
+    two sides agree at ``at`` so F stays continuous."""
+
+    def takes(self, x):
+        return x <= self.at
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +358,8 @@ def _pieces(e: Expr) -> list:
         return ["pow(", e.base, f", {e.n})"]
     if isinstance(e, (Exp, Sin, Cos)):
         return [f"{type(e).__name__.lower()}(", e.a, ")"]
-    if isinstance(e, Guard):
-        return [f"guard({e.x0!r}; ", e.at_value, "; ", e.elsewhere, ")"]
-    if isinstance(e, Split):
-        return [f"split({e.xc!r}; ", e.left, "; ", e.right, ")"]
+    if isinstance(e, _Switch):
+        return [f"{type(e).__name__.lower()}({e.at!r}; ", e.a, "; ", e.b, ")"]
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -580,13 +549,8 @@ class _Kernel:
             return self._intern(e, tuple(kids), ids)
 
         self.roots = (_fold(expr, intern, seen), _fold(expr.dz(), intern, seen))
-        self.switches = [
-            i for i, e in enumerate(self.nodes) if isinstance(e, (Guard, Split))
-        ]
-        self.points = np.sort([
-            e.x0 if isinstance(e, Guard) else e.xc
-            for e in (self.nodes[i] for i in self.switches)
-        ])
+        self.switches = [i for i, e in enumerate(self.nodes) if isinstance(e, _Switch)]
+        self.points = np.sort([self.nodes[i].at for i in self.switches])
         consts = {}
         for i, e in enumerate(self.nodes):
             if isinstance(e, Const):
@@ -608,8 +572,8 @@ class _Kernel:
             payload = (type(e.value), repr(e.value))
         elif isinstance(e, Pow):
             payload = (type(e.n), repr(e.n))
-        elif isinstance(e, (Guard, Split)):
-            payload = repr(e.x0 if isinstance(e, Guard) else e.xc)
+        elif isinstance(e, _Switch):
+            payload = repr(e.at)
         else:
             payload = None
         i = ids.setdefault((type(e), payload, kids), len(self.nodes))
@@ -668,11 +632,8 @@ class _Kernel:
         return out
 
     def _signature(self, x: float) -> tuple[bool, ...]:
-        """Per guard/split, whether x takes at_value / left."""
-        return tuple(
-            x == e.x0 if isinstance(e, Guard) else x <= e.xc
-            for e in (self.nodes[i] for i in self.switches)
-        )
+        """Per switch, whether it takes x (its side a)."""
+        return tuple(self.nodes[i].takes(x) for i in self.switches)
 
     def _parts(self, x: float, codes: dict) -> tuple:
         """The (x part, z part) of x's choice signature, from codes or
@@ -692,7 +653,7 @@ class _Kernel:
         chosen = dict(zip(self.switches, sig))
 
         def pick(i):
-            # a guard/split is its chosen side: at_value / left when True
+            # a switch is its chosen side: a when it takes x
             while i in chosen:
                 i = self.kids[i][0 if chosen[i] else 1]
             return i
@@ -773,28 +734,16 @@ class _Kernel:
         return lines
 
 
-@dataclass(frozen=True)
-class SeriesForm:
-    """F given by a finite power series in z with x-dependent coefficients.
+def series(coeffs) -> Expr:
+    """The sum of coeffs[k] * z**k as one expression, from k = 0 up.
 
-    coeffs[k] is the expression for the coefficient of z**k; coefficient
-    expressions must not mention z.
+    A power series in z needs coefficients that do not mention z;
+    parse_problem checks that for a ``series`` document.
     """
-
-    coeffs: tuple[Expr, ...]
-
-    def __post_init__(self):
-        for k, c in enumerate(self.coeffs):
-            if contains_z(c):
-                raise ValueError(f"series coefficient {k} mentions z")
-
-    @property
-    def expr(self) -> Expr:
-        """The sum of coeffs[k] * z**k as one expression."""
-        total: Expr = Const(0j)
-        for k, c in enumerate(self.coeffs):
-            total = add(total, mul(c, powi(Z(), k)))
-        return total
+    total: Expr = Const(0j)
+    for k, c in enumerate(coeffs):
+        total = add(total, mul(c, powi(Z(), k)))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,12 @@ from .expressions import (
     Split,
     X,
     Z,
-    SeriesForm,
     add,
     contains_z,
     mul,
     neg,
     powi,
+    series,
     sub,
     to_text,
     walk,
@@ -230,13 +230,13 @@ class _Parser:
                 return powi(base, n)
             if name in ("guard", "split"):
                 self.expect("(")
-                x0 = self.signed_number()
+                at = self.signed_number()
                 self.expect(";")
                 a = self.expr()
                 self.expect(";")
                 b = self.expr()
                 self.expect(")")
-                return Guard(x0, a, b) if name == "guard" else Split(x0, a, b)
+                return {"guard": Guard, "split": Split}[name](at, a, b)
             self.fail(f"unknown identifier {name!r}", t)
         self.fail("expected a number, name, or '('", t)
 
@@ -482,7 +482,7 @@ def parse_problem(data) -> ProblemSpec:
             raise ProblemValidationError(f"series coefficient {k} mentions z")
         texts.append(c)
         trees.append(e)
-    return ProblemSpec(series=tuple(texts), expr=SeriesForm(tuple(trees)).expr, **rest)
+    return ProblemSpec(series=tuple(texts), expr=series(trees), **rest)
 
 
 def render(spec: ProblemSpec) -> str:
@@ -528,25 +528,25 @@ def _validate_piecewise(expr: Expr, dom: ParamDomain) -> None:
     vertex_coords = {dom.coordinate(dom.vertex_point(i)) for i in range(len(dom.vertex_names))}
     for node in walk(expr):
         if isinstance(node, Guard):
-            if node.x0 not in vertex_coords:
+            if node.at not in vertex_coords:
                 raise ProblemValidationError(
-                    f"guard point {node.x0} is not a domain vertex coordinate"
+                    f"guard point {node.at} is not a domain vertex coordinate"
                 )
         elif isinstance(node, Split):
-            if not (lo <= node.xc <= hi):
+            if not (lo <= node.at <= hi):
                 raise ProblemValidationError(
-                    f"split point {node.xc} outside coordinate range [{lo}, {hi}]"
+                    f"split point {node.at} outside coordinate range [{lo}, {hi}]"
                 )
-            (l,) = EntireFunction(node.left).kernel(node.xc, _CONT_PROBES, dz=False)
-            (r,) = EntireFunction(node.right).kernel(node.xc, _CONT_PROBES, dz=False)
+            (l,) = EntireFunction(node.a).kernel(node.at, _CONT_PROBES, dz=False)
+            (r,) = EntireFunction(node.b).kernel(node.at, _CONT_PROBES, dz=False)
             scale = 1.0 + max(np.abs(l).max(), np.abs(r).max())
             if not np.isfinite(l).all() or not np.isfinite(r).all():
                 raise ProblemValidationError(
-                    f"split at {node.xc} is not finite on both sides"
+                    f"split at {node.at} is not finite on both sides"
                 )
             if np.abs(l - r).max() > 1e-9 * scale:
                 raise ProblemValidationError(
-                    f"split at {node.xc} is discontinuous (sides disagree)"
+                    f"split at {node.at} is discontinuous (sides disagree)"
                 )
 
 

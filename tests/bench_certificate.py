@@ -18,7 +18,7 @@ the one-point evaluator f.at and through f.kernel on a 1-element array.
 import numpy as np
 import pytest
 
-from rootbranch import EntireFunction, SeriesForm, build, local_monic_factor
+from rootbranch import EntireFunction, build, local_monic_factor, series
 from rootbranch import parse_expression, parse_problem, poly_roots
 from rootbranch.expressions import polish_root
 from rootbranch.localize import select_radius, validate_step
@@ -78,7 +78,7 @@ QUINTIC = (
 def _one_point(name):
     """A function and a point (x, z) near a root, where polish runs."""
     if name == "quintic-series":
-        f = EntireFunction(SeriesForm(tuple(map(parse_expression, QUINTIC))).expr)
+        f = EntireFunction(series(map(parse_expression, QUINTIC)))
         return f, 0.3, 0.5 + 0.5j
     f, *_ = build(parse_problem({"fixture": name}))
     x0, z0, h = POINTS[name]

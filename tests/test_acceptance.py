@@ -24,11 +24,11 @@ from rootbranch import (
     select_radius,
 )
 from rootbranch.cli import EXIT_CODES, run
-from rootbranch.expressions import Const, EntireFunction, SeriesForm
+from rootbranch.expressions import Const, EntireFunction, series
 
 
 def poly_fn(coeffs_ascending):
-    return EntireFunction(SeriesForm(tuple(Const(complex(c)) for c in coeffs_ascending)).expr)
+    return EntireFunction(series(Const(complex(c)) for c in coeffs_ascending))
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,7 @@ def test_criterion_4_algebraically_closed_regression():
         ):
             a, b = _linear_root_curves(rng, deg, x_hi)
             texts, cz = _series_texts(a, b)
-            f = EntireFunction(SeriesForm(tuple(parse_expression(t) for t in texts)).expr)
+            f = EntireFunction(series(parse_expression(t) for t in texts))
             br = continue_branch(f, dom, seed_pt, complex(a[0]))
             assert br.status.kind is Status.COMPLETED
             gap, res = _oracle_gap(dom, br, f, cz, 1000)

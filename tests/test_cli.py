@@ -163,6 +163,23 @@ def test_tree_near_the_float_limit_runs(tmp_path):
     assert len(read_csv(tmp_path / "branch.csv")) == 1200
 
 
+def test_seed_past_the_float_range_is_blowup(tmp_path):
+    # the seed root's parts are finite but its modulus is not: no circle
+    # about it has finite nodes, so the run ends before its first step
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({
+        "function": "(z - (1.5e308 + 1.5e308*i))*(z + 1)",
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.0, "z": [1.5e308, 1.5e308]},
+    }))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "AsymptoticBlowup"
+    assert summary["diagnostics"]["at_seed"] is True
+    assert summary["diagnostics"]["accepted_steps"] == 0
+    assert len(read_csv(tmp_path / "branch.csv")) == 1
+
+
 def test_fixture_texts_are_rendered_trees():
     for name in fixture_names():
         doc = get_fixture(name).problem

@@ -34,7 +34,7 @@ from rootbranch.errors import (
     NonFiniteError,
     NonIntegerWindingError,
 )
-from rootbranch.expressions import Const, SeriesForm
+from rootbranch.expressions import Const, series
 
 
 def f_of(text):
@@ -43,7 +43,7 @@ def f_of(text):
 
 def poly_fn(coeffs):
     """EntireFunction for a fixed polynomial, coeffs ascending."""
-    return EntireFunction(SeriesForm(tuple(Const(complex(c)) for c in coeffs)).expr)
+    return EntireFunction(series(Const(complex(c)) for c in coeffs))
 
 
 def test_circle_validation():

@@ -1,0 +1,47 @@
+"""README's constants against the code.
+
+Every backticked ALL-CAPS name in README.md must be a name in some
+rootbranch module, and every `` `NAME` = value `` in its text (the value
+may follow on the next line) must equal that constant.
+"""
+
+import importlib
+import pkgutil
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import rootbranch
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+NAME = r"`([A-Z][A-Z0-9_]+)`"
+# an integer, decimal or exponent number, or a fraction such as 1/64
+NUMBER = r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?)"
+
+
+def _module_names() -> dict[str, list]:
+    """Each module-level name of the package, with its value in every
+    module that has it."""
+    out: dict[str, list] = {}
+    for info in pkgutil.iter_modules(rootbranch.__path__, "rootbranch."):
+        for k, v in vars(importlib.import_module(info.name)).items():
+            out.setdefault(k, []).append(v)
+    return out
+
+
+def test_readme_constant_names_exist():
+    names = set(re.findall(NAME, README))
+    assert names  # the pattern still finds README's constants
+    missing = sorted(names - set(_module_names()))
+    assert not missing, f"README names constants no module has: {missing}"
+
+
+def test_readme_constant_values_match():
+    pairs = re.findall(NAME + r"\s*=\s*" + NUMBER, README)
+    assert pairs
+    defined = _module_names()
+    for name, text in pairs:
+        # Fraction reads 1/64 exactly; float then rounds once, as a literal does
+        want = float(Fraction(text))
+        got = defined.get(name, [])
+        assert got and all(v == want for v in got), f"README: {name} = {text}, code: {got}"
