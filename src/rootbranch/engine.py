@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .contour import MonicPoly, count_zeros, local_monic_factor, poly_roots
+from .contour import Circle, MonicPoly, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
     CertificateError,
@@ -495,7 +495,7 @@ def extend_segment(
             break
 
         if loc is None:
-            r_max = max(R_MAX_BASE, R_MAX_REL * abs(w))
+            r_max = _r_max(w)
             start = r_max * scale
             counts["localizations"] += 1
             kept = False
@@ -614,7 +614,10 @@ def _step_root(
     w1 is None when the step is rejected: the Rouche check fails, the factor
     at x1 does not carry the certified count or its roots fail, the match
     is ambiguous, or the polished root misses residual_tol or jumps out of
-    the certificate.  streak counts the ambiguous matches in a row.  factor
+    the certificate.  A simple root (loc.n == 1) must land inside the
+    certificate's disk, |w1 - loc.z0| < loc.r, where Rouche keeps its one
+    zero; a cluster's root must stay within 2 * loc.r of w.  streak counts
+    the ambiguous matches in a row.  factor
     (on acceptance) is the factor at x1 and the accepted Rouche check,
     whose F(x1) samples on loc.circle's node levels the factor came from.
     """
@@ -652,7 +655,12 @@ def _step_root(
             w1, res1 = w, 0.0
     except NonFiniteError:
         pass
-    if res1 > residual_tol or abs(w1 - w) > 2.0 * loc.r:
+    if loc.n == 1:
+        # the one zero the certificate counts lies inside its open disk
+        jumped = abs(w1 - loc.z0) >= loc.r
+    else:
+        jumped = abs(w1 - w) > 2.0 * loc.r
+    if res1 > residual_tol or jumped:
         return None, 0.0, 0, None
     return w1, res1, 0, (poly1, check)
 
@@ -713,8 +721,11 @@ def continue_branch(
     The seed is Newton-polished and must satisfy |F(x0, w0)| within
     SEED_TOL of zero (relative to the local function scale), else
     SeedInvalid.  A degenerate seed point (z -> F(x0, z) constant) is a
-    DegenerateBarrier at x0, and a seed root of modulus past the float
-    range an AsymptoticBlowup at x0.  The domain is covered by leaf-directed sweep
+    DegenerateBarrier at x0, and a seed root so near the float limit that
+    the first localization circle about it, of radius
+    max(R_MAX_BASE, R_MAX_REL * |w0|), has a non-finite node an
+    AsymptoticBlowup at x0 (max_abs_w |w0|, inf past the float range).
+    The domain is covered by leaf-directed sweep
     segments from x0 with shared prefixes deduplicated; a segment resumes
     from the first value the branch took at its resume point, so the branch
     is single-valued at junctions by construction.  Raises
@@ -738,9 +749,9 @@ def continue_branch(
     if constant is not None:
         diag = {"constant": constant, "at_seed": True}
         return _stepless(domain, Status.DEGENERATE_BARRIER, diag, seed, x0)
-    if not math.isfinite(modulus(w0)):
-        # no circle about w0 has finite nodes, so no step can be taken
-        diag = {"max_abs_w": math.inf, "at_seed": True}
+    if _first_circle_overflows(w0):
+        # the first localization has no finite nodes to sample F at
+        diag = {"max_abs_w": modulus(w0), "at_seed": True}
         return _stepless(domain, Status.ASYMPTOTIC_BLOWUP, diag, seed, x0)
     sweeps = tuple(domain.sweep_targets(x0))
     if not sweeps:
@@ -780,6 +791,22 @@ def continue_branch(
         diag["certify_failures"] = failures
     status = TerminationStatus(status.kind, diag)
     return RootBranch(tuple(all_samples), status, where, sweeps, domain)
+
+
+def _r_max(w: complex) -> float:
+    """The radius cap of a localization about w."""
+    return max(R_MAX_BASE, R_MAX_REL * modulus(w))
+
+
+def _first_circle_overflows(w0: complex) -> bool:
+    """Whether the first localization circle about w0, of radius
+    _r_max(w0), has a non-finite radius or node.  Raises no numpy
+    overflow warning."""
+    r = _r_max(w0)
+    if not math.isfinite(r):
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.isfinite(Circle(w0, r).nodes()).all()
 
 
 def _seed_scale(f: EntireFunction, cx: float, w: complex) -> float:

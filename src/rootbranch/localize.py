@@ -120,7 +120,8 @@ def select_radius(
     first k with an admissible r_max * 2**-k wins, after k + 1 tries.
     A radius is accepted when the contour is clear of zeros with a stable
     integer count n >= 1, the factor's roots hug the center (within
-    CENTER_FRAC * r, by the Cauchy bound 2 * max |a_k|**(1/k)), and the
+    CENTER_FRAC * r: exactly for a simple root, whose distance is |a_1|,
+    by the Cauchy bound 2 * max |a_k|**(1/k) otherwise), and the
     cofactor F/P stays bounded away from zero inside.  After
     RADIUS_HALVINGS halvings it raises NoRadiusFoundError; whether
     z -> F(x0, z) is constant there is the caller's question (the engine
@@ -192,8 +193,11 @@ def carry_certificate(
 
 
 def _hugs_center(poly: MonicPoly, r: float) -> bool:
-    """Every root of poly lies within CENTER_FRAC * r of its center, by the
-    Cauchy bound 2 * max |a_k|**(1/k)."""
+    """Every root of poly lies within CENTER_FRAC * r of its center: for a
+    simple root (u + a_1) exactly, by its distance |a_1|; for degree >= 2
+    by the Cauchy bound 2 * max |a_k|**(1/k)."""
+    if poly.degree == 1:
+        return abs(poly.coeffs[1]) <= CENTER_FRAC * r
     bound = 2.0 * max(
         abs(poly.coeffs[k]) ** (1.0 / k) for k in range(1, poly.degree + 1)
     )

@@ -180,6 +180,26 @@ def test_seed_past_the_float_range_is_blowup(tmp_path):
     assert len(read_csv(tmp_path / "branch.csv")) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_seed_whose_first_circle_overflows_is_blowup(tmp_path, capsys):
+    # |w0| is finite, but the first localization circle, of radius |w0| / 2,
+    # reaches past the float range: the run ends at the seed without a
+    # numpy overflow warning
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({
+        "function": "(z - 1.7e308)*(z + 1)",
+        "domain": {"kind": "interval"},
+        "seed": {"x": 0.0, "z": [1.7e308, 0.0]},
+    }))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "AsymptoticBlowup"
+    diag = summary["diagnostics"]
+    assert diag["at_seed"] is True and diag["max_abs_w"] == 1.7e308
+    assert diag["accepted_steps"] == diag["localizations"] == 0
+
+
 def test_fixture_texts_are_rendered_trees():
     for name in fixture_names():
         doc = get_fixture(name).problem

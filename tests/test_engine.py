@@ -92,11 +92,12 @@ def test_classify_degenerate_barrier():
 
 def test_classify_oscillation():
     # w = sqrt(x - 0.25) from x = 1 reaches the branch point at 0.25 with a
-    # window wider than OSC_TOL, and z -> F(0.25, z) is not constant
+    # window wider than OSC_TOL, and z -> F(0.25, z) is not constant; the
+    # diameter depends on where the steps near the branch point land
     br, d = _interval_run("pow(z, 2) - (x - 0.25)", 1.0, math.sqrt(0.75))
     assert br.status.kind is Status.NON_CONVERGENT
     assert d["reason"] == "step size underflow"
-    assert d["window_diameter"] == pytest.approx(1.54e-5, rel=1e-2)
+    assert d["window_diameter"] == pytest.approx(9.61e-6, rel=1e-2)
     assert d["window_diameter"] > engine.OSC_TOL
     assert d["x_limit"] == pytest.approx(0.25, abs=1e-9)
     assert "converged_window" not in d
@@ -818,7 +819,7 @@ def test_sin_family_ends_on_oscillation(a):
 def test_step_root_rejects_a_polished_root_that_misses_or_jumps(monkeypatch):
     # a real certificate of the simple root 0.5 of z^2 - x at x = 0.25; the
     # step to 0.26 is accepted as it stands, and rejected when the polished
-    # root misses residual_tol or lands more than 2 * loc.r from w
+    # root misses residual_tol or lands outside the certificate's open disk
     f = f_of("pow(z, 2) - x")
     loc = engine.select_radius(f, 0.25, 0.5 + 0j, 0.2)
     tol, x1, w = 1e-8, 0.26, 0.5 + 0j
@@ -832,5 +833,9 @@ def test_step_root_rejects_a_polished_root_that_misses_or_jumps(monkeypatch):
 
     assert polished(w1, tol)[0] == w1
     assert polished(w1, math.nextafter(tol, 1.0)) == (None, 0.0, 0, None)
-    assert polished(w + 1.99 * loc.r, 0.0)[0] == w + 1.99 * loc.r
-    assert polished(w + 2.01 * loc.r, 0.0) == (None, 0.0, 0, None)
+    assert loc.n == 1 and loc.z0 == w
+    assert polished(w + 0.99 * loc.r, 0.0)[0] == w + 0.99 * loc.r
+    # a quarter turn off the real axis, the distance is exactly loc.r
+    assert abs(w + 1j * loc.r - loc.z0) == loc.r
+    assert polished(w + 1j * loc.r, 0.0) == (None, 0.0, 0, None)
+    assert polished(w + 1.99 * loc.r, 0.0) == (None, 0.0, 0, None)

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rootbranch import (
     CertificateError,
@@ -12,7 +14,9 @@ from rootbranch import (
     NonIntegerWindingError,
     NoRadiusFoundError,
     NoZerosInDiskError,
+    ParamDomain,
     ZeroOnContourError,
+    continue_branch,
     count_zeros,
     local_monic_factor,
     parse_expression,
@@ -20,9 +24,16 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
-from rootbranch.contour import sample_nested
-from rootbranch import expressions, localize
-from rootbranch.localize import SAFETY, _try_radius, carry_certificate, ladder_radius
+from rootbranch.contour import MonicPoly, sample_nested
+from rootbranch import engine, expressions, localize
+from rootbranch.localize import (
+    CENTER_FRAC,
+    SAFETY,
+    _hugs_center,
+    _try_radius,
+    carry_certificate,
+    ladder_radius,
+)
 
 
 def f_of(text):
@@ -257,6 +268,70 @@ def test_circle_is_carried_exactly_where_the_radius_search_admits_it():
             assert (kept.x0, kept.n, kept.m) == (fresh.x0, fresh.n, fresh.m)
             assert kept.poly == fresh.poly
     assert kept_at and max(kept_at) < 0.014 and len(kept_at) < 14
+
+
+def test_a_simple_root_hugs_the_center_by_its_exact_distance():
+    # u + a_1 has its root exactly |a_1| from the center; the Cauchy bound
+    # 2|a_1| would refuse a root at 0.07 r
+    r = 2.0
+    assert _hugs_center(MonicPoly((1.0, -0.07 * r)), r)
+    assert _hugs_center(MonicPoly((1.0, 0.1j * r)), r)
+    assert not _hugs_center(MonicPoly((1.0, -0.11 * r)), r)
+    assert _try_radius(f_of("z - 0.07"), 0.0, 0j, 1.0) is not None
+    assert _try_radius(f_of("z - 0.11"), 0.0, 0j, 1.0) is None
+
+
+def test_a_cluster_hugs_the_center_by_the_cauchy_bound():
+    # u**2 - d**2 has its roots +-d, exactly d from the center; its Cauchy
+    # bound is 2d, so d = 0.06 r is refused although 0.06 < CENTER_FRAC
+    r = 2.0
+    for d, admitted in [(0.04, True), (0.06, False)]:
+        assert d < CENTER_FRAC
+        assert _hugs_center(MonicPoly((1.0, 0.0, -((d * r) ** 2))), r) is admitted
+
+
+def _segment_distance(c, a, b):
+    """Distance from c to the root curve a + b*x at 257 points of [0, 1]."""
+    return float(np.abs(c - a - b * np.linspace(0.0, 1.0, 257)).min())
+
+
+_coords = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.builds(complex, _coords, _coords),
+    b=st.builds(complex, _coords, _coords),
+    c=st.builds(complex, _coords, _coords),
+)
+def test_a_carried_circle_equals_a_fresh_search_on_it(a, b, c):
+    # along the run, every carry the engine tries on a simple root agrees
+    # with _try_radius at that circle: the same None, or the same x0, n, m
+    # and poly bit for bit
+    assume(_segment_distance(c, a, b) >= 0.3)
+    a_, b_, c_ = (f"({v.real!r} + {v.imag!r}*i)" for v in (a, b, c))
+    f = f_of(f"(z - {a_} - {b_}*x)*(z - {c_})")
+    tried = []
+
+    def carry(loc, x1, poly, samples):
+        kept = carry_certificate(loc, x1, poly, samples)
+        fresh = _try_radius(f, x1, loc.z0, loc.r)
+        tried.append(x1)
+        assert loc.n == 1
+        assert (kept is None) == (fresh is None), x1
+        if kept is not None:
+            assert (kept.x0.hex(), kept.n, kept.m.hex()) == (
+                fresh.x0.hex(), fresh.n, fresh.m.hex())
+            assert kept.poly.about == fresh.poly.about
+            assert (np.array(kept.poly.coeffs).tobytes()
+                    == np.array(fresh.poly.coeffs).tobytes())
+        return kept
+
+    dom = ParamDomain.interval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "carry_certificate", carry)
+        br = continue_branch(f, dom, dom.interval_point(0.0), a)
+    assert br.completed and tried
 
 
 def test_ladder_moves_toward_the_best_rouche_ratio():
