@@ -129,7 +129,11 @@ class Neg(_Unary):
 
 @dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    """Integer power. Negative exponents are allowed and mean division."""
+    """Integer power. Negative exponents are allowed and mean division.
+
+    ``code`` computes the powers n <= 1; _Kernel computes n >= 2 as
+    products of lower powers (see _Kernel._power), not by ``code``.
+    """
 
     base: Expr
     n: int
@@ -523,7 +527,13 @@ class _Kernel:
     fixes every guard/split choice; each choice signature gets its own
     code, compiled on first use: an x part (the nodes that do not read z)
     and a z part.  Each node runs its ``Expr.code``, on complex(x) for a
-    float x and on x.astype(complex128) for an array x.
+    float x and on x.astype(complex128) for an array x.  A power b**n with
+    n >= 2 is interned as the product of b**(n//2) and b**(n - n//2), so
+    the powers of one base share their lower powers: a degree-d series
+    costs one complex product per power, and b**n alone O(log n) products
+    (Knuth, TAOCP vol. 2, section 4.6.3), with the rounding error of
+    n - 1 products at most.  Such a power takes the type of its base's
+    value: on a float x, a power of x is a Python complex, not numpy's.
 
     A float x runs the x part once and caches its values on the bits of
     x, for every later call at that x.  An array x (one x per z) splits
@@ -568,6 +578,8 @@ class _Kernel:
 
     def _intern(self, e: Expr, kids: tuple[int, ...], ids: dict) -> int:
         """The DAG id of e, whose children have the ids kids."""
+        if isinstance(e, Pow) and e.n >= 2:
+            return self._power(e.base, e.n, kids[0], ids)
         if isinstance(e, Const):
             payload = (type(e.value), repr(e.value))
         elif isinstance(e, Pow):
@@ -581,6 +593,25 @@ class _Kernel:
             self.nodes.append(e)
             self.kids.append(kids)
         return i
+
+    def _power(self, base: Expr, n: int, b: int, ids: dict) -> int:
+        """The DAG id of base**n for n >= 2, where base has the id b: the
+        product of base**(n//2) and base**(n - n//2), each built the same
+        way down to base itself at exponent 1.  The exponents at each depth
+        are two neighbours at most, and their products are interned, so
+        every lower power is one shared node."""
+        need, todo = {n}, [n]
+        while todo:
+            k = todo.pop()
+            for h in {k // 2, k - k // 2} - need - {1}:
+                need.add(h)
+                todo.append(h)
+        got = {1: b}
+        for k in sorted(need):  # the halves of k come before k
+            lo, hi = k // 2, k - k // 2
+            node = Mul(*(base if h == 1 else Pow(base, h) for h in (lo, hi)))
+            got[k] = self._intern(node, (got[lo], got[hi]), ids)
+        return got[n]
 
     def __call__(self, x, z: np.ndarray, dz: bool):
         with np.errstate(all="ignore"):

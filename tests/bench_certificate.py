@@ -13,6 +13,9 @@ to give the result the solver would keep, so a benchmark of a failing
 path cannot pass for a fast one.  One more benchmark times the
 evaluation each Newton iterate makes, (F, dF/dz) at one point, through
 the one-point evaluator f.at and through f.kernel on a 1-element array.
+The last times a degree-5 series, whose powers of z the kernel computes
+as shared products: one kernel call on a contour's 256 nodes, with dF/dz
+and without, and one f.at call.
 """
 
 import numpy as np
@@ -97,3 +100,23 @@ def test_one_point_pair(benchmark, name, path):
     # both paths give the same pair up to numpy's last-bit rounding
     for got, want in zip((fv, dv), f.kernel(x, zs)):
         assert abs(got - want[0]) <= 1e-14 * abs(want[0])
+
+
+SERIES_NODES = 256
+
+
+@pytest.mark.parametrize("call", ["kernel-dz", "kernel", "at"])
+def test_series_evaluation(benchmark, call):
+    f = EntireFunction(series(map(parse_expression, QUINTIC)))
+    x = 0.3
+    z = 0.5 + 1.2 * np.exp(2j * np.pi * np.arange(SERIES_NODES) / SERIES_NODES)
+    if call == "at":
+        got = [np.array([v]) for v in benchmark(f.at, x, complex(z[0]))]
+        z = z[:1]
+    else:
+        got = benchmark(f.kernel, x, z, dz=call == "kernel-dz")
+    # against Horner's rule on the coefficients at x
+    c = [EntireFunction(parse_expression(t)).eval(x, 0j) for t in QUINTIC]
+    scale = np.polyval(np.abs(c[::-1]), np.abs(z))
+    for v, p in zip(got, (np.poly1d(c[::-1]), np.poly1d(c[::-1]).deriv())):
+        assert np.all(np.abs(v - p(z)) <= 1e-14 * len(c) ** 2 * scale)

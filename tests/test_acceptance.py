@@ -154,8 +154,10 @@ def _series_texts(a, b):
     return texts, cz
 
 
-def _oracle_gap(dom, br, f, cz, n_samples):
-    """Max distance from resampled branch values to the pointwise root sets."""
+def _oracle_gap(dom, br, f, cz, n_samples, curve):
+    """Max distance from resampled branch values to the pointwise root sets,
+    max residual, and max distance to the seeded root curve a + b*x, for
+    curve = (a, b)."""
     grids = {
         i: np.linspace(0.0, sw.segment.length, k)
         for i, sw, k in _split_counts(br.sweeps, n_samples)
@@ -164,13 +166,15 @@ def _oracle_gap(dom, br, f, cz, n_samples):
     assert len(out) == n_samples
     worst_gap = 0.0
     worst_res = 0.0
+    worst_track = 0.0
     for s in out:
         x = dom.coordinate(s.point)
         coeffs_desc = [np.polyval(c[::-1], x) for c in reversed(cz)]
         roots = np.roots(coeffs_desc)
         worst_gap = max(worst_gap, float(np.min(np.abs(roots - s.w))))
         worst_res = max(worst_res, s.residual)
-    return worst_gap, worst_res
+        worst_track = max(worst_track, abs(curve[0] + curve[1] * x - s.w))
+    return worst_gap, worst_res, worst_track
 
 
 def _split_counts(sweeps, total):
@@ -190,6 +194,7 @@ def test_criterion_4_algebraically_closed_regression():
     t0 = time.time()
     worst_gap = 0.0
     worst_res = 0.0
+    worst_track = 0.0
     for case in range(20):
         deg = 2 + case % 4
         for dom, seed_pt, x_hi in (
@@ -201,16 +206,20 @@ def test_criterion_4_algebraically_closed_regression():
             f = EntireFunction(series(parse_expression(t) for t in texts))
             br = continue_branch(f, dom, seed_pt, complex(a[0]))
             assert br.status.kind is Status.COMPLETED
-            gap, res = _oracle_gap(dom, br, f, cz, 1000)
+            gap, res, track = _oracle_gap(dom, br, f, cz, 1000, (a[0], b[0]))
             worst_gap = max(worst_gap, gap)
             worst_res = max(worst_res, res)
+            worst_track = max(worst_track, track)
             assert res <= 1e-8
             assert gap <= 1e-6
+            # every row stays on the root curve it was seeded on
+            assert track <= 1e-12
     elapsed = time.time() - t0
     assert elapsed <= 60.0
     print(
         f"criterion 4 PASS: 20 polynomials x 2 domains, max oracle gap "
-        f"{worst_gap:.2e}, max residual {worst_res:.2e}, {elapsed:.1f}s"
+        f"{worst_gap:.2e}, max residual {worst_res:.2e}, max distance to the "
+        f"seeded curve {worst_track:.2e}, {elapsed:.1f}s"
     )
 
 
