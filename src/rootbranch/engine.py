@@ -6,7 +6,8 @@ refactors F at the new parameter, re-roots the local monic factor, matches
 the nearest root to the incoming value, and Newton-polishes it; its circle
 stays the certificate at the new parameter while it passes the radius
 search's tests there (carry_certificate).  Step size halves on rejection
-or ambiguity and grows after a run of clean accepts.
+or ambiguity; after an accepted step it is scaled by STEP_AIM over that
+step's Rouche excess, clamped to [1, 2].
 Every LADDER_EVERY accepted steps a radius ladder (ladder_radius) sets
 where the following localizations start halving, and the endgame record
 (Endgame) checks whether the branch oscillates without a limit at the
@@ -103,10 +104,10 @@ class RootMatch:
 H0_FRAC = 1.0 / 64.0  # first step, as a fraction of the segment length
 H_MAX_FRAC = 0.125  # largest step, as a fraction of the segment length
 H_MIN = 1e-12  # a step halved below this stalls the frontier
-GROW_AFTER = 3  # clean accepts in a row before the step grows
-GROW_FACTOR = 1.5
-# an accepted step whose Rouche excess is at most this doubles the next one
-GROW_EXCESS = 0.25
+# Rouche excess the step after an accepted one aims at: the excess grows
+# about linearly in h, so h is scaled by STEP_AIM / excess, clamped to
+# [1, 2] (2 undoes one rejection's halving)
+STEP_AIM = 0.7
 TIE_BREAK_AFTER = 12  # ambiguous matches in a row before the tie-break
 SEED_TOL = 1e-9  # seed residual bound, relative to 1 + the |F| scale near the seed
 WINDOW = 16  # recent samples the stall classifier looks at
@@ -415,9 +416,9 @@ def extend_segment(
     before: then the same h is proposed again from a fresh localization.
     An acceptance moves the frontier and keeps loc's circle as the
     certificate there when carry_certificate admits it, else drops loc.
-    It doubles h when its Rouche excess is at most GROW_EXCESS, else
-    grows h by GROW_FACTOR after GROW_AFTER acceptances in a row; h never
-    exceeds h_max.
+    It scales h by STEP_AIM / excess, its Rouche excess, clamped to
+    [1, 2], so an excess at or below STEP_AIM / 2 (0 included) doubles h;
+    h never exceeds h_max.
 
     Localization halves from r_max * scale, where r_max =
     max(R_MAX_BASE, R_MAX_REL * |w|) and scale (1 at the start) is reset
@@ -451,7 +452,7 @@ def extend_segment(
     h_max = H_MAX_FRAC * length
     loc = None
     stalled: Optional[str] = None
-    grow_run = ambiguous_streak = 0
+    ambiguous_streak = 0
     counts = _zero_counts()
     kept = False  # loc is a circle kept from the step before
     scale = 1.0
@@ -522,7 +523,6 @@ def extend_segment(
         ambiguous_streak = streak
         if w1 is None:
             h *= 0.5
-            grow_run = 0
             if h < H_MIN:
                 stalled = "step size underflow"
             continue
@@ -558,13 +558,8 @@ def extend_segment(
             continue
         poly1, check = factor
         levels1 = check.samples
-        grow_run += 1
-        if check.excess <= GROW_EXCESS:
-            h = min(2.0 * h, h_max)
-            grow_run = 0
-        elif grow_run >= GROW_AFTER:
-            h = min(h * GROW_FACTOR, h_max)
-            grow_run = 0
+        e = check.excess
+        h = min(h * (2.0 if e <= 0.5 * STEP_AIM else max(1.0, STEP_AIM / e)), h_max)
         r_keep = loc.r
         if accepted % LADDER_EVERY == 0:
             r_keep = ladder_radius(f, loc, cx, levels1[0].f)
@@ -617,9 +612,9 @@ def _step_root(
     the certificate.  A simple root (loc.n == 1) must land inside the
     certificate's disk, |w1 - loc.z0| < loc.r, where Rouche keeps its one
     zero; a cluster's root must stay within 2 * loc.r of w.  streak counts
-    the ambiguous matches in a row.  factor
-    (on acceptance) is the factor at x1 and the accepted Rouche check,
-    whose F(x1) samples on loc.circle's node levels the factor came from.
+    the ambiguous matches in a row.  factor (on acceptance) is the factor
+    at x1 and the accepted Rouche check, whose F(x1) samples on
+    loc.circle's node levels the factor came from.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
