@@ -278,6 +278,22 @@ class PathSegment:
     def length(self) -> float:
         return self.cum[-1]
 
+    @cached_property
+    def profile(self) -> tuple:
+        """Everything coordinate(point_at(arc)) reads: the coordinates of a
+        and b, and for each piece its length, t0 and t1, its edge's length
+        and the depths of the edge's two ends.
+
+        Two segments with equal profiles give equal coordinates at every
+        arc, bit for bit, wherever in the domain they lie.
+        """
+        dom = self.domain
+        pieces = []
+        for p in self.pieces:
+            e = dom.edges[p.edge]
+            pieces.append((p.length, p.t0, p.t1, e.length, dom._depth[e.u], dom._depth[e.v]))
+        return dom.coordinate(self.a), dom.coordinate(self.b), tuple(pieces)
+
     def point_at(self, arc: float) -> DomainPoint:
         """The point at the given arc distance from a (clamped to [0, len])."""
         if math.isnan(arc):

@@ -13,6 +13,9 @@ where the following localizations start halving, and the endgame record
 (Endgame) checks whether the branch oscillates without a limit at the
 segment end.
 
+A sweep that repeats an earlier one coordinate for coordinate, from the
+same start value, is that sweep's twin and is not run (continue_branch).
+
 Termination is classified, never silent: Completed, AsymptoticBlowup,
 DegenerateBarrier, NonConvergent, or SeedInvalid.  How a stalled frontier
 ends is decided in one place, the stall block of extend_segment.
@@ -77,13 +80,20 @@ class BranchSample(NamedTuple):
 
 @dataclass(frozen=True)
 class RootBranch:
-    """Continuation result: samples, classified termination, and location."""
+    """Continuation result: samples, classified termination, and location.
+
+    samples holds the raw samples of the segments that ran.  twins holds a
+    (twin, source) pair of sweep indices for each sweep that was not run
+    because an earlier sweep had its key (see continue_branch): its raw
+    samples are the source's, with the twin's own points.
+    """
 
     samples: tuple[BranchSample, ...]
     status: TerminationStatus
     status_location: Optional[DomainPoint]
     sweeps: tuple[SweepSegment, ...]
     domain: ParamDomain
+    twins: tuple[tuple[int, int], ...] = ()
 
     @property
     def completed(self) -> bool:
@@ -701,6 +711,7 @@ def _stepless(domain, kind, diag, samples, where) -> RootBranch:
     """A branch that ends before its first segment, every step count 0."""
     counts = _zero_counts()
     del counts["certify_failures"]
+    counts["twin_segments"] = 0
     return RootBranch(samples, TerminationStatus(kind, {**diag, **counts}), where, (), domain)
 
 
@@ -726,6 +737,14 @@ def continue_branch(
     is single-valued at junctions by construction.  Raises
     OutOfDomainError, before evaluating F, when f.x_range is set and does
     not cover the domain's coordinate range.
+
+    F sees a point only through its coordinate, so a sweep is keyed by its
+    segment's coordinate profile, resume_arc, stops and the bits of its
+    start value; equal keys make the same computation.  A sweep whose key
+    an earlier (completed) sweep had is that sweep's twin: it is not run,
+    the source's values at its stops go to the twin's own points, and the
+    pair is recorded in RootBranch.twins.  A twin adds no samples and no
+    step counts; the diagnostics count the twins in twin_segments.
     """
     cfg = cfg or EngineConfig()
     lo, hi = domain.coordinate_range()
@@ -756,17 +775,31 @@ def continue_branch(
     values: dict[DomainPoint, complex] = {x0: w0}
     all_samples: list[BranchSample] = []
     runs: list[SegmentRun] = []
+    # sweep key -> (index, run) of the sweep that ran with it
+    solved: dict[tuple, tuple[int, SegmentRun]] = {}
+    twins: list[tuple[int, int]] = []
     status = TerminationStatus(Status.COMPLETED, {})
     where: Optional[DomainPoint] = None
     for i, sw in enumerate(sweeps):
-        start = sw.segment.point_at(sw.resume_arc)
+        seg = sw.segment
+        start = seg.point_at(sw.resume_arc)
         if start not in values:
             raise SolverError(
                 f"internal: no junction value at resume point of sweep {i}"
             )
-        run = extend_segment(f, sw, values[start], cfg, seg_index=i)
+        w_start = values[start]
+        key = (seg.profile, sw.resume_arc, sw.stops, w_start.real.hex(), w_start.imag.hex())
+        if key in solved:
+            source, run = solved[key]
+            twins.append((i, source))
+            w_at = {smp.arc: smp.w for smp in run.samples}
+            for arc in sw.stops:
+                values.setdefault(seg.point_at(arc), w_at[arc])
+            continue
+        run = extend_segment(f, sw, w_start, cfg, seg_index=i)
         for smp in run.samples:
             values.setdefault(smp.point, smp.w)
+        solved[key] = (i, run)
         runs.append(run)
         all_samples.extend(run.samples)
         if not run.completed:
@@ -776,7 +809,7 @@ def continue_branch(
     # roll the step counts of every segment that ran up to the branch status
     counts = {k: sum(r.counts[k] for r in runs) for k in runs[0].counts}
     failures = counts.pop("certify_failures")
-    diag = {**status.diagnostics, **counts}
+    diag = {**status.diagnostics, **counts, "twin_segments": len(twins)}
     snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
     if status.kind is Status.COMPLETED and snaps:
         diag["snapped"] = True
@@ -785,7 +818,7 @@ def continue_branch(
         diag["certify_checked"] = diag["accepted_steps"]
         diag["certify_failures"] = failures
     status = TerminationStatus(status.kind, diag)
-    return RootBranch(tuple(all_samples), status, where, sweeps, domain)
+    return RootBranch(tuple(all_samples), status, where, sweeps, domain, tuple(twins))
 
 
 def _r_max(w: complex) -> float:
@@ -829,8 +862,9 @@ def resample_branch(
 
     Raw adaptive samples are linearly interpolated at the target arcs and
     Newton-polished, all rows in one polish_roots call; residuals are
-    reported honestly (no filtering).  When arcs_by_segment is given those
-    arcs are used, clipped to each segment's covered span (oracle tests;
+    reported honestly (no filtering).  A twin segment reads its raw
+    samples from its source and takes its rows' points on its own path.
+    When arcs_by_segment is given those arcs are used, clipped to each segment's covered span (oracle tests;
     a NaN arc raises OutOfDomainError); otherwise ``total`` samples are distributed across segments
     proportionally to covered length, at least two per segment.  cfg is
     accepted for symmetry with continue_branch; resampling has no knobs.
@@ -838,6 +872,8 @@ def resample_branch(
     by_seg: dict[int, list[BranchSample]] = {}
     for smp in branch.samples:
         by_seg.setdefault(smp.segment, []).append(smp)
+    for twin, source in branch.twins:
+        by_seg[twin] = by_seg[source]
     spans = {
         i: (raws[0].arc, raws[-1].arc, raws[-1].arc - raws[0].arc)
         for i, raws in by_seg.items()

@@ -206,6 +206,9 @@ def test_criterion_4_algebraically_closed_regression():
             f = EntireFunction(series(parse_expression(t) for t in texts))
             br = continue_branch(f, dom, seed_pt, complex(a[0]))
             assert br.status.kind is Status.COMPLETED
+            # F sees only the coordinate: the three sweeps from c are one
+            # computation, run once; the oracle below reads every one of them
+            assert len(br.twins) == (2 if dom is ytree else 0)
             gap, res, track = _oracle_gap(dom, br, f, cz, 1000, (a[0], b[0]))
             worst_gap = max(worst_gap, gap)
             worst_res = max(worst_res, res)

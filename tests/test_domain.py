@@ -132,17 +132,19 @@ def test_junction_points_are_exact_vertices():
 
 
 @st.composite
-def trees(draw):
-    """A random tree on 2-9 vertices, labels and edge directions shuffled."""
+def trees(draw, lengths=st.floats(0.1, 3.0), flips=st.booleans()):
+    """A random tree on 2-9 vertices, labels shuffled, each edge's
+    direction reversed where ``flips`` draws True, its edge lengths drawn
+    from ``lengths``."""
     n = draw(st.integers(2, 9))
     label = draw(st.permutations(range(n)))
     edges = []
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
         ends = [f"v{label[u]}", f"v{label[v]}"]
-        if draw(st.booleans()):
+        if draw(flips):
             ends.reverse()
-        edges.append([*ends, draw(st.floats(0.1, 3.0))])
+        edges.append([*ends, draw(lengths)])
     return ParamDomain.tree([f"v{i}" for i in range(n)], draw(st.permutations(edges)))
 
 

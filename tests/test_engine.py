@@ -25,6 +25,7 @@ from rootbranch import (
 )
 from rootbranch import engine
 from rootbranch.cli import main
+from test_domain import trees
 
 
 def f_of(text):
@@ -206,6 +207,141 @@ def test_continue_branch_tree_junction_consistent():
                 values.setdefault(s.point, set()).add(s.w)
             assert all(len(ws) == 1 for ws in values.values())
     assert resumed > 0
+
+
+def _assert_twins_replay_their_source(f, dom, x0, z0):
+    """Run continue_branch and check each twin against a run of its own.
+
+    Each sweep's start value is rebuilt by the rule without twins: the
+    seed's value at arc 0, else the first value recorded at its resume
+    point, a twin's values taken from its source's samples at its own
+    points.  extend_segment run on a twin from that value must give its
+    source's (arc, w, residual) sequence bit for bit and equal counts.
+    Returns the branch.
+    """
+    br = continue_branch(f, dom, x0, z0)
+    assert br.status.kind is Status.COMPLETED
+    source = dict(br.twins)
+    ran = sorted({s.segment for s in br.samples})
+    assert sorted([*ran, *source]) == list(range(len(br.sweeps)))
+    assert all(s in ran and s < t for t, s in br.twins)
+    d = br.status.diagnostics
+    assert d["twin_segments"] == len(br.twins)
+    assert d["accepted_steps"] == len(br.samples) - len(ran)
+    raws = {i: [s for s in br.samples if s.segment == i] for i in ran}
+    values = {x0: polish_root(f, dom.coordinate(x0), complex(z0))[0]}
+    starts = []
+    for i, sw in enumerate(br.sweeps):
+        starts.append(values[sw.segment.point_at(sw.resume_arc)])
+        for smp in raws[source.get(i, i)]:
+            values.setdefault(sw.segment.point_at(smp.arc), smp.w)
+
+    def bits(samples):
+        return [(s.arc.hex(), s.w.real.hex(), s.w.imag.hex(), s.residual.hex()) for s in samples]
+
+    for t, s in br.twins:
+        src = engine.extend_segment(f, br.sweeps[s], starts[s], seg_index=s)
+        assert bits(src.samples) == bits(raws[s])
+        twin = engine.extend_segment(f, br.sweeps[t], starts[t], seg_index=t)
+        assert twin.completed
+        assert bits(twin.samples) == bits(raws[s])
+        assert twin.counts == src.counts
+        assert [p.point for p in twin.samples] == [
+            br.sweeps[t].segment.point_at(p.arc) for p in twin.samples
+        ]
+    return br
+
+
+def _assert_rows_are_one_plus_x(f, dom, br):
+    """Every segment, twins included, has rows, each on w = 1 + x."""
+    out = resample_branch(f, br, 40 * len(br.sweeps))
+    assert {s.segment for s in out} == set(range(len(br.sweeps)))
+    for s in out:
+        x = dom.coordinate(s.point)
+        assert abs(s.w - (1.0 + x)) <= 1e-12 * (1.0 + x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dom=trees(lengths=st.sampled_from([0.1, 0.3]), flips=st.just(False)),
+    data=st.data(),
+    t=st.sampled_from([0.25, 0.5]),
+)
+def test_twin_segments_replay_their_source_on_random_trees(dom, data, t):
+    # the exact branch w = 1 + x; edges of two lengths, all directed away
+    # from the vertex they were attached to, give about one tree in four
+    # a twin, and lengths that are not dyadic make depths depend on rounding
+    f = f_of("z - 1.0 - x")
+    if data.draw(st.booleans()):
+        x0 = dom.vertex_point(data.draw(st.integers(0, len(dom.vertex_names) - 1)))
+    else:
+        x0 = dom.edge_point(data.draw(st.integers(0, len(dom.edges) - 1)), t)
+    br = _assert_twins_replay_their_source(f, dom, x0, 1.0 + dom.coordinate(x0))
+    _assert_rows_are_one_plus_x(f, dom, br)
+
+
+def _two_level_tree(l3):
+    """Root r, children c1 and c2, leaves l1, l2 under c1 and l3, l4 under
+    c2; every edge 0.5 long but c2-l3, which is l3 long."""
+    return ParamDomain.tree(
+        ["r", "c1", "c2", "l1", "l2", "l3", "l4"],
+        [["r", "c1", 0.5], ["r", "c2", 0.5], ["c1", "l1", 0.5],
+         ["c1", "l2", 0.5], ["c2", "l3", l3], ["c2", "l4", 0.5]],
+    )
+
+
+def test_segments_resume_on_a_twin_of_a_symmetric_tree():
+    # the sweep to l3 is a twin of the one to l1, and the sweep to l4
+    # resumes at c2, a stop on that twin
+    dom = _two_level_tree(0.5)
+    f = f_of("z - 1.0 - x")
+    br = _assert_twins_replay_their_source(f, dom, dom.vertex_point("r"), 1.0)
+    _assert_rows_are_one_plus_x(f, dom, br)
+    assert br.twins == ((2, 0), (3, 1))
+    assert br.sweeps[3].segment.point_at(br.sweeps[3].resume_arc) == dom.vertex_point("c2")
+    assert br.sweeps[2].stops == (br.sweeps[3].resume_arc,)
+
+
+def test_equal_paths_twin_only_on_equal_resume_arcs_and_stops():
+    # the constant branch w = 1 starts every sweep from the same bits, and
+    # the three paths to l1, l2 and l3 have one profile; the sweep to l2
+    # resumes at c1, and only the sweep to l1 stops there
+    dom = ParamDomain.tree(
+        ["r", "c1", "c2", "l1", "l2", "l3"],
+        [["r", "c1", 0.5], ["r", "c2", 0.5], ["c1", "l1", 0.5],
+         ["c1", "l2", 0.5], ["c2", "l3", 0.5]],
+    )
+    f = f_of("z - 1.0 + 0.0*x")
+    br = _assert_twins_replay_their_source(f, dom, dom.vertex_point("r"), 1.0)
+    assert len({sw.segment.profile for sw in br.sweeps}) == 1
+    assert [(sw.resume_arc, sw.stops) for sw in br.sweeps] == [(0.0, (0.5,)), (0.5, ()), (0.0, ())]
+    assert br.twins == ()
+
+
+def test_equal_paths_from_unequal_start_values_are_not_twins():
+    # with c2-l3 shorter, the sweeps to l1 and l3 differ, and they reach c1
+    # and c2 with different bits of the cubic's root; the sweeps to l2 and
+    # l4 then have equal paths but unequal start values
+    f, *_ = build(parse_problem({"fixture": "monic-cubic-interval"}))
+    dom = _two_level_tree(0.3)
+    br = _assert_twins_replay_their_source(f, dom, dom.vertex_point("r"), 1.0)
+    first = {}
+    for s in br.samples:
+        first.setdefault(s.point, s.w)
+    assert first[dom.vertex_point("c1")] != first[dom.vertex_point("c2")]
+    assert br.sweeps[1].segment.profile == br.sweeps[3].segment.profile
+    assert br.twins == ()
+
+
+def test_star_with_unequal_edges_has_no_twins():
+    f, dom, x0, z0, cfg = build(parse_problem(_unequal_star_cubic()))
+    br = continue_branch(f, dom, x0, z0, cfg)
+    assert br.completed and len(br.sweeps) == 3
+    assert br.twins == () and br.status.diagnostics["twin_segments"] == 0
+    assert {s.segment for s in br.samples} == {0, 1, 2}
+    # on equal edges, as monic-cubic-ytree has them, two sweeps are twins
+    f, dom, x0, z0, cfg = build(parse_problem({"fixture": "monic-cubic-ytree"}))
+    assert continue_branch(f, dom, x0, z0, cfg).twins == ((1, 0), (2, 0))
 
 
 def test_branch_invariant_under_constant_rescaling():
@@ -485,6 +621,14 @@ def test_radius_start_stays_under_the_cap(monkeypatch):
         assert start <= max(engine.R_MAX_BASE, engine.R_MAX_REL * abs(z0))
 
 
+def _unequal_star_cubic() -> dict:
+    """monic-cubic-ytree's problem on a star whose three edges differ in
+    length."""
+    doc = get_fixture("monic-cubic-ytree").problem
+    edges = [["c", "a", 0.5], ["c", "b", 0.375], ["c", "d", 0.25]]
+    return {**doc, "domain": {**doc["domain"], "edges": edges}}
+
+
 def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     calls = _recording_select_radius(monkeypatch)
     runs = []
@@ -521,8 +665,13 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "select_radius", selecting)
     monkeypatch.setattr(engine, "carry_certificate", carrying)
     monkeypatch.setattr(engine, "_step_root", stepping)
-    assert main(["--fixture", "monic-cubic-ytree", "--out", str(tmp_path)]) == 0
+    # the fixture's cubic on a star whose edges differ in length, so that
+    # no segment is a twin of another and every one of them runs
+    pf = tmp_path / "star.json"
+    pf.write_text(json.dumps(_unequal_star_cubic()))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 0
     d = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    assert d["twin_segments"] == 0
     assert len(runs) > 1
     # select_radius keeps start * 2**-k after k + 1 tries
     tries = [1 + round(math.log2(start / r)) for _, _, start, r in calls]

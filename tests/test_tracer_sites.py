@@ -39,16 +39,20 @@ SERIES_PROBLEM = {
 def test_traced_runs_read_every_result_and_count_every_step(tmp_path):
     tracer = _load_tracer()
     f, dom, seed, z0, cfg = build(parse_problem(SERIES_PROBLEM))
+    fixtures = ("monic-cubic-interval", "monic-cubic-ytree")
     with tracer.Tracer() as t:
-        assert cli.run(parse_problem({"fixture": "monic-cubic-interval"}), tmp_path, 50) == 0
+        for name in fixtures:
+            assert cli.run(parse_problem({"fixture": name}), tmp_path / name, 50) == 0
         # through the package, whose binding the tracer replaces
         branch = rootbranch.continue_branch(f, dom, seed, z0, cfg)
     metrics, per_solve, errors = t.metrics()
     assert errors == []
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summaries = [json.loads((tmp_path / n / "summary.json").read_text()) for n in fixtures]
     assert branch.status.kind.value == "Completed"
+    # the Y-tree's twin segments take no steps, so the counts still agree
+    assert summaries[1]["diagnostics"]["twin_segments"] == 2
     assert per_solve == [
-        summary["diagnostics"]["accepted_steps"],
+        *(s["diagnostics"]["accepted_steps"] for s in summaries),
         branch.status.diagnostics["accepted_steps"],
     ]
     assert min(per_solve) > 0
