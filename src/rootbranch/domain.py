@@ -12,7 +12,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -318,8 +319,10 @@ class PathSegment:
 
         Equals point_at then ParamDomain.coordinate arc by arc, bit for
         bit, but clamps the arcs, finds their pieces and edge-local t and
-        computes the coordinates in whole-array passes; only the points
-        themselves are built one by one, without a check each.
+        computes the coordinates in whole-array passes.  Only the points
+        themselves are built one by one, by tuple.__new__ (no Python-level
+        __new__, no check each), after one array test of every interior
+        row's t.
         """
         arcs = np.asarray(arcs, dtype=np.float64)
         if np.isnan(arcs).any():
@@ -361,15 +364,15 @@ class PathSegment:
         code[arc == 0.0] = len(fixed) - 2
         at = code >= 0
         x[at] = fixed_x[code[at]]
-        # DomainPoint's check, once for every interior row: _make skips it
+        # DomainPoint's check, once for every interior row: tuple.__new__
+        # builds each point without it
         inner = t[~at]
         if not ((inner > 0.0) & (inner < 1.0)).all():
             raise ValueError("interior point needs 0 < t < 1")
-        make = DomainPoint._make
-        points = [
-            fixed[c] if c >= 0 else make((None, j, tj))
-            for c, j, tj in zip(code.tolist(), e.tolist(), t.tolist())
-        ]
+        make = partial(tuple.__new__, DomainPoint)
+        points = list(map(make, zip(repeat(None), e.tolist(), t.tolist())))
+        for k, c in zip(np.flatnonzero(at).tolist(), code[at].tolist()):
+            points[k] = fixed[c]
         return points, x
 
 

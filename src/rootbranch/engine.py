@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -405,6 +406,11 @@ def extend_segment(
 ) -> SegmentRun:
     """Continue the branch along one sweep segment from its resume point.
 
+    w_start is the branch value at the resume point: the polished seed, or
+    the value an earlier segment recorded there.  It is the first sample
+    as it is, with its residual from one evaluation, not polished again,
+    so the branch keeps one value at a junction.
+
     Steps land exactly on the sweep's stops, where later segments resume
     from the samples there.
 
@@ -452,7 +458,8 @@ def extend_segment(
 
     pt = seg.point_at(s)
     cx = dom.coordinate(pt)
-    w, res = polish_root(f, cx, complex(w_start))
+    w = complex(w_start)
+    res = modulus(f.eval(cx, w))
     samples: list[BranchSample] = [BranchSample(seg_index, s, pt, w, res)]
     if s >= length:
         return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
@@ -862,12 +869,18 @@ def resample_branch(
 
     Raw adaptive samples are linearly interpolated at the target arcs and
     Newton-polished, all rows in one polish_roots call; residuals are
-    reported honestly (no filtering).  A twin segment reads its raw
-    samples from its source and takes its rows' points on its own path.
-    When arcs_by_segment is given those arcs are used, clipped to each segment's covered span (oracle tests;
-    a NaN arc raises OutOfDomainError); otherwise ``total`` samples are distributed across segments
-    proportionally to covered length, at least two per segment.  cfg is
-    accepted for symmetry with continue_branch; resampling has no knobs.
+    reported honestly (no filtering).  A row stops polishing once its
+    Newton correction is at the rounding level of its value, so a row
+    whose guess is a root to rounding, as a linear root curve's
+    interpolation is, typically costs two kernel points or fewer: its
+    guess and one step.  A twin segment reads its raw samples from its
+    source and takes its rows' points on its own path.  When
+    arcs_by_segment is given those arcs are used, clipped to each
+    segment's covered span (oracle tests; a NaN arc raises
+    OutOfDomainError); otherwise ``total`` samples are distributed across
+    segments proportionally to covered length, at least two per segment.
+    cfg is accepted for symmetry with continue_branch; resampling has no
+    knobs.
     """
     by_seg: dict[int, list[BranchSample]] = {}
     for smp in branch.samples:
@@ -933,4 +946,6 @@ def resample_branch(
     if not segs:
         return []
     w, res = polish_roots(f, np.concatenate(xs), np.concatenate(guesses))
-    return list(map(BranchSample, segs, arcs_out, points_out, w.tolist(), res.tolist()))
+    # tuple.__new__ builds each row in C, without the named tuple's __new__
+    row = partial(tuple.__new__, BranchSample)
+    return list(map(row, zip(segs, arcs_out, points_out, w.tolist(), res.tolist())))

@@ -817,6 +817,8 @@ def degeneracy_probe(f: EntireFunction, x0: float) -> Optional[complex]:
 
 # Newton iterations of polish_root by default, and of every polish_roots row
 POLISH_MAX_ITER = 8
+# a polish_roots row stops after a step |step - z| <= POLISH_STOP_ULPS * eps * |step|
+POLISH_STOP_ULPS = 4
 
 
 def modulus(c: complex) -> float:
@@ -875,19 +877,33 @@ def polish_roots(
     x and z0 are arrays of one shape, of any number of dimensions; each
     element is a row.  All rows share one Newton loop over arrays, with
     one kernel call for F and dF/dz per iteration.  Every row follows
-    polish_root's rules with its default iteration count, except that a
-    row stops when a Newton step gives back its current iterate bit for
-    bit, not whenever one gives back an earlier iterate: a longer cycle
-    only replays iterates already scored.  numpy's array arithmetic may
-    round a last bit differently from polish_root's Python arithmetic, so
-    a row agrees with polish_root to a few ulp, not bit for bit.  Returns
-    the arrays (z, residual), of that shape.
+    polish_root's rules with its default iteration count, with two stops
+    of its own.  A row stops when a Newton step gives back its current
+    iterate bit for bit, not whenever one gives back an earlier iterate:
+    a longer cycle only replays iterates already scored.  And a row whose
+    correction is at the rounding level of its new iterate,
+    |step - z| <= POLISH_STOP_ULPS * eps * |step|, is evaluated and scored
+    at step and then stops: past that point Newton only wanders within
+    the rounding noise of F (Dennis & Schnabel 1983, 7.2).  The best
+    iterate is returned, as by polish_root.
+
+    A row ends, as polish_root does, where |F| is rounding noise, but not
+    always on polish_root's bits: the stops, and numpy's array arithmetic,
+    which may round a last bit differently from polish_root's Python
+    arithmetic, move it within that noise.  A row (z, r) agrees with
+    polish_root's (zs, rs) within
+    4 * eps * (1 + |zs|) + (r + rs + 2 * mu) / |F_z|, mu the rounding error
+    of F about the root: a few ulp, plus the disk where |F| is at most a
+    residual plus mu.  For a polynomial series mu is about eps times the
+    sum of |c| |x|**p |z|**k over its terms c x**p z**k.  Returns the
+    arrays (z, residual), of the rows' shape.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
     fz, d = f.kernel(x, z0)  # checks x's range and shape
     x, fz, d = x.ravel(), fz.ravel(), d.ravel()
     best_z = z0.ravel().copy()
+    settle = POLISH_STOP_ULPS * np.finfo(np.float64).eps
     with np.errstate(all="ignore"):
         start_ok = np.isfinite(fz)
         best_r = np.where(start_ok, np.abs(fz), np.inf)
@@ -902,15 +918,16 @@ def polish_roots(
             step = z - fz / d
             # the int64 view keeps 0.0 and -0.0 apart, as polish_root does
             moved = (step.view(np.int64) != z.view(np.int64)).reshape(-1, 2).any(axis=1)
-            live, z = live[moved], step[moved]
+            settled = np.abs(step - z) <= settle * np.abs(step)
+            live, z, settled = live[moved], step[moved], settled[moved]
             fz, d = f.kernel(x[live], z)
             ok = np.isfinite(fz)
-            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
+            live, z, fz, d, settled = live[ok], z[ok], fz[ok], d[ok], settled[ok]
             r = np.abs(fz)
             better = r < best_r[live]
             best_z[live[better]] = z[better]
             best_r[live[better]] = r[better]
-            keep = (r <= 2.0 * best_r[live]) & (r != 0.0)
+            keep = (r <= 2.0 * best_r[live]) & (r != 0.0) & ~settled
             live, z, fz, d = live[keep], z[keep], fz[keep], d[keep]
     return best_z.reshape(z0.shape), best_r.reshape(z0.shape)
 

@@ -25,6 +25,7 @@ from rootbranch import (
 )
 from rootbranch import engine
 from rootbranch.cli import main
+from bench_resample import CASES as RESAMPLE_CASES
 from test_domain import trees
 
 
@@ -333,6 +334,25 @@ def test_equal_paths_from_unequal_start_values_are_not_twins():
     assert br.twins == ()
 
 
+def test_a_resumed_segment_keeps_the_junction_value_bit_for_bit():
+    # the sweeps to l2 and l4 resume at c1 and c2 from the values the
+    # sweeps to l1 and l3 recorded there: their first samples are those
+    # values as they are, not polished again, so each point has one value
+    f, *_ = build(parse_problem({"fixture": "monic-cubic-interval"}))
+    dom = _two_level_tree(0.3)
+    br = continue_branch(f, dom, dom.vertex_point("r"), 1.0)
+    assert br.completed and br.twins == ()
+    at = {}
+    for s in br.samples:
+        at.setdefault(s.point, set()).add((s.w.real.hex(), s.w.imag.hex(), s.residual.hex()))
+    assert all(len(bits) == 1 for bits in at.values())
+    resumed = [sw for sw in br.sweeps if sw.resume_arc > 0.0]
+    assert {sw.segment.point_at(sw.resume_arc) for sw in resumed} == {
+        dom.vertex_point("c1"),
+        dom.vertex_point("c2"),
+    }
+
+
 def test_star_with_unequal_edges_has_no_twins():
     f, dom, x0, z0, cfg = build(parse_problem(_unequal_star_cubic()))
     br = continue_branch(f, dom, x0, z0, cfg)
@@ -372,6 +392,26 @@ def test_resample_monotone_arcs_and_residuals():
         assert s.residual < 1e-8
     for arcs in by_seg.values():
         assert all(a < b for a, b in zip(arcs, arcs[1:]))
+
+
+@pytest.mark.parametrize("name, most", [("monic-cubic-ytree", 2.2), ("poly-quartic-ytree", 1.8)])
+def test_resample_kernel_points_per_row(monkeypatch, name, most):
+    # one kernel point per row for its guess, and one per Newton step: a
+    # row stops once its correction is at the rounding level of its value
+    doc, rows = RESAMPLE_CASES[name]
+    f, dom, x0, z0, cfg = build(parse_problem(doc))
+    br = continue_branch(f, dom, x0, z0, cfg)
+    points = []
+    kernel = f.kernel
+
+    def counting(x, z, dz=True):
+        points.append(np.size(z))
+        return kernel(x, z, dz)
+
+    monkeypatch.setattr(f, "kernel", counting)
+    out = resample_branch(f, br, rows)
+    assert len(out) == rows and max(s.residual for s in out) <= cfg.residual_tol
+    assert sum(points) <= most * rows
 
 
 def test_branch_sample_is_a_named_tuple():

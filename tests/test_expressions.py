@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rootbranch import EntireFunction, NonFiniteError, OutOfDomainError, series
 from rootbranch import build, degeneracy_probe, parse_expression, parse_problem
-from rootbranch import polish_root, polish_roots
+from rootbranch import continue_branch, engine, polish_root, polish_roots, resample_branch
 from rootbranch.fixtures import fixture_names
 from rootbranch.expressions import (
     Add,
@@ -33,6 +33,8 @@ from rootbranch.expressions import (
     sub,
     to_text,
 )
+from bench_resample import Y_TREE
+from test_engine import _linear_roots_series
 
 
 def f_of(text):
@@ -210,8 +212,9 @@ def test_polish_roots_matches_polish_root_row_for_row():
         assert set(_SPECIAL_X.get(name, [])) <= set(x.tolist())
 
 
-def _polish_roots_every_iteration(f, x, z0):
-    """polish_roots without its stop at a repeated iterate."""
+def _polish_roots_every_iteration(f, x, z0, rounding_stop=True):
+    """polish_roots without its stop at a repeated iterate, and also
+    without its rounding stop when rounding_stop is false."""
     z0 = np.asarray(z0, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
     fz, d = f.kernel(x, z0)
@@ -227,15 +230,18 @@ def _polish_roots_every_iteration(f, x, z0):
                 break
             ok = (d != 0) & np.isfinite(np.abs(d))
             live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
-            z = z - fz / d
+            step = z - fz / d
+            settled = np.abs(step - z) <= 4 * np.finfo(float).eps * np.abs(step)
+            settled &= rounding_stop
+            z = step
             fz, d = f.kernel(x[live], z)
             ok = np.isfinite(fz)
-            live, z, fz, d = live[ok], z[ok], fz[ok], d[ok]
+            live, z, fz, d, settled = live[ok], z[ok], fz[ok], d[ok], settled[ok]
             r = np.abs(fz)
             better = r < best_r[live]
             best_z[live[better]] = z[better]
             best_r[live[better]] = r[better]
-            keep = (r <= 2.0 * best_r[live]) & (r != 0.0)
+            keep = (r <= 2.0 * best_r[live]) & (r != 0.0) & ~settled
             live, z, fz, d = live[keep], z[keep], fz[keep], d[keep]
     return best_z.reshape(z0.shape), best_r.reshape(z0.shape)
 
@@ -253,16 +259,19 @@ def _counting_kernel(f):
     return points
 
 
+# (F, rows) whose roots are exact in floating point
+_EXACT_ROWS = [
+    ("pow(z, 2) - x", [(0.25, 0.5), (4.0, -2.0), (0.25, 0.5 + 1e-3j)]),
+    ("exp(z) - x", [(1.0, 0.0), (1.0, -0.0), (2.0, 0.7)]),
+    ("z - x", [(0.5, 0.5), (0.5, 0.25)]),
+]
+
+
 def test_polish_roots_stops_at_a_repeat_without_changing_the_result():
     # a row whose Newton step gives back its iterate bit for bit only
     # replays: stopping it returns the bits of iterating on, in fewer points
-    exact = [
-        ("pow(z, 2) - x", [(0.25, 0.5), (4.0, -2.0), (0.25, 0.5 + 1e-3j)]),
-        ("exp(z) - x", [(1.0, 0.0), (1.0, -0.0), (2.0, 0.7)]),
-        ("z - x", [(0.5, 0.5), (0.5, 0.25)]),
-    ]
     cases = [(f, rows) for _name, f, rows in _fixture_polish_rows()]
-    cases += [(f_of(text), rows) for text, rows in exact]
+    cases += [(f_of(text), rows) for text, rows in _EXACT_ROWS]
     saved = 0
     for f, rows in cases:
         x = np.array([r[0] for r in rows])
@@ -277,6 +286,109 @@ def test_polish_roots_stops_at_a_repeat_without_changing_the_result():
         assert sum(new_points) <= sum(old_points)
         saved += sum(old_points) - sum(new_points)
     assert saved > 0
+
+
+# monic quartics whose roots a_j + b_j x stay at least 0.3 apart, as the
+# poly-dense benchmark draws its families: the bench quartic's roots on
+# the Y-tree, and a second family on the interval
+_QUARTIC_ROOT_LINES = [
+    (
+        [0.9 + 0.2j, -0.8 + 0.5j, 0.1 - 0.9j, -0.4 - 0.6j],
+        [0.3 - 0.4j, 0.5 + 0.1j, -0.2 + 0.3j, -0.4 - 0.2j],
+        Y_TREE,
+    ),
+    (
+        [1.1 - 0.23j, 0.066 + 0.59j, 0.93 + 0.42j, 1.09 - 0.84j],
+        [0.038 - 0.48j, -0.26 - 0.39j, -0.17 + 0.39j, 0.35 - 0.005j],
+        {"kind": "interval"},
+    ),
+]
+
+
+def _series_problem(a, b, domain):
+    """prod_j (z - a_j - b_j x) in series form, as poly-dense gives it,
+    seeded on the root a_0 at the domain's base point."""
+    at = {"point": {"vertex": domain["vertices"][0]}} if domain["kind"] == "tree" else {"x": 0.0}
+    return {
+        "series": _linear_roots_series(a, b),
+        "domain": domain,
+        "seed": {**at, "z": [a[0].real, a[0].imag]},
+    }
+
+
+def _rounding_scale(a, b, x, z):
+    """eps prod_j (|z| + |a_j| + |b_j| |x|): at least eps times the sum of
+    |c| |x|**p |z|**k over the terms c x**p z**k of prod_j (z - a_j - b_j x),
+    the scale of the rounding error in evaluating it (Higham 2002, 5.1)."""
+    out = np.finfo(float).eps
+    for aj, bj in zip(a, b):
+        out = out * (np.abs(z) + abs(aj) + abs(bj) * np.abs(x))
+    return out
+
+
+def _within_agreement(f, x, z, r, zs, rs, mu=0.0):
+    """Per row, whether z (residual r) lies within 4 eps (1 + |zs|) +
+    (r + rs + 2 mu) / |F_z| of zs (residual rs): a few ulp, plus the width
+    of the disk about the root where |F| is at most a residual plus F's
+    rounding error mu.  A row equal to zs agrees, also where F_z = 0."""
+    eps = np.finfo(float).eps
+    fz = np.abs([f.eval_dz_many(xk, [zk])[0] for xk, zk in zip(x, zs)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = 4 * eps * (1.0 + np.abs(zs)) + (r + rs + 2.0 * mu) / fz
+    return (z == zs) | (np.abs(z - zs) <= bound)
+
+
+def test_polish_roots_stops_at_the_rounding_level_within_the_agreement_bound():
+    # a row whose correction is at the rounding level of its iterate stops
+    # after scoring it: the rest only wanders in F's rounding noise.  The
+    # fixture and exact rows agree even with mu taken as 0
+    cases = [(f, rows, 0.0) for _name, f, rows in _fixture_polish_rows()]
+    cases += [(f_of(text), rows, 0.0) for text, rows in _EXACT_ROWS]
+    a, b, domain = _QUARTIC_ROOT_LINES[1]
+    f, *_ = build(parse_problem(_series_problem(a, b, domain)))
+    rng = np.random.default_rng(30)
+    x = np.linspace(0.0, 1.0, 101)
+    curve = a[0] + b[0] * x
+    # starts off the curve by about an interpolation's error
+    z0 = curve + 1e-6 * np.exp(2j * np.pi * rng.uniform(size=x.size))
+    cases.append((f, list(zip(x, z0)), _rounding_scale(a, b, x, curve)))
+    new = old = 0
+    for f, rows, mu in cases:
+        x = np.array([r[0] for r in rows])
+        z0 = np.array([r[1] for r in rows], dtype=np.complex128)
+        new_points = _counting_kernel(f)
+        zv, rv = polish_roots(f, x, z0)
+        del f.kernel
+        old_points = _counting_kernel(f)
+        zw, rw = _polish_roots_every_iteration(f, x, z0, rounding_stop=False)
+        del f.kernel
+        assert _within_agreement(f, x, zv, rv, zw, rw, mu).all()
+        new, old = new + sum(new_points), old + sum(old_points)
+    assert new < old
+    # criterion 4's bound on the distance to the tracked root curve
+    assert np.abs(zv - curve).max() <= 1e-12
+
+
+def test_polish_roots_matches_polish_root_on_poly_dense_rows(monkeypatch):
+    # resampled rows of linear-root families start within rounding of the
+    # root, where both polishes wander in F's rounding noise: a row may
+    # differ from polish_root by more than 4 ulp, but within that noise
+    seen = []
+
+    def recording(f, x, z0):
+        seen.append((x, z0))
+        return polish_roots(f, x, z0)
+
+    monkeypatch.setattr(engine, "polish_roots", recording)
+    for a, b, domain in _QUARTIC_ROOT_LINES:
+        f, dom, x0, z0, cfg = build(parse_problem(_series_problem(a, b, domain)))
+        seen.clear()
+        assert len(resample_branch(f, continue_branch(f, dom, x0, z0, cfg), 1000)) == 1000
+        [(x, z0)] = seen
+        zv, rv = polish_roots(f, x, z0)
+        zs, rs = np.array([polish_root(f, xk, zk) for xk, zk in zip(x.tolist(), z0.tolist())]).T
+        mu = _rounding_scale(a, b, x, zs)
+        assert _within_agreement(f, x, zv, rv, zs, rs.real, mu).all()
 
 
 def _polish_root_every_iteration(f, x, z0, max_iter=8):
