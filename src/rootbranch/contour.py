@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class Circle:
     """Integration circle with equispaced trapezoid nodes.
 
     samples must be a power of two (>= 16) so node sets nest under doubling.
-    A circle builds its doubling once, on first use, and keeps it: a
-    certificate's circle serves every step checked on it.
+    A circle builds its doubling and its probe rings once, on first use,
+    and keeps them: a certificate's circle serves every step checked on it.
     """
 
     center: complex
@@ -87,6 +87,20 @@ class Circle:
     @_kept
     def _doubled(self) -> "Circle":
         return Circle(self.center, self.radius, 2 * self.samples)
+
+    @_kept
+    def probe_rings(self) -> np.ndarray:
+        """check_cofactor's points inside the disk: the M nodes scaled to
+        radius r/3 about the center, then to 2r/3 (read-only)."""
+        unit = _unit_nodes(self.samples)
+        rings = np.concatenate(
+            [
+                self.center + (self.radius / 3.0) * unit,
+                self.center + (2.0 * self.radius / 3.0) * unit,
+            ]
+        )
+        rings.flags.writeable = False
+        return rings
 
 
 @dataclass(frozen=True)
@@ -143,23 +157,41 @@ class ContourData:
         return complex(np.add.reduce(g) / g.size)
 
 
-def sample_contour(f: EntireFunction, x: float, circle: Circle) -> ContourData:
+def sample_contour(f: EntireFunction, x: float, circle: Circle, extra=None):
     """F(x, .) and dF/dz on the circle's nodes from one kernel call; values
-    may be non-finite (callers check with require_finite)."""
+    may be non-finite (callers check with require_finite).
+
+    extra, an array of further points, rides along in the same call,
+    after the nodes: then (samples, F at extra) is returned.  The kernel
+    computes each point on its own, so every value has the bits that a
+    call on its own points gives.
+    """
     z = circle.nodes()
-    fv, fz = f.kernel(x, z)
-    return ContourData(circle, z, fv, fz)
+    if extra is None:
+        fv, fz = f.kernel(x, z)
+        return ContourData(circle, z, fv, fz)
+    m = z.size
+    fv, fz = f.kernel(x, np.concatenate((z, extra)))
+    fv.flags.writeable = False
+    return ContourData(circle, z, fv[:m], fz[:m]), fv[m:]
 
 
-def sample_nested(
-    f: EntireFunction, x: float, circle: Circle
-) -> tuple[ContourData, ContourData]:
+def sample_nested(f: EntireFunction, x: float, circle: Circle, probe: bool = False):
     """sample_contour on the circle and on its doubling, from one kernel
     call at 2M nodes: the even ones are the circle's own nodes, bit for
-    bit, so the M level is every other sample, copied contiguous."""
-    fine = sample_contour(f, x, circle.doubled())
+    bit, so the M level is every other sample, copied contiguous.
+
+    Returns (coarse, fine).  With probe, the circle's probe rings
+    (check_cofactor's points) are sampled in the same call, and
+    (coarse, fine, F on circle.probe_rings) is returned.
+    """
+    if probe:
+        fine, rings = sample_contour(f, x, circle.doubled(), circle.probe_rings)
+    else:
+        fine = sample_contour(f, x, circle.doubled())
     coarse = (np.ascontiguousarray(a[::2]) for a in (fine.z, fine.f, fine.fz))
-    return ContourData(circle, *coarse), fine
+    levels = (ContourData(circle, *coarse), fine)
+    return (*levels, rings) if probe else levels
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
@@ -397,37 +429,45 @@ def local_monic_factor(
     x: float,
     circle: Circle,
     levels: Sequence[ContourData] = (),
+    probe: Optional[np.ndarray] = None,
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
 
     local_factor_data followed by check_cofactor, so F/P is also certified
     free of zeros inside the disk.  ``levels`` are passed on to
-    local_factor_data.
+    local_factor_data and ``probe`` to check_cofactor: validate_step
+    takes both at x in one kernel call (sample_nested with probe), so an
+    accepted step's factor makes no call of its own.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
     poly, _ = local_factor_data(f, x, circle, levels=levels)
-    check_cofactor(f, x, circle, poly)
+    check_cofactor(f, x, circle, poly, probe)
     return poly
 
 
 def check_cofactor(
-    f: EntireFunction, x: float, circle: Circle, poly: MonicPoly
+    f: EntireFunction,
+    x: float,
+    circle: Circle,
+    poly: MonicPoly,
+    probe: Optional[np.ndarray] = None,
 ) -> None:
     """Raise CofactorVanishesError unless F/P stays clear of zero in the disk.
 
-    F/P is probed on two interior circles (radii r/3 and 2r/3) and must stay
-    above M_FLOOR_REL * max |F/P| there.  Points where P underflows carry
-    no information.
+    F/P is probed on two interior circles, circle.probe_rings (radii r/3
+    and 2r/3), and must stay above M_FLOOR_REL * max |F/P| there.  Points
+    where P underflows carry no information.  probe is F(x, .) on those
+    rings when the caller sampled them along with the circle (sample_nested
+    with probe); without it they are sampled here.  Either way a
+    non-finite F there raises NonFiniteError.
     """
-    unit = _unit_nodes(circle.samples)
-    zs = np.concatenate(
-        [
-            circle.center + (circle.radius / 3.0) * unit,
-            circle.center + (2.0 * circle.radius / 3.0) * unit,
-        ]
-    )
-    gmin, gmax = _cofactor_range(f.eval_many(x, zs), poly, zs)
+    zs = circle.probe_rings
+    if probe is None:
+        probe = f.eval_many(x, zs)
+    else:
+        require_finite(x, zs, probe)
+    gmin, gmax = _cofactor_range(probe, poly, zs)
     floor = max(M_FLOOR_REL * gmax, DENORMAL_FLOOR)
     if gmin <= floor:
         raise CofactorVanishesError(

@@ -638,7 +638,9 @@ def _step_root(
         return None, 0.0, ambiguous_streak, None
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
-        poly1 = local_monic_factor(f, x1, loc.circle, levels=check.samples)
+        poly1 = local_monic_factor(
+            f, x1, loc.circle, levels=check.samples, probe=check.probe
+        )
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"

@@ -529,11 +529,11 @@ class _Kernel:
     and a z part.  Each node runs its ``Expr.code``, on complex(x) for a
     float x and on x.astype(complex128) for an array x.  A power b**n with
     n >= 2 is interned as the product of b**(n//2) and b**(n - n//2), so
-    the powers of one base share their lower powers: a degree-d series
-    costs one complex product per power, and b**n alone O(log n) products
-    (Knuth, TAOCP vol. 2, section 4.6.3), with the rounding error of
-    n - 1 products at most.  Such a power takes the type of its base's
-    value: on a float x, a power of x is a Python complex, not numpy's.
+    the powers of one base share their lower powers, and b**n alone
+    costs O(log n) products (Knuth, TAOCP vol. 2, section 4.6.3), with
+    the rounding error of n - 1 products at most.  Such a power takes the
+    type of its base's value: on a float x, a power of x is a Python
+    complex, not numpy's.
 
     A float x runs the x part once and caches its values on the bits of
     x, for every later call at that x.  An array x (one x per z) splits
@@ -766,14 +766,18 @@ class _Kernel:
 
 
 def series(coeffs) -> Expr:
-    """The sum of coeffs[k] * z**k as one expression, from k = 0 up.
+    """The sum of coeffs[k] * z**k as one expression, in Horner form
+    c0 + z * (c1 + z * (... + z * cd)) (Knuth, TAOCP vol. 2, section
+    4.6.4).
 
-    A power series in z needs coefficients that do not mention z;
-    parse_problem checks that for a ``series`` document.
+    A degree-d series then costs d complex products and d sums, and its
+    dz tree, (c1 + z * (...)) + z * (its own dz), the same again on top:
+    no power of z is formed.  A power series in z needs coefficients that
+    do not mention z; parse_problem checks that for a ``series`` document.
     """
     total: Expr = Const(0j)
-    for k, c in enumerate(coeffs):
-        total = add(total, mul(c, powi(Z(), k)))
+    for c in reversed(tuple(coeffs)):
+        total = add(c, mul(Z(), total))
     return total
 
 

@@ -97,14 +97,17 @@ class StepValidation:
     excess is max |F(x1) - F(x0)| over the 2M contour nodes divided by
     SAFETY times min |F(x0)| there; values <= 1 are accepted.  resolution
     is the node count compared, 2M.  samples (on acceptance) are F and F'
-    at x1 on the M nodes and then on the 2M nodes: the factor at x1 takes
-    them as its levels.
+    at x1 on the M nodes and then on the 2M nodes, and probe F at x1 on
+    the circle's probe rings (unchecked), all from the check's one kernel
+    call: the factor at x1 takes them as its levels and its cofactor
+    probe.
     """
 
     accepted: bool
     excess: float
     resolution: int
     samples: tuple[ContourData, ...] = ()
+    probe: Optional[np.ndarray] = None
 
 
 def select_radius(
@@ -147,13 +150,16 @@ def select_radius(
 
 def _try_radius(f, x0, z0, r):
     """The certificate select_radius admits at radius r, or None.  The
+    circle's M and 2M nodes and its probe rings are sampled in one kernel
+    call; the probe is read only for a circle that _admit passes.  The
     ValueError is Circle's, at a radius that underflowed to 0."""
     try:
         circle = Circle(z0, r)
-        poly, levels = local_factor_data(f, x0, circle)
+        *levels, probe = sample_nested(f, x0, circle, probe=True)
+        poly, levels = local_factor_data(f, x0, circle, levels)
         loc = _admit(x0, poly, circle, levels)
         if loc is not None:
-            check_cofactor(f, x0, circle, poly)
+            check_cofactor(f, x0, circle, poly, probe)
         return loc
     except (CertificateError, NonFiniteError, ValueError):
         return None
@@ -211,15 +217,16 @@ def validate_step(
 
     Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m2 on the
     certificate circle's 2M nodes, where m2 is min |F(x0)| on those nodes
-    (loc.levels[1]).  F(x1) is sampled once, at 2M nodes (sample_nested),
-    and compared once.  The 2M nodes contain the M nodes, so no step
-    passes that a comparison on the M nodes alone would reject.  The
-    threshold is positive: every LocalFactorization passed select_radius's
-    contour checks, which demand min |F| > 0 on each level.  A non-finite
-    F(x1) rejects the step; F'(x1) is sampled along, unchecked, for the
-    factor at x1.
+    (loc.levels[1]).  F(x1) is sampled once, at 2M nodes, and compared
+    once.  The 2M nodes contain the M nodes, so no step passes that a
+    comparison on the M nodes alone would reject.  The threshold is
+    positive: every LocalFactorization passed select_radius's contour
+    checks, which demand min |F| > 0 on each level.  A non-finite F(x1)
+    on the nodes rejects the step.  F'(x1) on the nodes and F(x1) on the
+    circle's probe rings come from the same kernel call (sample_nested
+    with probe), unchecked, for the factor at x1 and its cofactor probe.
     """
-    taken = sample_nested(f, x1, loc.circle)
+    *taken, probe = sample_nested(f, x1, loc.circle, probe=True)
     fine, f1 = loc.levels[1], taken[1].f
     resolution = fine.circle.samples
     if not np.isfinite(f1).all():
@@ -228,7 +235,7 @@ def validate_step(
     excess = diff / (SAFETY * fine.min_abs_f)
     if excess > 1.0:
         return StepValidation(False, excess, resolution)
-    return StepValidation(True, excess, resolution, taken)
+    return StepValidation(True, excess, resolution, tuple(taken), probe)
 
 
 def ladder_radius(
@@ -240,16 +247,18 @@ def ladder_radius(
     Each rung is a circle about loc.z0 with loc.circle.samples nodes,
     scored by its Rouche ratio min |F(x0)| / max |F(x1) - F(x0)|: the step
     a circle certifies scales with it.  The loc.r rung reuses loc.levels[0]
-    and f1, F(x1) on loc.circle's nodes; the other two cost one F-only
-    kernel call each at x0 and at x1.  A rung with a non-finite sample
-    drops out, and loc.r stays unless another rung beats it strictly.
+    and f1, F(x1) on loc.circle's nodes; the other two rungs' nodes are
+    evaluated together, in one F-only kernel call at x0 and one at x1.  A
+    rung with a non-finite sample drops out, and loc.r stays unless
+    another rung beats it strictly.
     """
     best_r, best = loc.r, _rouche_ratio(loc.levels[0].f, f1)
-    for r in (0.5 * loc.r, 2.0 * loc.r):
-        z = Circle(loc.z0, r, loc.circle.samples).nodes()
-        (g0,) = f.kernel(loc.x0, z, dz=False)
-        (g1,) = f.kernel(x1, z, dz=False)
-        ratio = _rouche_ratio(g0, g1)
+    rungs = (0.5 * loc.r, 2.0 * loc.r)
+    z = np.concatenate([Circle(loc.z0, r, loc.circle.samples).nodes() for r in rungs])
+    (g0,) = f.kernel(loc.x0, z, dz=False)
+    (g1,) = f.kernel(x1, z, dz=False)
+    for r, a, b in zip(rungs, g0.reshape(2, -1), g1.reshape(2, -1)):
+        ratio = _rouche_ratio(a, b)
         if ratio > best:
             best_r, best = r, ratio
     return best_r

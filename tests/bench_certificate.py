@@ -13,9 +13,9 @@ to give the result the solver would keep, so a benchmark of a failing
 path cannot pass for a fast one.  One more benchmark times the
 evaluation each Newton iterate makes, (F, dF/dz) at one point, through
 the one-point evaluator f.at and through f.kernel on a 1-element array.
-The last times a degree-5 series, whose powers of z the kernel computes
-as shared products: one kernel call on a contour's 256 nodes, with dF/dz
-and without, and one f.at call.
+The last times a degree-5 series, which the kernel evaluates by Horner's
+rule: one kernel call on a contour's 256 nodes, with dF/dz and without,
+and one f.at call.
 """
 
 import numpy as np
@@ -55,7 +55,10 @@ def test_validate_step_and_factor(benchmark, name):
 
     def step():
         check = validate_step(f, loc, x1)
-        return check, local_monic_factor(f, x1, loc.circle, levels=check.samples)
+        poly = local_monic_factor(
+            f, x1, loc.circle, levels=check.samples, probe=check.probe
+        )
+        return check, poly
 
     check, poly = benchmark(step)
     assert check.accepted and poly.degree == loc.n

@@ -8,10 +8,12 @@ from rootbranch import (
     EntireFunction,
     MonicPoly,
     ZeroOnContourError,
+    build,
     count_zeros,
     local_monic_factor,
     newton_to_coeffs,
     parse_expression,
+    parse_problem,
     poly_roots,
 )
 from rootbranch.contour import (
@@ -79,6 +81,44 @@ def test_nested_sample_matches_sampling_each_level(text, x, re, im, log_r, sampl
             a, b = getattr(got, name), getattr(want, name)
             assert a.flags.c_contiguous and not a.flags.writeable
             assert a.tobytes() == b.tobytes(), name
+
+
+# a monic quintic whose coefficients move with x, as a poly-dense series
+_QUINTIC = (
+    "(0.3 + 0.1*i) - 0.2*x", "(-0.5 + 0.2*i) + 0.4*x", "(0.7 - 0.3*i)*x",
+    "1.1 - 0.6*x", "(-0.2 + 0.9*i) + 0.3*x", "1.0",
+)
+_FUSED_FUNCTIONS = {
+    name: build(parse_problem({"fixture": name}))[0]
+    for name in ("example2-phi", "remark-exp-asymptotic", "example1-sin")
+}
+_FUSED_FUNCTIONS["quintic"] = EntireFunction(series(map(parse_expression, _QUINTIC)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FUSED_FUNCTIONS)),
+    x=st.floats(0.05, 0.95),
+    re=st.floats(-3.0, 3.0),
+    im=st.floats(-3.0, 3.0),
+    log_r=st.floats(-6.0, 0.4),
+    samples=st.sampled_from([16, 32, 64, 128]),
+)
+def test_fused_sample_is_the_separate_calls_bit_for_bit(name, x, re, im, log_r, samples):
+    # the probe rings sampled in the 2M-node call change no bit of either
+    # level, and give the values the cofactor probe's own call gives
+    f = _FUSED_FUNCTIONS[name]
+    circle = Circle(complex(re, im), 10.0**log_r, samples)
+    *fused, probe = sample_nested(f, x, circle, probe=True)
+    for got, want in zip(fused, sample_nested(f, x, circle)):
+        assert got.circle == want.circle
+        for part in ("z", "f", "fz"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == b.tobytes(), part
+    rings = circle.probe_rings
+    assert rings.size == probe.size == 2 * samples and not probe.flags.writeable
+    assert probe.tobytes() == f.eval_many(x, rings).tobytes()
 
 
 def test_count_zeros_examples():

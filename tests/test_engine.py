@@ -27,6 +27,7 @@ from rootbranch import engine
 from rootbranch.cli import main
 from bench_resample import CASES as RESAMPLE_CASES
 from test_domain import trees
+from test_tracer_sites import SERIES_PROBLEM
 
 
 def f_of(text):
@@ -483,6 +484,37 @@ def test_x_range_narrower_than_the_domain_raises_before_evaluating(monkeypatch):
     f = EntireFunction(f.expr, x_range=(-1.0, 1.0))
     assert continue_branch(f, dom, dom.interval_point(0.0), 1.0).completed
     assert calls
+
+
+@pytest.mark.parametrize(
+    "doc", [{"fixture": "monic-cubic-interval"}, SERIES_PROBLEM], ids=["cubic", "series"]
+)
+def test_kernel_calls_per_step(monkeypatch, doc):
+    # one kernel call per step proposal (the Rouche check samples the
+    # factor's levels and its cofactor probe along), one per radius tried
+    # (the count and the cofactor probe together), two per radius ladder
+    # (both rungs at x0, then at x1), and two at the seed (its |F| scale
+    # and its degeneracy probe)
+    f, dom, pt, z0, cfg = build(parse_problem(doc))
+    calls = dict.fromkeys(("kernel", "validate_step", "ladder_radius"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(f, "kernel", counted("kernel", f.kernel))
+    for name in ("validate_step", "ladder_radius"):
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    br = continue_branch(f, dom, pt, z0, cfg)
+    assert br.completed
+    tries = br.status.diagnostics["radius_tries"]
+    assert tries > 0 and calls["ladder_radius"] > 0
+    assert calls["kernel"] == (
+        2 + calls["validate_step"] + tries + 2 * calls["ladder_radius"]
+    ), calls
 
 
 def test_certify_steps_recount():

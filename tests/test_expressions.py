@@ -123,6 +123,57 @@ def test_series_form_matches_entire_function():
         assert abs(got - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
+_PART = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(_PART, min_size=2, max_size=18),
+    polar=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=8),
+)
+def test_series_is_polyval_within_rounding(parts, polar):
+    # the Horner form's F and dF/dz, on arrays and at one point, are
+    # np.polyval's within 1e-14 (d + 1)**2 sum |c_k| |z|**k
+    coeffs = [complex(a, b) for a, b in zip(parts[0::2], parts[1::2])]
+    f = EntireFunction(series(Const(c) for c in coeffs))
+    z = np.array([r * cmath.exp(1j * t) for r, t in polar])
+    desc = np.array(coeffs[::-1])
+    want = (np.polyval(desc, z), np.polyval(np.polyder(desc), z))
+    bound = 1e-14 * len(coeffs) ** 2 * np.polyval(np.abs(desc), np.abs(z))
+    at = np.array([f.at(0.5, zk) for zk in z.tolist()]).T
+    for got in (f.kernel(0.5, z), at):
+        for v, w in zip(got, want):
+            assert np.all(np.abs(v - w) <= bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(_PART, min_size=2, max_size=16),
+    lead=st.floats(2.0, 3.0),
+    exponent=st.floats(300.0, 310.0).filter(lambda e: not 307.9 < e < 308.6),
+    angle=st.floats(0.0, 2 * math.pi),
+)
+def test_series_overflows_where_polyval_does(parts, lead, exponent, angle):
+    # |c_d z**d| = 10**exponent dwarfs every other term, so F is past the
+    # float range exactly when polyval's value is, away from the edge; the
+    # same for dF/dz by the size of d c_d z**(d - 1)
+    coeffs = [complex(a, b) for a, b in zip(parts[0::2], parts[1::2])]
+    coeffs.append(complex(10.0**lead))
+    d = len(coeffs) - 1
+    z = np.array([10.0 ** ((exponent - lead) / d) * cmath.exp(1j * angle)])
+    f = EntireFunction(series(Const(c) for c in coeffs))
+    desc = np.array(coeffs[::-1])
+    with np.errstate(all="ignore"):
+        want = (np.polyval(desc, z), np.polyval(np.polyder(desc), z))
+    sizes = (exponent, math.log10(d) + lead + (d - 1) * (exponent - lead) / d)
+    for got in (f.kernel(0.5, z), f.at(0.5, complex(z[0]))):
+        for v, w, size in zip(got, want, sizes):
+            if size >= 308.6:
+                assert not np.isfinite(w).any() and not np.isfinite(v).any()
+            elif size <= 307.9:
+                assert np.isfinite(w).all() and np.isfinite(v).all()
+
+
 def test_guard_selects_branch_without_evaluating_other():
     # elsewhere-branch is singular at x0 but never evaluated there
     e = Guard(1.0, Z(), powi(sub(Const(1.0), X()), -1))

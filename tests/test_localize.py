@@ -197,10 +197,11 @@ def test_select_radius_halving_budget():
 
 
 def test_accepted_step_reuses_the_check_samples(monkeypatch):
-    # the check samples F(x1) once, at 2M nodes, and compares it there with
+    # the check samples F(x1) once, in one kernel call at the 2M nodes and
+    # the circle's two probe rings, and compares it on the 2M nodes with
     # F(x0) from the certificate; the factor at x1 takes F(x1) on the M-
-    # and 2M-node circles from the check: none of those node sets is
-    # evaluated again
+    # and 2M-node circles and on the probe rings from the check: it makes
+    # no kernel call, and no node set is evaluated twice
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.2)
     m = loc.circle.samples
@@ -215,20 +216,22 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     x1 = 0.26
     v = validate_step(f, loc, x1)
     assert v.accepted and v.resolution == 2 * m
-    assert [(x, z.size) for x, z in calls] == [(x1, 2 * m)]
-    reused = (loc.circle.nodes(), loc.circle.doubled().nodes())
-    assert [d.z.size for d in v.samples] == [m, 2 * m]
+    assert [(x, z.size) for x, z in calls] == [(x1, 2 * m + 2 * m)]
+    (_, z), = calls
+    nodes, rings = loc.circle.doubled().nodes(), loc.circle.probe_rings
+    assert z.tobytes() == np.concatenate((nodes, rings)).tobytes()
+    assert len(set(z.tolist())) == z.size
+    assert [d.z.size for d in v.samples] == [m, 2 * m] and v.probe.size == 2 * m
 
     calls.clear()
-    poly = local_monic_factor(f, x1, loc.circle, levels=v.samples)
-    assert calls  # the cofactor probe inside the disk still samples
-    assert not any(np.array_equal(z, nodes) for _, z in calls for nodes in reused)
+    poly = local_monic_factor(f, x1, loc.circle, levels=v.samples, probe=v.probe)
+    assert calls == []
     monkeypatch.undo()
     assert poly == local_monic_factor(f, x1, loc.circle)
 
     kept = [d.f for d in loc.levels]
     kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
-    assert not any(a.flags.writeable for a in kept)
+    assert not any(a.flags.writeable for a in kept + [v.probe])
 
 
 def test_step_check_reads_every_2m_node():
