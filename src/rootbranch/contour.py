@@ -157,41 +157,41 @@ class ContourData:
         return complex(np.add.reduce(g) / g.size)
 
 
-def sample_contour(f: EntireFunction, x: float, circle: Circle, extra=None):
-    """F(x, .) and dF/dz on the circle's nodes from one kernel call; values
-    may be non-finite (callers check with require_finite).
+@dataclass(frozen=True)
+class CircleSample:
+    """F(x, .) sampled once on a circle: F and dF/dz on its M nodes
+    (coarse) and on its doubling's 2M nodes (fine), and F on its probe
+    rings (rings, unchecked), all read-only.  The count reads the two
+    levels, the factor the M level, the cofactor probe the rings and the
+    Rouche check the 2M level."""
 
-    extra, an array of further points, rides along in the same call,
-    after the nodes: then (samples, F at extra) is returned.  The kernel
+    coarse: ContourData
+    fine: ContourData
+    rings: np.ndarray
+
+    @property
+    def circle(self) -> Circle:
+        return self.coarse.circle
+
+
+def sample_contour(f: EntireFunction, x: float, circle: Circle) -> CircleSample:
+    """The CircleSample of F(x, .) on circle, from one kernel call at the
+    doubling's 2M nodes and then circle.probe_rings; values may be
+    non-finite (readers check with require_finite).
+
+    The even 2M nodes are the circle's own M nodes, bit for bit, so the
+    coarse level is every other sample, copied contiguous.  The kernel
     computes each point on its own, so every value has the bits that a
     call on its own points gives.
     """
-    z = circle.nodes()
-    if extra is None:
-        fv, fz = f.kernel(x, z)
-        return ContourData(circle, z, fv, fz)
+    doubled = circle.doubled()
+    z = doubled.nodes()
     m = z.size
-    fv, fz = f.kernel(x, np.concatenate((z, extra)))
+    fv, fz = f.kernel(x, np.concatenate((z, circle.probe_rings)))
     fv.flags.writeable = False
-    return ContourData(circle, z, fv[:m], fz[:m]), fv[m:]
-
-
-def sample_nested(f: EntireFunction, x: float, circle: Circle, probe: bool = False):
-    """sample_contour on the circle and on its doubling, from one kernel
-    call at 2M nodes: the even ones are the circle's own nodes, bit for
-    bit, so the M level is every other sample, copied contiguous.
-
-    Returns (coarse, fine).  With probe, the circle's probe rings
-    (check_cofactor's points) are sampled in the same call, and
-    (coarse, fine, F on circle.probe_rings) is returned.
-    """
-    if probe:
-        fine, rings = sample_contour(f, x, circle.doubled(), circle.probe_rings)
-    else:
-        fine = sample_contour(f, x, circle.doubled())
-    coarse = (np.ascontiguousarray(a[::2]) for a in (fine.z, fine.f, fine.fz))
-    levels = (ContourData(circle, *coarse), fine)
-    return (*levels, rings) if probe else levels
+    fine = ContourData(doubled, z, fv[:m], fz[:m])
+    coarse = (np.ascontiguousarray(a[::2]) for a in (z, fine.f, fine.fz))
+    return CircleSample(ContourData(circle, *coarse), fine, fv[m:])
 
 
 DENORMAL_FLOOR = 1e-300  # below this, double precision carries no structure
@@ -280,13 +280,14 @@ def count_zeros(f: EntireFunction, x: float, circle: Circle) -> int:
     """Count zeros of z -> F(x, .) inside the circle, multiplicity included.
 
     The trapezoid windings on the circle's M nodes and on its doubling's
-    2M nodes, from one sample_nested call, must land within WINDING_SLACK
+    2M nodes, from one sample_contour call, must land within WINDING_SLACK
     of the same integer; otherwise NonIntegerWindingError (the circle
     passes too close to a zero for the count to be read).
     ZeroOnContourError fires when either node set comes too close to a
     zero.
     """
-    return _count_zeros_data(x, *sample_nested(f, x, circle))
+    sample = sample_contour(f, x, circle)
+    return _count_zeros_data(x, sample.coarse, sample.fine)
 
 
 def _count_zeros_data(x: float, coarse: ContourData, fine: ContourData) -> int:
@@ -399,75 +400,55 @@ def _polish_poly_root(c, dc, u):
     return best
 
 
-def local_factor_data(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    levels: Sequence[ContourData] = (),
-) -> tuple[MonicPoly, tuple[ContourData, ContourData]]:
-    """The monic factor of the enclosed zeros, plus the samples used.
+def local_factor_data(x: float, sample: CircleSample) -> MonicPoly:
+    """The monic factor of the zeros F(x, .) has inside sample's circle.
 
-    The zero count n, then the power sums s_0..s_n on the M nodes about
-    the circle center, then newton_to_coeffs.  The count reads exactly two
-    levels, F and F' on the circle's M nodes and on its doubling's 2M
-    nodes, and those are returned for callers that also need |F| there.
-    ``levels`` are that pair already taken at this x (validate_step's
-    samples); without them the pair comes from one sample_nested call.
+    The zero count n from the sample's two levels (see count_zeros), then
+    the power sums s_0..s_n on the M nodes about the circle center, then
+    newton_to_coeffs.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    coarse, fine = levels or sample_nested(f, x, circle)
-    n = _count_zeros_data(x, coarse, fine)
+    n = _count_zeros_data(x, sample.coarse, sample.fine)
     if n == 0:
-        raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {circle}")
-    about = circle.center
-    return newton_to_coeffs(_power_sums_from(coarse, n, about), about), (coarse, fine)
+        raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {sample.circle}")
+    about = sample.circle.center
+    return newton_to_coeffs(_power_sums_from(sample.coarse, n, about), about)
 
 
 def local_monic_factor(
     f: EntireFunction,
     x: float,
     circle: Circle,
-    levels: Sequence[ContourData] = (),
-    probe: Optional[np.ndarray] = None,
+    sample: Optional[CircleSample] = None,
 ) -> MonicPoly:
     """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
 
     local_factor_data followed by check_cofactor, so F/P is also certified
-    free of zeros inside the disk.  ``levels`` are passed on to
-    local_factor_data and ``probe`` to check_cofactor: validate_step
-    takes both at x in one kernel call (sample_nested with probe), so an
-    accepted step's factor makes no call of its own.
+    free of zeros inside the disk.  sample is F(x, .) on circle already
+    taken (validate_step's), so an accepted step's factor makes no kernel
+    call; without it the circle is sampled here.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    poly, _ = local_factor_data(f, x, circle, levels=levels)
-    check_cofactor(f, x, circle, poly, probe)
+    if sample is None:
+        sample = sample_contour(f, x, circle)
+    poly = local_factor_data(x, sample)
+    check_cofactor(x, poly, sample)
     return poly
 
 
-def check_cofactor(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    poly: MonicPoly,
-    probe: Optional[np.ndarray] = None,
-) -> None:
+def check_cofactor(x: float, poly: MonicPoly, sample: CircleSample) -> None:
     """Raise CofactorVanishesError unless F/P stays clear of zero in the disk.
 
-    F/P is probed on two interior circles, circle.probe_rings (radii r/3
-    and 2r/3), and must stay above M_FLOOR_REL * max |F/P| there.  Points
-    where P underflows carry no information.  probe is F(x, .) on those
-    rings when the caller sampled them along with the circle (sample_nested
-    with probe); without it they are sampled here.  Either way a
-    non-finite F there raises NonFiniteError.
+    F/P is probed on two interior circles, the circle's probe_rings (radii
+    r/3 and 2r/3), and must stay above M_FLOOR_REL * max |F/P| there.
+    Points where P underflows carry no information.  A non-finite F on
+    the rings raises NonFiniteError.
     """
-    zs = circle.probe_rings
-    if probe is None:
-        probe = f.eval_many(x, zs)
-    else:
-        require_finite(x, zs, probe)
-    gmin, gmax = _cofactor_range(probe, poly, zs)
+    zs = sample.circle.probe_rings
+    require_finite(x, zs, sample.rings)
+    gmin, gmax = _cofactor_range(sample.rings, poly, zs)
     floor = max(M_FLOOR_REL * gmax, DENORMAL_FLOOR)
     if gmin <= floor:
         raise CofactorVanishesError(

@@ -574,14 +574,13 @@ def extend_segment(
             stalled = BUDGET_EXHAUSTED
             continue
         poly1, check = factor
-        levels1 = check.samples
         e = check.excess
         h = min(h * (2.0 if e <= 0.5 * STEP_AIM else max(1.0, STEP_AIM / e)), h_max)
         r_keep = loc.r
         if accepted % LADDER_EVERY == 0:
-            r_keep = ladder_radius(f, loc, cx, levels1[0].f)
+            r_keep = ladder_radius(f, loc, cx, check.sample.coarse.f)
             scale = min(1.0, r_keep / r_max)
-        loc = carry_certificate(loc, cx, poly1, levels1) if r_keep == loc.r else None
+        loc = carry_certificate(loc, cx, poly1, check.sample) if r_keep == loc.r else None
         kept = loc is not None
         counts["carried"] += kept
 
@@ -630,17 +629,15 @@ def _step_root(
     certificate's disk, |w1 - loc.z0| < loc.r, where Rouche keeps its one
     zero; a cluster's root must stay within 2 * loc.r of w.  streak counts
     the ambiguous matches in a row.  factor (on acceptance) is the factor
-    at x1 and the accepted Rouche check, whose F(x1) samples on
-    loc.circle's node levels the factor came from.
+    at x1 and the accepted Rouche check, whose sample of F(x1) on
+    loc.circle the factor came from.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
         return None, 0.0, ambiguous_streak, None
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
-        poly1 = local_monic_factor(
-            f, x1, loc.circle, levels=check.samples, probe=check.probe
-        )
+        poly1 = local_monic_factor(f, x1, loc.circle, check.sample)
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"

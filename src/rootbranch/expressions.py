@@ -354,7 +354,7 @@ def _pieces(e: Expr) -> list:
     if isinstance(e, Mul):
         return [
             *_operand(e.a, _prec(e.a) < _PREC_MUL), "*",
-            *_operand(e.b, _prec(e.b) < _PREC_MUL),
+            *_operand(e.b, _prec(e.b) <= _PREC_MUL),
         ]
     if isinstance(e, Neg):
         return ["-", *_operand(e.a, _prec(e.a) < _PREC_UNARY)]

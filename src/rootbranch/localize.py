@@ -24,14 +24,17 @@ from typing import Optional
 
 import numpy as np
 
+# sample_contour is called as contour.sample_contour, so that a wrapper put
+# on the module's binding (perfbench/tracer.py) sees every circle sampled
+from . import contour
 from .contour import (
     Circle,
+    CircleSample,
     ContourData,
     MonicPoly,
     check_contour_clear,
     check_cofactor,
     local_factor_data,
-    sample_nested,
 )
 from .errors import (
     CertificateError,
@@ -96,18 +99,15 @@ class StepValidation:
 
     excess is max |F(x1) - F(x0)| over the 2M contour nodes divided by
     SAFETY times min |F(x0)| there; values <= 1 are accepted.  resolution
-    is the node count compared, 2M.  samples (on acceptance) are F and F'
-    at x1 on the M nodes and then on the 2M nodes, and probe F at x1 on
-    the circle's probe rings (unchecked), all from the check's one kernel
-    call: the factor at x1 takes them as its levels and its cofactor
-    probe.
+    is the node count compared, 2M.  sample (on acceptance) is the
+    check's one CircleSample of F(x1) on the certificate circle: the
+    factor at x1 reads it in place of sampling again.
     """
 
     accepted: bool
     excess: float
     resolution: int
-    samples: tuple[ContourData, ...] = ()
-    probe: Optional[np.ndarray] = None
+    sample: Optional[CircleSample] = None
 
 
 def select_radius(
@@ -150,28 +150,29 @@ def select_radius(
 
 def _try_radius(f, x0, z0, r):
     """The certificate select_radius admits at radius r, or None.  The
-    circle's M and 2M nodes and its probe rings are sampled in one kernel
-    call; the probe is read only for a circle that _admit passes.  The
-    ValueError is Circle's, at a radius that underflowed to 0."""
+    circle is sampled once (sample_contour); its probe rings are read only
+    for a circle that _admit passes.  The ValueError is Circle's, at a
+    radius that underflowed to 0."""
     try:
-        circle = Circle(z0, r)
-        *levels, probe = sample_nested(f, x0, circle, probe=True)
-        poly, levels = local_factor_data(f, x0, circle, levels)
-        loc = _admit(x0, poly, circle, levels)
+        sample = contour.sample_contour(f, x0, Circle(z0, r))
+        poly = local_factor_data(x0, sample)
+        loc = _admit(x0, poly, sample)
         if loc is not None:
-            check_cofactor(f, x0, circle, poly, probe)
+            check_cofactor(x0, poly, sample)
         return loc
     except (CertificateError, NonFiniteError, ValueError):
         return None
 
 
-def _admit(x0, poly, circle, levels) -> Optional[LocalFactorization]:
-    """The certificate (x0, poly, circle, levels) if it passes the radius
+def _admit(x0, poly, sample: CircleSample) -> Optional[LocalFactorization]:
+    """The certificate at x0 on sample's circle if it passes the radius
     search's tests past the count and before the cofactor probe, else
     None: poly's roots lie within CENTER_FRAC * r of the center, and both
-    levels are clear of zeros at CLEAR_MARGIN."""
+    node levels are clear of zeros at CLEAR_MARGIN."""
+    circle = sample.circle
     if not _hugs_center(poly, circle.radius):
         return None
+    levels = (sample.coarse, sample.fine)
     try:
         for level in levels:
             check_contour_clear(level, CLEAR_MARGIN)
@@ -184,18 +185,18 @@ def carry_certificate(
     loc: LocalFactorization,
     x1: float,
     poly: MonicPoly,
-    samples: tuple[ContourData, ContourData],
+    sample: CircleSample,
 ) -> Optional[LocalFactorization]:
     """loc's circle as the certificate at x1, or None where select_radius
     would not admit it there.
 
-    samples are validate_step's F(x1) on loc.circle's M and 2M nodes, and
-    poly the factor local_monic_factor found from them, its count read
-    from exactly these two levels and its cofactor probe passed; the rest
-    of the radius search is _admit.  So what passes equals
-    _try_radius(f, x1, loc.z0, loc.r) bit for bit, without a kernel call.
+    sample is validate_step's F(x1) on loc.circle, and poly the factor
+    local_monic_factor found from it, its count read from the sample's two
+    levels and its cofactor probe passed; the rest of the radius search is
+    _admit.  So what passes equals _try_radius(f, x1, loc.z0, loc.r) bit
+    for bit, without a kernel call.
     """
-    return _admit(x1, poly, loc.circle, samples)
+    return _admit(x1, poly, sample)
 
 
 def _hugs_center(poly: MonicPoly, r: float) -> bool:
@@ -222,12 +223,12 @@ def validate_step(
     comparison on the M nodes alone would reject.  The threshold is
     positive: every LocalFactorization passed select_radius's contour
     checks, which demand min |F| > 0 on each level.  A non-finite F(x1)
-    on the nodes rejects the step.  F'(x1) on the nodes and F(x1) on the
-    circle's probe rings come from the same kernel call (sample_nested
-    with probe), unchecked, for the factor at x1 and its cofactor probe.
+    on the nodes rejects the step.  The rest of the one sample_contour
+    call (F'(x1) on the nodes, F(x1) on the probe rings) is unchecked, for
+    the factor at x1 and its cofactor probe.
     """
-    *taken, probe = sample_nested(f, x1, loc.circle, probe=True)
-    fine, f1 = loc.levels[1], taken[1].f
+    taken = contour.sample_contour(f, x1, loc.circle)
+    fine, f1 = loc.levels[1], taken.fine.f
     resolution = fine.circle.samples
     if not np.isfinite(f1).all():
         return StepValidation(False, float("inf"), resolution)
@@ -235,7 +236,7 @@ def validate_step(
     excess = diff / (SAFETY * fine.min_abs_f)
     if excess > 1.0:
         return StepValidation(False, excess, resolution)
-    return StepValidation(True, excess, resolution, tuple(taken), probe)
+    return StepValidation(True, excess, resolution, taken)
 
 
 def ladder_radius(

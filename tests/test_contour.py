@@ -20,6 +20,7 @@ from rootbranch.contour import (
     DENORMAL_FLOOR,
     FLOOR_REL,
     GUARD,
+    CircleSample,
     ContourData,
     _cofactor_range,
     _count_zeros_data,
@@ -27,8 +28,9 @@ from rootbranch.contour import (
     _power_sums_from,
     _unit_nodes,
     check_contour_clear,
+    check_cofactor,
+    local_factor_data,
     sample_contour,
-    sample_nested,
 )
 from rootbranch.errors import (
     CofactorVanishesError,
@@ -60,6 +62,29 @@ def test_circle_validation():
         Circle(0j, -1.0, 64)
 
 
+def _assert_sample_is_the_separate_calls(f, x, circle):
+    """sample_contour on circle equals, bit for bit, f.kernel on each
+    level's own nodes and f.eval_many on the probe rings, with every array
+    read-only and contiguous."""
+    sample = sample_contour(f, x, circle)
+    assert sample.circle is circle
+    for got, circ in ((sample.coarse, circle), (sample.fine, circle.doubled())):
+        z = circ.nodes()
+        want = dict(zip(("f", "fz"), f.kernel(x, z)), z=z)
+        assert got.circle == circ
+        for name in ("z", "f", "fz"):
+            a = getattr(got, name)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == want[name].tobytes(), name
+    rings = sample.rings
+    assert rings.size == circle.probe_rings.size == 2 * circle.samples
+    assert rings.flags.c_contiguous and not rings.flags.writeable
+    (want,) = f.kernel(x, circle.probe_rings, dz=False)
+    if np.isfinite(want).all():
+        assert rings.tobytes() == f.eval_many(x, circle.probe_rings).tobytes()
+    assert rings.tobytes() == want.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     text=st.sampled_from(["exp(x*z) - 1", "sin(z) - x*pow(z, 3)", "cos(x + z) * z"]),
@@ -70,17 +95,9 @@ def test_circle_validation():
     samples=st.sampled_from([16, 64, 128]),
 )
 def test_nested_sample_matches_sampling_each_level(text, x, re, im, log_r, samples):
-    # the M level cut from one 2M-node sample is the M-node sample, bit for bit
-    f = f_of(text)
+    # the M level cut from one 2M-node call is the M-node sample, bit for bit
     circle = Circle(complex(re, im), 10.0**log_r, samples)
-    coarse, fine = sample_nested(f, x, circle)
-    for got, circ in ((coarse, circle), (fine, circle.doubled())):
-        want = sample_contour(f, x, circ)
-        assert got.circle == circ
-        for name in ("z", "f", "fz"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.flags.c_contiguous and not a.flags.writeable
-            assert a.tobytes() == b.tobytes(), name
+    _assert_sample_is_the_separate_calls(f_of(text), x, circle)
 
 
 # a monic quintic whose coefficients move with x, as a poly-dense series
@@ -106,19 +123,9 @@ _FUSED_FUNCTIONS["quintic"] = EntireFunction(series(map(parse_expression, _QUINT
 )
 def test_fused_sample_is_the_separate_calls_bit_for_bit(name, x, re, im, log_r, samples):
     # the probe rings sampled in the 2M-node call change no bit of either
-    # level, and give the values the cofactor probe's own call gives
-    f = _FUSED_FUNCTIONS[name]
+    # level, and give the values the cofactor probe's own call would give
     circle = Circle(complex(re, im), 10.0**log_r, samples)
-    *fused, probe = sample_nested(f, x, circle, probe=True)
-    for got, want in zip(fused, sample_nested(f, x, circle)):
-        assert got.circle == want.circle
-        for part in ("z", "f", "fz"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert a.flags.c_contiguous and not a.flags.writeable
-            assert a.tobytes() == b.tobytes(), part
-    rings = circle.probe_rings
-    assert rings.size == probe.size == 2 * samples and not probe.flags.writeable
-    assert probe.tobytes() == f.eval_many(x, rings).tobytes()
+    _assert_sample_is_the_separate_calls(_FUSED_FUNCTIONS[name], x, circle)
 
 
 def test_count_zeros_examples():
@@ -159,29 +166,31 @@ def test_count_reads_only_the_m_and_2m_levels(monkeypatch):
     # pow(z, 4) - 2 on the unit circle: the winding is -0.267 at 16 nodes,
     # -0.016 at 32 and -0.0001 at 64.  The M and 2M levels do not settle on
     # one integer, which says the circle passes close to a zero: the count
-    # refuses the circle from one kernel call at 2M nodes, and does not go
-    # on to 4M nodes, where it would read 0
+    # refuses the circle from one kernel call, at the 2M nodes and then the
+    # 2M probe-ring points (the sampler's one record), and does not go on
+    # to 4M nodes, where it would read 0
     f = f_of("pow(z, 4) - 2")
     circle = Circle(0j, 1.0, 16)
-    sizes = []
+    calls = []
     kernel = f.kernel
 
     def counting(x, z, **kw):
-        sizes.append(np.size(z))
+        calls.append(np.array(z))
         return kernel(x, z, **kw)
 
     monkeypatch.setattr(f, "kernel", counting)
     with pytest.raises(NonIntegerWindingError, match="did not settle"):
         count_zeros(f, 0.0, circle)
-    assert sizes == [32]
     with pytest.raises(NonIntegerWindingError, match="did not settle"):
         local_monic_factor(f, 0.0, circle)
-    assert sizes == [32, 32]
+    points = np.concatenate((circle.doubled().nodes(), circle.probe_rings))
+    assert [z.size for z in calls] == [64, 64]
+    assert all(z.tobytes() == points.tobytes() for z in calls)
 
 
 def _power_sums(f, circle, n, about=0j):
     """s_0..s_n about the given shift, from the circle's M nodes at x = 0."""
-    return _power_sums_from(sample_nested(f, 0.0, circle)[0], n, about)
+    return _power_sums_from(sample_contour(f, 0.0, circle).coarse, n, about)
 
 
 def test_power_sums_examples():
@@ -528,9 +537,39 @@ def test_horner_is_polyval_bit_for_bit(coeffs, lead, parts):
 def test_nonfinite_level_fails_the_count_as_nonfinite(name, value):
     # checked before the contour checks, which would call it a zero instead
     f = f_of("pow(z, 2) - 0.25")
-    coarse, fine = sample_nested(f, 0.0, Circle(0.5 + 0j, 0.25, 16))
+    sample = sample_contour(f, 0.0, Circle(0.5 + 0j, 0.25, 16))
+    coarse, fine = sample.coarse, sample.fine
     arrays = {"z": fine.z, "f": fine.f.copy(), "fz": fine.fz.copy()}
     arrays[name][3] = complex(arrays[name][3].real, value)
     bad = ContourData(fine.circle, **arrays)
     with pytest.raises(NonFiniteError, match=r"z=\(0\.7"):
         _count_zeros_data(0.0, coarse, bad)
+
+
+def test_cofactor_probe_names_a_nonfinite_ring_point():
+    f = f_of("pow(z, 2) - 0.25")
+    sample = sample_contour(f, 0.0, Circle(0.5 + 0j, 0.3, 16))
+    poly = local_factor_data(0.0, sample)
+    check_cofactor(0.0, poly, sample)
+    rings = sample.rings.copy()
+    rings[21] = complex(np.nan, 0.0)
+    bad = CircleSample(sample.coarse, sample.fine, rings)
+    with pytest.raises(NonFiniteError) as err:
+        check_cofactor(0.0, poly, bad)
+    assert f"z={sample.circle.probe_rings[21]})" in str(err.value)
+
+
+def test_cofactor_probe_refuses_a_factor_missing_an_enclosed_zero():
+    # z*(z - 0.5) on |z| = 1.5: the zero 0.5 is the first point of the
+    # r/3 ring.  For the factor u, which carries only the zero 0, F/P is
+    # exactly 0 there; for u**2 - 0.5*u, which carries both, F/P is 0/0
+    # there (a point the probe skips) and 1 everywhere else
+    f = f_of("z*(z - 0.5)")
+    circle = Circle(0j, 1.5, 64)
+    assert circle.probe_rings[0] == 0.5
+    sample = sample_contour(f, 0.0, circle)
+    both = local_factor_data(0.0, sample)
+    assert np.allclose(both.coeffs, [1.0, -0.5, 0.0], atol=1e-12)
+    check_cofactor(0.0, MonicPoly((1.0, -0.5, 0j)), sample)
+    with pytest.raises(CofactorVanishesError, match="min"):
+        check_cofactor(0.0, MonicPoly((1.0, 0j)), sample)

@@ -600,6 +600,28 @@ def test_parse_to_text_round_trip():
             assert abs(v1 - v2) <= 1e-14 * (1.0 + abs(v1))
 
 
+_LEAVES = st.sampled_from([X(), Z()]) | st.floats(0.1, 10.0).map(lambda v: Const(complex(v)))
+_NESTS = st.recursive(
+    _LEAVES,
+    lambda kids: st.tuples(st.sampled_from([add, sub, mul]), kids, kids).map(
+        lambda t: t[0](t[1], t[2])
+    ),
+    max_leaves=12,
+)
+_SERIES = st.lists(
+    st.sampled_from([X(), Const(0j), Const(2 + 0j), Const(0.5 + 0j)]), min_size=1, max_size=6
+).map(series)
+
+
+@settings(max_examples=200, deadline=None)
+@example(e=series([Const(1 + 0j), X(), Const(0j), Const(2 + 0j)]))
+@given(e=_SERIES | _NESTS)
+def test_to_text_parses_back_to_the_same_tree(e):
+    # a right-nested product a*(b*c) keeps its brackets: a*b*c would parse
+    # as (a*b)*c, another tree with other rounding
+    assert parse_expression(to_text(e)) == e
+
+
 def test_parse_errors_carry_position():
     from rootbranch import ProblemSyntaxError
 

@@ -11,6 +11,7 @@ from rootbranch import (
     CofactorVanishesError,
     EntireFunction,
     NoConvergenceError,
+    NonFiniteError,
     NonIntegerWindingError,
     NoRadiusFoundError,
     NoZerosInDiskError,
@@ -24,8 +25,8 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
-from rootbranch.contour import MonicPoly, sample_nested
-from rootbranch import engine, expressions, localize
+from rootbranch.contour import CircleSample, MonicPoly, sample_contour
+from rootbranch import contour, engine, expressions, localize
 from rootbranch.localize import (
     CENTER_FRAC,
     SAFETY,
@@ -131,6 +132,44 @@ def test_a_certificate_failure_makes_the_radius_search_try_another(monkeypatch, 
     assert _try_radius(f, 0.25, 0.5, 0.2) is None
 
 
+@pytest.mark.parametrize("fault", ["nonfinite ring", "missed zero"])
+def test_a_failed_cofactor_probe_makes_the_radius_search_try_another(monkeypatch, fault):
+    # _try_radius reads the circle's one sample; a NaN on its probe rings
+    # fails the probe with NonFiniteError, and a factor that carries only
+    # the zero 0 of z*(z - 0.5) (whose zero 0.5 is a ring point of the
+    # circle |z| = 1.5) with CofactorVanishesError: either way no certificate
+    raised = []
+    probe = localize.check_cofactor
+
+    def recording(*args):
+        try:
+            probe(*args)
+        except Exception as e:
+            raised.append(type(e))
+            raise
+
+    monkeypatch.setattr(localize, "check_cofactor", recording)
+    if fault == "nonfinite ring":
+        f, args, error = f_of("pow(z, 2) - x"), (0.25, 0.5, 0.2), NonFiniteError
+        assert _try_radius(f, *args) is not None and raised == []
+        sample = contour.sample_contour
+
+        def doctored(*a):
+            s = sample(*a)
+            rings = s.rings.copy()
+            rings[5] = complex(0.0, np.inf)
+            return CircleSample(s.coarse, s.fine, rings)
+
+        monkeypatch.setattr(contour, "sample_contour", doctored)
+    else:
+        f, args, error = f_of("z*(z - 0.5)"), (0.0, 0j, 1.5), CofactorVanishesError
+        monkeypatch.setattr(
+            localize, "local_factor_data", lambda x, s: MonicPoly((1.0, 0j))
+        )
+    assert _try_radius(f, *args) is None
+    assert raised == [error]
+
+
 def test_validate_step_examples():
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.2)
@@ -181,11 +220,11 @@ def test_validate_step_nonfinite_is_rejected():
     # only the finiteness check rejects the step
     f = f_of("z - (x - x)*pow(x - 0.5, -1)")
     loc = select_radius(f, 0.25, 0.0, r_max=0.5)
-    assert np.isnan(sample_nested(f, 0.5, loc.circle)[1].f).all()
+    assert np.isnan(sample_contour(f, 0.5, loc.circle).fine.f).all()
     v = validate_step(f, loc, 0.5)
     assert v.accepted is False
     assert v.excess == math.inf
-    assert v.samples == ()
+    assert v.sample is None
     assert v.resolution == 2 * loc.circle.samples
 
 
@@ -199,9 +238,8 @@ def test_select_radius_halving_budget():
 def test_accepted_step_reuses_the_check_samples(monkeypatch):
     # the check samples F(x1) once, in one kernel call at the 2M nodes and
     # the circle's two probe rings, and compares it on the 2M nodes with
-    # F(x0) from the certificate; the factor at x1 takes F(x1) on the M-
-    # and 2M-node circles and on the probe rings from the check: it makes
-    # no kernel call, and no node set is evaluated twice
+    # F(x0) from the certificate; the factor at x1 takes the check's one
+    # sample: it makes no kernel call, and no node set is evaluated twice
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.2)
     m = loc.circle.samples
@@ -221,17 +259,18 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     nodes, rings = loc.circle.doubled().nodes(), loc.circle.probe_rings
     assert z.tobytes() == np.concatenate((nodes, rings)).tobytes()
     assert len(set(z.tolist())) == z.size
-    assert [d.z.size for d in v.samples] == [m, 2 * m] and v.probe.size == 2 * m
+    levels = (v.sample.coarse, v.sample.fine)
+    assert [d.z.size for d in levels] == [m, 2 * m] and v.sample.rings.size == 2 * m
 
     calls.clear()
-    poly = local_monic_factor(f, x1, loc.circle, levels=v.samples, probe=v.probe)
+    poly = local_monic_factor(f, x1, loc.circle, v.sample)
     assert calls == []
     monkeypatch.undo()
     assert poly == local_monic_factor(f, x1, loc.circle)
 
     kept = [d.f for d in loc.levels]
-    kept += [a for d in v.samples for a in (d.z, d.f, d.fz)]
-    assert not any(a.flags.writeable for a in kept + [v.probe])
+    kept += [a for d in levels for a in (d.z, d.f, d.fz)]
+    assert not any(a.flags.writeable for a in kept + [v.sample.rings])
 
 
 def test_step_check_reads_every_2m_node():
@@ -262,8 +301,8 @@ def test_circle_is_carried_exactly_where_the_radius_search_admits_it():
     for x1 in np.linspace(0.002, 0.028, 14).tolist():
         v = validate_step(f, loc, x1)
         assert v.accepted
-        poly = local_monic_factor(f, x1, loc.circle, levels=v.samples)
-        kept = carry_certificate(loc, x1, poly, v.samples)
+        poly = local_monic_factor(f, x1, loc.circle, v.sample)
+        kept = carry_certificate(loc, x1, poly, v.sample)
         fresh = _try_radius(f, x1, loc.z0, loc.r)
         assert (kept is None) == (fresh is None), x1
         if kept is not None:
@@ -316,8 +355,8 @@ def test_a_carried_circle_equals_a_fresh_search_on_it(a, b, c):
     f = f_of(f"(z - {a_} - {b_}*x)*(z - {c_})")
     tried = []
 
-    def carry(loc, x1, poly, samples):
-        kept = carry_certificate(loc, x1, poly, samples)
+    def carry(loc, x1, poly, sample):
+        kept = carry_certificate(loc, x1, poly, sample)
         fresh = _try_radius(f, x1, loc.z0, loc.r)
         tried.append(x1)
         assert loc.n == 1
@@ -377,8 +416,8 @@ def test_refined_check_uses_the_2m_level_minimum():
     f = f_of("z * (z - 1.06*exp(0.02*i) + x)")
     searched = select_radius(f, 0.0, 0j, r_max=1.0)
     v = validate_step(f, searched, 0.002)
-    poly = local_monic_factor(f, 0.002, searched.circle, levels=v.samples)
-    carried = carry_certificate(searched, 0.002, poly, v.samples)
+    poly = local_monic_factor(f, 0.002, searched.circle, v.sample)
+    carried = carry_certificate(searched, 0.002, poly, v.sample)
     assert carried is not None
     for loc in (searched, carried):
         coarse, fine = loc.levels
@@ -386,6 +425,6 @@ def test_refined_check_uses_the_2m_level_minimum():
         assert m2 < loc.m == float(np.abs(coarse.f).min())
         x1 = loc.x0 + 0.01
         v = validate_step(f, loc, x1)
-        f1 = sample_nested(f, x1, loc.circle)[1].f
+        f1 = sample_contour(f, x1, loc.circle).fine.f
         want = float(np.abs(f1 - fine.f).max()) / (SAFETY * m2)
         assert v.excess.hex() == want.hex()

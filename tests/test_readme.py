@@ -2,10 +2,13 @@
 
 Every backticked ALL-CAPS name in README.md must be a name in some
 rootbranch module, and every `` `NAME` = value `` in its text (the value
-may follow on the next line) must equal that constant.
+may follow on the next line) must equal that constant.  Every backticked
+call with keyword arguments, `` `name(..., kw=...)` ``, must name a
+rootbranch function or class whose signature takes each keyword.
 """
 
 import importlib
+import inspect
 import pkgutil
 import re
 from fractions import Fraction
@@ -45,3 +48,37 @@ def test_readme_constant_values_match():
         want = float(Fraction(text))
         got = defined.get(name, [])
         assert got and all(v == want for v in got), f"README: {name} = {text}, code: {got}"
+
+
+# a backticked call with keyword arguments, which may span a line break;
+# fenced code blocks are taken out first, so their ``` fences pair no spans
+FENCED = re.compile(r"```.*?```", re.S)
+CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`")
+KEYWORD = re.compile(r"(?<![\w=!<>])([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def _resolve(dotted: str, defined: dict):
+    """The rootbranch function or class a dotted name names, or None."""
+    head, *rest = dotted.split(".")
+    for obj in defined.get(head, []):
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            return obj
+    return None
+
+
+def test_readme_keyword_calls_match_signatures():
+    defined = _module_names()
+    calls = [
+        (name, KEYWORD.findall(args))
+        for name, args in CALL.findall(FENCED.sub("", README))
+    ]
+    calls = [(name, kws) for name, kws in calls if kws]
+    assert calls  # the pattern still finds README's calls
+    for name, kws in calls:
+        target = _resolve(name, defined)
+        assert target is not None, f"README calls {name}, which no module defines"
+        params = inspect.signature(target).parameters
+        for kw in kws:
+            assert kw in params, f"README: {name}(..., {kw}=...), signature {params}"
