@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -416,23 +416,16 @@ def local_factor_data(x: float, sample: CircleSample) -> MonicPoly:
     return newton_to_coeffs(_power_sums_from(sample.coarse, n, about), about)
 
 
-def local_monic_factor(
-    f: EntireFunction,
-    x: float,
-    circle: Circle,
-    sample: Optional[CircleSample] = None,
-) -> MonicPoly:
-    """Monic polynomial carrying exactly the zeros of F(x, .) in the disk.
+def local_monic_factor(x: float, sample: CircleSample) -> MonicPoly:
+    """Monic polynomial carrying exactly the zeros of F(x, .) in the disk
+    of sample's circle.
 
     local_factor_data followed by check_cofactor, so F/P is also certified
-    free of zeros inside the disk.  sample is F(x, .) on circle already
-    taken (validate_step's), so an accepted step's factor makes no kernel
-    call; without it the circle is sampled here.
+    free of zeros inside the disk.  It reads only the sample (an accepted
+    step's is validate_step's), so it makes no kernel call.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    if sample is None:
-        sample = sample_contour(f, x, circle)
     poly = local_factor_data(x, sample)
     check_cofactor(x, poly, sample)
     return poly

@@ -3,11 +3,11 @@
 The loop alternates certified localization (select_radius at the current
 (x, w)) with Rouche-validated parameter steps.  Each accepted step
 refactors F at the new parameter, re-roots the local monic factor, matches
-the nearest root to the incoming value, and Newton-polishes it; its circle
-stays the certificate at the new parameter while it passes the radius
-search's tests there (carry_certificate).  Step size halves on rejection
-or ambiguity; after an accepted step it is scaled by STEP_AIM over that
-step's Rouche excess, clamped to [1, 2].
+the nearest root to the incoming value, and Newton-polishes it; the step
+returns its certificate at the new parameter (same circle, the step's
+sample of F there), kept while the radius search's test admits it.  Step
+size halves on rejection or ambiguity; after an accepted step it is scaled
+by STEP_AIM over that step's Rouche excess, clamped to [1, 2].
 Every LADDER_EVERY accepted steps a radius ladder (ladder_radius) sets
 where the following localizations start halving, and the endgame record
 (Endgame) checks whether the branch oscillates without a limit at the
@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .contour import Circle, MonicPoly, count_zeros, local_monic_factor, poly_roots
+from .contour import Circle, count_zeros, local_monic_factor, poly_roots
 from .domain import DomainPoint, ParamDomain, PathSegment, SweepSegment
 from .errors import (
     CertificateError,
@@ -45,8 +45,7 @@ from .expressions import EntireFunction, degeneracy_probe, modulus, polish_root,
 from .localize import (
     RADIUS_HALVINGS,
     LocalFactorization,
-    StepValidation,
-    carry_certificate,
+    admits,
     ladder_radius,
     select_radius,
     validate_step,
@@ -430,8 +429,8 @@ def extend_segment(
 
     A rejection halves h and keeps loc, unless loc was kept from the step
     before: then the same h is proposed again from a fresh localization.
-    An acceptance moves the frontier and keeps loc's circle as the
-    certificate there when carry_certificate admits it, else drops loc.
+    An acceptance moves the frontier and keeps the step's certificate at
+    the new frontier (loc's circle) when it admits, else drops loc.
     It scales h by STEP_AIM / excess, its Rouche excess, clamped to
     [1, 2], so an excess at or below STEP_AIM / 2 (0 included) doubles h;
     h never exceeds h_max.
@@ -530,22 +529,20 @@ def extend_segment(
         target = min(s + h, next((a for a in stops if a > s), length))
         pt1 = seg.point_at(target)
         cx1 = dom.coordinate(pt1)
-        w1, res1, streak, factor = _step_root(
-            f, loc, cx1, w, ambiguous_streak, cfg.residual_tol
-        )
-        if w1 is None and kept:
+        step = _step_root(f, loc, cx1, w, ambiguous_streak, cfg.residual_tol)
+        if step.cert is None and kept:
             # a kept circle gives way to a fresh search, at the same h
             loc = None
             continue
-        ambiguous_streak = streak
-        if w1 is None:
+        ambiguous_streak = step.streak
+        if step.cert is None:
             h *= 0.5
             if h < H_MIN:
                 stalled = "step size underflow"
             continue
 
-        s_prev, s, pt, cx, w = s, target, pt1, cx1, w1
-        smp = BranchSample(seg_index, s, pt, w, res1)
+        s_prev, s, pt, cx, w = s, target, pt1, cx1, step.w
+        smp = BranchSample(seg_index, s, pt, w, step.residual)
         samples.append(smp)
         endgame.add(s, w)
         counts["accepted_steps"] += 1
@@ -560,7 +557,7 @@ def extend_segment(
                 counts["certify_failures"] += 1
         if abs(w) > cfg.blowup_threshold:
             kind = Status.ASYMPTOTIC_BLOWUP
-            diag = {"max_abs_w": abs(w), "last_residual": res1}
+            diag = {"max_abs_w": abs(w), "last_residual": step.residual}
             break
         if s >= length:
             kind, diag = Status.COMPLETED, {}
@@ -573,15 +570,14 @@ def extend_segment(
         if accepted >= cfg.max_steps:
             stalled = BUDGET_EXHAUSTED
             continue
-        poly1, check = factor
-        e = check.excess
+        e = step.excess
         h = min(h * (2.0 if e <= 0.5 * STEP_AIM else max(1.0, STEP_AIM / e)), h_max)
         r_keep = loc.r
         if accepted % LADDER_EVERY == 0:
-            r_keep = ladder_radius(f, loc, cx, check.sample.coarse.f)
+            r_keep = ladder_radius(f, loc, cx, step.cert.sample.coarse.f)
             scale = min(1.0, r_keep / r_max)
-        loc = carry_certificate(loc, cx, poly1, check.sample) if r_keep == loc.r else None
-        kept = loc is not None
+        kept = r_keep == loc.r and admits(step.cert)
+        loc = step.cert if kept else None
         counts["carried"] += kept
 
     if kind in (Status.NON_CONVERGENT, Status.DEGENERATE_BARRIER):
@@ -606,6 +602,19 @@ def _budget_verdict(endgame: Endgame, w: complex) -> tuple[Status, dict]:
     return Status.NON_CONVERGENT, {"reason": BUDGET_EXHAUSTED, "unresolved": True}
 
 
+class Step(NamedTuple):
+    """A step proposal's outcome: the ambiguity streak, and on acceptance
+    the polished root w at x1, its residual |F|, the Rouche check's excess
+    and cert, the certificate at x1 (the factor at x1 with the check's
+    sample of F(x1), on the same circle).  A rejection has no cert."""
+
+    w: Optional[complex]
+    streak: int
+    residual: float = 0.0
+    excess: float = 0.0
+    cert: Optional[LocalFactorization] = None
+
+
 def _step_root(
     f: EntireFunction,
     loc: LocalFactorization,
@@ -613,44 +622,35 @@ def _step_root(
     w: complex,
     ambiguous_streak: int,
     residual_tol: float,
-) -> tuple[
-    Optional[complex],
-    float,
-    int,
-    Optional[tuple[MonicPoly, StepValidation]],
-]:
-    """Propose the step from loc.x0 to x1; return (w1, residual, streak,
-    factor).
+) -> Step:
+    """Propose the step from loc.x0 to x1.
 
-    w1 is None when the step is rejected: the Rouche check fails, the factor
-    at x1 does not carry the certified count or its roots fail, the match
-    is ambiguous, or the polished root misses residual_tol or jumps out of
-    the certificate.  A simple root (loc.n == 1) must land inside the
+    It is rejected when the Rouche check fails, the factor at x1 does not
+    carry the certified count or its roots fail, the match is ambiguous,
+    or the polished root misses residual_tol or jumps out of the
+    certificate.  A simple root (loc.n == 1) must land inside the
     certificate's disk, |w1 - loc.z0| < loc.r, where Rouche keeps its one
-    zero; a cluster's root must stay within 2 * loc.r of w.  streak counts
-    the ambiguous matches in a row.  factor (on acceptance) is the factor
-    at x1 and the accepted Rouche check, whose sample of F(x1) on
-    loc.circle the factor came from.
+    zero; a cluster's root must stay within 2 * loc.r of w.
     """
     check = validate_step(f, loc, x1)
     if not check.accepted:
-        return None, 0.0, ambiguous_streak, None
+        return Step(None, ambiguous_streak)
     try:
         # the factor at x1 reuses the F(x1) samples the Rouche check took
-        poly1 = local_monic_factor(f, x1, loc.circle, check.sample)
+        poly1 = local_monic_factor(x1, check.sample)
         if poly1.degree != loc.n:
             raise NonIntegerWindingError(
                 f"count changed {loc.n} -> {poly1.degree} despite certificate"
             )
         roots = poly_roots(poly1, tol=residual_tol)
     except (CertificateError, NonFiniteError):
-        return None, 0.0, ambiguous_streak, None
+        return Step(None, ambiguous_streak)
 
     m = match_root(roots, w)
     if not m.ambiguous:
         w1 = m.value
     elif ambiguous_streak + 1 < TIE_BREAK_AFTER:
-        return None, 0.0, ambiguous_streak + 1, None
+        return Step(None, ambiguous_streak + 1)
     else:
         # persistent symmetric tie (e.g. stepping off a multiple root):
         # deterministic lexicographic escape
@@ -672,8 +672,8 @@ def _step_root(
     else:
         jumped = abs(w1 - w) > 2.0 * loc.r
     if res1 > residual_tol or jumped:
-        return None, 0.0, 0, None
-    return w1, res1, 0, (poly1, check)
+        return Step(None, 0)
+    return Step(w1, 0, res1, check.excess, LocalFactorization(x1, poly1, check.sample))
 
 
 def _snap_to_end(
@@ -713,12 +713,25 @@ def _endpoint_diagnostics(f: EntireFunction, seg: PathSegment) -> dict:
     return out
 
 
-def _stepless(domain, kind, diag, samples, where) -> RootBranch:
-    """A branch that ends before its first segment, every step count 0."""
-    counts = _zero_counts()
-    del counts["certify_failures"]
-    counts["twin_segments"] = 0
-    return RootBranch(samples, TerminationStatus(kind, {**diag, **counts}), where, (), domain)
+def _branch(cfg, domain, kind, diag, samples, where, runs=(), sweeps=(), twins=()):
+    """The RootBranch that ends with kind and diag.  Its diagnostics add
+    the step counts of the segments that ran (runs; none for a branch that
+    ends before its first segment) rolled up, twin_segments, snapped and
+    the largest snap_gap when a completed branch snapped a segment end,
+    and with certify_steps certify_checked (every accepted step) and
+    certify_failures."""
+    counts = {k: sum(r.counts[k] for r in runs) for k in _zero_counts()}
+    failures = counts.pop("certify_failures")
+    diag = {**diag, **counts, "twin_segments": len(twins)}
+    snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
+    if kind is Status.COMPLETED and snaps:
+        diag["snapped"] = True
+        diag["snap_gap"] = max(d["snap_gap"] for d in snaps)
+    if cfg.certify_steps:
+        diag["certify_checked"] = diag["accepted_steps"]
+        diag["certify_failures"] = failures
+    status = TerminationStatus(kind, diag)
+    return RootBranch(tuple(samples), status, where, sweeps, domain, tuple(twins))
 
 
 def continue_branch(
@@ -763,19 +776,19 @@ def continue_branch(
     tol0 = SEED_TOL * (1.0 + _seed_scale(f, cx0, w0))
     if not np.isfinite(res0) or res0 > tol0:
         diag = {"seed_residual": res0, "seed_tolerance": tol0}
-        return _stepless(domain, Status.SEED_INVALID, diag, (), x0)
+        return _branch(cfg, domain, Status.SEED_INVALID, diag, (), x0)
     seed = (BranchSample(0, 0.0, x0, w0, res0),)
     constant = degeneracy_probe(f, cx0)
     if constant is not None:
         diag = {"constant": constant, "at_seed": True}
-        return _stepless(domain, Status.DEGENERATE_BARRIER, diag, seed, x0)
+        return _branch(cfg, domain, Status.DEGENERATE_BARRIER, diag, seed, x0)
     if _first_circle_overflows(w0):
         # the first localization has no finite nodes to sample F at
         diag = {"max_abs_w": modulus(w0), "at_seed": True}
-        return _stepless(domain, Status.ASYMPTOTIC_BLOWUP, diag, seed, x0)
+        return _branch(cfg, domain, Status.ASYMPTOTIC_BLOWUP, diag, seed, x0)
     sweeps = tuple(domain.sweep_targets(x0))
     if not sweeps:
-        return _stepless(domain, Status.COMPLETED, {"trivial_domain": True}, seed, None)
+        return _branch(cfg, domain, Status.COMPLETED, {"trivial_domain": True}, seed, None)
 
     # the branch value at each point reached, the first one kept
     values: dict[DomainPoint, complex] = {x0: w0}
@@ -812,19 +825,9 @@ def continue_branch(
             status, where = run.status, run.location
             break
 
-    # roll the step counts of every segment that ran up to the branch status
-    counts = {k: sum(r.counts[k] for r in runs) for k in runs[0].counts}
-    failures = counts.pop("certify_failures")
-    diag = {**status.diagnostics, **counts, "twin_segments": len(twins)}
-    snaps = [r.status.diagnostics for r in runs if r.status.diagnostics.get("snapped")]
-    if status.kind is Status.COMPLETED and snaps:
-        diag["snapped"] = True
-        diag["snap_gap"] = max(d["snap_gap"] for d in snaps)
-    if cfg.certify_steps:
-        diag["certify_checked"] = diag["accepted_steps"]
-        diag["certify_failures"] = failures
-    status = TerminationStatus(status.kind, diag)
-    return RootBranch(tuple(all_samples), status, where, sweeps, domain, tuple(twins))
+    return _branch(
+        cfg, domain, status.kind, status.diagnostics, all_samples, where, runs, sweeps, twins
+    )
 
 
 def _r_max(w: complex) -> float:

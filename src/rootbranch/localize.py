@@ -12,9 +12,11 @@ min |F(x0)| / max |F(x1) - F(x0)|, which peaks at an interior radius:
 ladder_radius compares a short ladder of radii at an accepted step, and
 the engine starts the next select_radius calls from the winner.
 
-An accepted step already holds F(x1) on the circle and the factor at x1:
-carry_certificate keeps the circle as the next certificate when it passes
-select_radius's own tests there.
+A certificate is one record, made one way: the CircleSample of F(x0, .)
+on its circle and the factor read from it.  An accepted step's check
+samples F(x1) on the same circle, so the step's certificate at x1 is that
+sample with the factor at x1; admits, the radius search's own test past
+the count, says whether it stands as the next certificate.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from . import contour
 from .contour import (
     Circle,
     CircleSample,
-    ContourData,
     MonicPoly,
     check_contour_clear,
     check_cofactor,
@@ -60,21 +61,25 @@ class LocalFactorization:
     x0 : parameter coordinate the certificate was built at
     poly : MonicPoly about the circle center with the enclosed zeros; at a
         fresh localization P is (z - z0)**n to quadrature accuracy.
-    circle : the contour itself
-    levels : F(x0, .) and F' on the circle's M nodes, then on its 2M
-        nodes: the two levels the count read.  validate_step compares F(x1)
-        with the 2M level, against that level's own min |F(x0)|.
-        Both passed check_contour_clear at CLEAR_MARGIN, so min |F| > 0.
+    sample : the CircleSample of F(x0, .) that poly was read from: F and F'
+        on the circle's M nodes (coarse), where the count and the factor
+        read them and ladder_radius compares, and on its 2M nodes (fine),
+        which validate_step compares F(x1) with, against their own
+        min |F(x0)|.  A certificate that admits passes both levels clear
+        at CLEAR_MARGIN, so min |F| > 0 on each.
 
-    z0, r, m and n are read from those: the circle's center (the tracked
-    root) and radius, levels[0]'s min |F(x0)|, and poly's degree (the
-    zero count, multiplicity included).
+    circle, z0, r and n are read from those: the sample's circle, its
+    center (the tracked root) and radius, and poly's degree (the zero
+    count, multiplicity included).
     """
 
     x0: float
     poly: MonicPoly
-    circle: Circle
-    levels: tuple[ContourData, ContourData]
+    sample: CircleSample
+
+    @property
+    def circle(self) -> Circle:
+        return self.sample.circle
 
     @property
     def z0(self) -> complex:
@@ -83,10 +88,6 @@ class LocalFactorization:
     @property
     def r(self) -> float:
         return self.circle.radius
-
-    @property
-    def m(self) -> float:
-        return self.levels[0].min_abs_f
 
     @property
     def n(self) -> int:
@@ -151,52 +152,38 @@ def select_radius(
 def _try_radius(f, x0, z0, r):
     """The certificate select_radius admits at radius r, or None.  The
     circle is sampled once (sample_contour); its probe rings are read only
-    for a circle that _admit passes.  The ValueError is Circle's, at a
+    for a certificate that admits.  The ValueError is Circle's, at a
     radius that underflowed to 0."""
     try:
         sample = contour.sample_contour(f, x0, Circle(z0, r))
-        poly = local_factor_data(x0, sample)
-        loc = _admit(x0, poly, sample)
-        if loc is not None:
-            check_cofactor(x0, poly, sample)
+        loc = LocalFactorization(float(x0), local_factor_data(x0, sample), sample)
+        if not admits(loc):
+            return None
+        check_cofactor(x0, loc.poly, sample)
         return loc
     except (CertificateError, NonFiniteError, ValueError):
         return None
 
 
-def _admit(x0, poly, sample: CircleSample) -> Optional[LocalFactorization]:
-    """The certificate at x0 on sample's circle if it passes the radius
-    search's tests past the count and before the cofactor probe, else
-    None: poly's roots lie within CENTER_FRAC * r of the center, and both
-    node levels are clear of zeros at CLEAR_MARGIN."""
-    circle = sample.circle
-    if not _hugs_center(poly, circle.radius):
-        return None
-    levels = (sample.coarse, sample.fine)
+def admits(loc: LocalFactorization) -> bool:
+    """Whether loc passes the radius search's tests past the count and
+    before the cofactor probe: its factor's roots lie within
+    CENTER_FRAC * r of the center, and both node levels of its sample are
+    clear of zeros at CLEAR_MARGIN.
+
+    The engine asks it of an accepted step's certificate at x1, whose
+    count, factor and cofactor probe the step already passed on that
+    sample; so a certificate at x1 that admits equals
+    _try_radius(f, x1, loc.z0, loc.r) bit for bit, without a kernel call.
+    """
+    if not _hugs_center(loc.poly, loc.r):
+        return False
     try:
-        for level in levels:
+        for level in (loc.sample.coarse, loc.sample.fine):
             check_contour_clear(level, CLEAR_MARGIN)
     except ZeroOnContourError:
-        return None
-    return LocalFactorization(float(x0), poly, circle, levels)
-
-
-def carry_certificate(
-    loc: LocalFactorization,
-    x1: float,
-    poly: MonicPoly,
-    sample: CircleSample,
-) -> Optional[LocalFactorization]:
-    """loc's circle as the certificate at x1, or None where select_radius
-    would not admit it there.
-
-    sample is validate_step's F(x1) on loc.circle, and poly the factor
-    local_monic_factor found from it, its count read from the sample's two
-    levels and its cofactor probe passed; the rest of the radius search is
-    _admit.  So what passes equals _try_radius(f, x1, loc.z0, loc.r) bit
-    for bit, without a kernel call.
-    """
-    return _admit(x1, poly, sample)
+        return False
+    return True
 
 
 def _hugs_center(poly: MonicPoly, r: float) -> bool:
@@ -218,17 +205,17 @@ def validate_step(
 
     Accepted iff max node |F(x1, z) - F(x0, z)| <= SAFETY * m2 on the
     certificate circle's 2M nodes, where m2 is min |F(x0)| on those nodes
-    (loc.levels[1]).  F(x1) is sampled once, at 2M nodes, and compared
+    (loc.sample.fine).  F(x1) is sampled once, at 2M nodes, and compared
     once.  The 2M nodes contain the M nodes, so no step passes that a
     comparison on the M nodes alone would reject.  The threshold is
-    positive: every LocalFactorization passed select_radius's contour
-    checks, which demand min |F| > 0 on each level.  A non-finite F(x1)
+    positive: the engine checks steps only from certificates that admit,
+    which demands min |F| > 0 on each level.  A non-finite F(x1)
     on the nodes rejects the step.  The rest of the one sample_contour
     call (F'(x1) on the nodes, F(x1) on the probe rings) is unchecked, for
     the factor at x1 and its cofactor probe.
     """
     taken = contour.sample_contour(f, x1, loc.circle)
-    fine, f1 = loc.levels[1], taken.fine.f
+    fine, f1 = loc.sample.fine, taken.fine.f
     resolution = fine.circle.samples
     if not np.isfinite(f1).all():
         return StepValidation(False, float("inf"), resolution)
@@ -247,13 +234,13 @@ def ladder_radius(
 
     Each rung is a circle about loc.z0 with loc.circle.samples nodes,
     scored by its Rouche ratio min |F(x0)| / max |F(x1) - F(x0)|: the step
-    a circle certifies scales with it.  The loc.r rung reuses loc.levels[0]
-    and f1, F(x1) on loc.circle's nodes; the other two rungs' nodes are
-    evaluated together, in one F-only kernel call at x0 and one at x1.  A
-    rung with a non-finite sample drops out, and loc.r stays unless
-    another rung beats it strictly.
+    a circle certifies scales with it.  The loc.r rung reuses
+    loc.sample.coarse and f1, F(x1) on loc.circle's nodes; the other two
+    rungs' nodes are evaluated together, in one F-only kernel call at x0
+    and one at x1.  A rung with a non-finite sample drops out, and loc.r
+    stays unless another rung beats it strictly.
     """
-    best_r, best = loc.r, _rouche_ratio(loc.levels[0].f, f1)
+    best_r, best = loc.r, _rouche_ratio(loc.sample.coarse.f, f1)
     rungs = (0.5 * loc.r, 2.0 * loc.r)
     z = np.concatenate([Circle(loc.z0, r, loc.circle.samples).nodes() for r in rungs])
     (g0,) = f.kernel(loc.x0, z, dz=False)

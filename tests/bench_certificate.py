@@ -55,7 +55,7 @@ def test_validate_step_and_factor(benchmark, name):
 
     def step():
         check = validate_step(f, loc, x1)
-        poly = local_monic_factor(f, x1, loc.circle, check.sample)
+        poly = local_monic_factor(x1, check.sample)
         return check, poly
 
     check, poly = benchmark(step)
@@ -66,7 +66,7 @@ def test_validate_step_and_factor(benchmark, name):
 def test_polish_root(benchmark, name):
     f, loc, x1 = _certificate(name)
     check = validate_step(f, loc, x1)
-    (w1,) = poly_roots(local_monic_factor(f, x1, loc.circle, check.sample))
+    (w1,) = poly_roots(local_monic_factor(x1, check.sample))
     _w, residual = benchmark(polish_root, f, x1, complex(w1))
     assert residual <= 1e-10
 

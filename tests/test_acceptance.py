@@ -24,6 +24,7 @@ from rootbranch import (
     select_radius,
 )
 from rootbranch.cli import EXIT_CODES, run
+from rootbranch.contour import sample_contour
 from rootbranch.expressions import Const, EntireFunction, series
 
 
@@ -68,7 +69,7 @@ def test_criterion_1_contour_oracle_suite():
         coeffs = np.poly(roots)
         f = poly_fn(coeffs[::-1])
         assert count_zeros(f, 0.0, circle) == deg
-        p = local_monic_factor(f, 0.0, circle)
+        p = local_monic_factor(0.0, sample_contour(f, 0.0, circle))
         assert p.degree == deg
         err = float(np.max(np.abs(np.array(p.coeffs) - coeffs)))
         worst = max(worst, err)
@@ -273,8 +274,8 @@ def test_criterion_6_certified_steps():
         f, dom, x0, z0, cfg = build(parse_problem(prob))
         br = continue_branch(f, dom, x0, z0, cfg)
         d = br.status.diagnostics
-        assert d.get("certify_failures", 0) == 0, name
-        checked_total += d.get("certify_checked", 0)
+        assert d["certify_failures"] == 0, name
+        checked_total += d["certify_checked"]
     assert checked_total > 0
     print(f"criterion 6 PASS: {checked_total} recounts, zero violations")
 

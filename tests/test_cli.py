@@ -398,6 +398,42 @@ def test_branch_without_sweeps_writes_its_seed_row(
     assert summary["engine_samples"] == summary["output_samples"] == 1
 
 
+@pytest.mark.parametrize(
+    "function, domain, seed, status",
+    [
+        # F = 1 has no root: the seed does not polish
+        ("x*0 + 1 + 0*z", {"kind": "interval"}, {"x": 0.0, "z": 0.0}, "SeedInvalid"),
+        ("x*z - x", {"kind": "interval"}, {"x": 0.0, "z": 1.0}, "DegenerateBarrier"),
+        (
+            "(z - 1.7e308)*(z + 1)",
+            {"kind": "interval"},
+            {"x": 0.0, "z": 1.7e308},
+            "AsymptoticBlowup",
+        ),
+        (
+            "z*z - 1 - x",
+            {"kind": "tree", "vertices": ["a"], "edges": []},
+            {"point": {"vertex": "a"}, "z": 1.0},
+            "Completed",
+        ),
+    ],
+    ids=["invalid seed", "degenerate seed", "far seed", "one-vertex tree"],
+)
+def test_a_run_without_steps_reports_its_certify_counts(tmp_path, function, domain, seed, status):
+    # with certify_steps every run carries certify_checked and
+    # certify_failures, also one that ends before its first step
+    doc = {"function": function, "domain": domain, "seed": seed,
+           "config": {"certify_steps": True}}
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(doc))
+    main(["--problem", str(pf), "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == status
+    d = summary["diagnostics"]
+    assert d["certify_checked"] == d["certify_failures"] == d["accepted_steps"] == 0
+    assert d["twin_segments"] == 0
+
+
 def test_too_few_samples_is_a_usage_error(tmp_path, capsys):
     assert main(["--fixture", "remark-exp", "--samples", "1", "--out", str(tmp_path)]) == 1
     assert "--samples must be at least 2" in capsys.readouterr().err

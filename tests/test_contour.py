@@ -182,7 +182,7 @@ def test_count_reads_only_the_m_and_2m_levels(monkeypatch):
     with pytest.raises(NonIntegerWindingError, match="did not settle"):
         count_zeros(f, 0.0, circle)
     with pytest.raises(NonIntegerWindingError, match="did not settle"):
-        local_monic_factor(f, 0.0, circle)
+        local_monic_factor(0.0, sample_contour(f, 0.0, circle))
     points = np.concatenate((circle.doubled().nodes(), circle.probe_rings))
     assert [z.size for z in calls] == [64, 64]
     assert all(z.tobytes() == points.tobytes() for z in calls)
@@ -308,7 +308,7 @@ def test_poly_roots_ordering_deterministic():
 
 def test_local_monic_factor_recovers_quadratic():
     f = f_of("pow(z, 2) - 1.0")
-    loc = local_monic_factor(f, 0.0, Circle(0j, 2.0, 128))
+    loc = local_monic_factor(0.0, sample_contour(f, 0.0, Circle(0j, 2.0, 128)))
     assert loc.degree == 2
     assert np.allclose(loc.coeffs, [1.0, 0.0, -1.0], atol=1e-10)
 
@@ -316,7 +316,7 @@ def test_local_monic_factor_recovers_quadratic():
 def test_local_monic_factor_ignores_far_zeros():
     # factor out only what the circle encloses
     f = poly_fn(np.poly([0.2, 0.3, 5.0])[::-1])
-    loc = local_monic_factor(f, 0.0, Circle(0j, 1.0, 128))
+    loc = local_monic_factor(0.0, sample_contour(f, 0.0, Circle(0j, 1.0, 128)))
     assert loc.degree == 2
     expect = np.poly([0.2, 0.3])
     assert np.max(np.abs(np.array(loc.coeffs) - expect)) < 1e-9
@@ -324,7 +324,7 @@ def test_local_monic_factor_ignores_far_zeros():
 
 def test_local_monic_factor_about_center():
     f = f_of("pow(z, 2) - x")
-    loc = local_monic_factor(f, 0.25, Circle(0.5 + 0j, 0.2, 128))
+    loc = local_monic_factor(0.25, sample_contour(f, 0.25, Circle(0.5 + 0j, 0.2, 128)))
     assert loc.degree == 1
     r = poly_roots(loc)
     assert abs(r[0] - 0.5) < 1e-10
@@ -332,14 +332,14 @@ def test_local_monic_factor_about_center():
 
 def test_local_monic_factor_transcendental():
     f = f_of("exp(x*z) - 1")
-    loc = local_monic_factor(f, 1.0, Circle(0j, 1.0, 256))
+    loc = local_monic_factor(1.0, sample_contour(f, 1.0, Circle(0j, 1.0, 256)))
     assert loc.degree == 1
     assert abs(poly_roots(loc)[0]) < 1e-10
 
 
 def test_local_monic_factor_multiplicity_cluster():
     f = poly_fn(np.poly([0.4, 0.4])[::-1])
-    loc = local_monic_factor(f, 0.0, Circle(0.4 + 0j, 0.3, 128))
+    loc = local_monic_factor(0.0, sample_contour(f, 0.0, Circle(0.4 + 0j, 0.3, 128)))
     assert loc.degree == 2
     r = poly_roots(loc, tol=1e-5)
     assert np.allclose(r, 0.4, atol=1e-6)

@@ -17,6 +17,7 @@ from rootbranch import (
     continue_branch,
     fixture_names,
     get_fixture,
+    local_monic_factor,
     match_root,
     parse_expression,
     parse_problem,
@@ -25,6 +26,7 @@ from rootbranch import (
 )
 from rootbranch import engine
 from rootbranch.cli import main
+from rootbranch.contour import sample_contour
 from bench_resample import CASES as RESAMPLE_CASES
 from test_domain import trees
 from test_tracer_sites import SERIES_PROBLEM
@@ -706,10 +708,10 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
     runs = []
     # per segment, in call order: "select", "kept", "accept" and "reject"
     events: list[list[str]] = []
-    extend, select, carry, step = (
+    extend, select, admits, step = (
         engine.extend_segment,
         engine.select_radius,
-        engine.carry_certificate,
+        engine.admits,
         engine._step_root,
     )
 
@@ -722,20 +724,20 @@ def test_localization_counters_sum_over_segments(monkeypatch, tmp_path):
         events[-1].append("select")
         return select(*args, **kw)
 
-    def carrying(*args, **kw):
-        loc = carry(*args, **kw)
-        if loc is not None:
+    def carrying(cert):
+        ok = admits(cert)
+        if ok:
             events[-1].append("kept")
-        return loc
+        return ok
 
     def stepping(*args, **kw):
         out = step(*args, **kw)
-        events[-1].append("reject" if out[0] is None else "accept")
+        events[-1].append("reject" if out.cert is None else "accept")
         return out
 
     monkeypatch.setattr(engine, "extend_segment", keeping)
     monkeypatch.setattr(engine, "select_radius", selecting)
-    monkeypatch.setattr(engine, "carry_certificate", carrying)
+    monkeypatch.setattr(engine, "admits", carrying)
     monkeypatch.setattr(engine, "_step_root", stepping)
     # the fixture's cubic on a star whose edges differ in length, so that
     # no segment is a twin of another and every one of them runs
@@ -790,15 +792,15 @@ def test_kept_certificates_equal_a_fresh_search_on_their_circle(monkeypatch):
     from rootbranch.localize import _try_radius
 
     kept = []
-    carry = engine.carry_certificate
+    admits = engine.admits
 
-    def recording(*args):
-        loc = carry(*args)
-        if loc is not None:
-            kept.append(loc)
-        return loc
+    def recording(cert):
+        ok = admits(cert)
+        if ok:
+            kept.append(cert)
+        return ok
 
-    monkeypatch.setattr(engine, "carry_certificate", recording)
+    monkeypatch.setattr(engine, "admits", recording)
     a = [0.9 + 0.2j, -0.7 + 0.8j, -0.4 - 0.9j, 0.6 - 0.7j]
     b = [-0.3 + 0.4j, 0.5 - 0.1j, 0.2 + 0.3j, -0.4 - 0.5j]
     family = {
@@ -815,13 +817,14 @@ def test_kept_certificates_equal_a_fresh_search_on_their_circle(monkeypatch):
         for loc in kept:
             fresh = _try_radius(f, loc.x0, loc.z0, loc.r)
             assert fresh is not None
-            assert (fresh.n, fresh.m.hex()) == (loc.n, loc.m.hex())
+            assert (fresh.x0.hex(), fresh.n) == (loc.x0.hex(), loc.n)
             assert (
                 np.array(fresh.poly.coeffs).tobytes()
                 == np.array(loc.poly.coeffs).tobytes()
             )
-            assert len(fresh.levels) == len(loc.levels) == 2
-            for got, want in zip(loc.levels, fresh.levels):
+            assert loc.sample.rings.tobytes() == fresh.sample.rings.tobytes()
+            for level in ("coarse", "fine"):
+                got, want = getattr(loc.sample, level), getattr(fresh.sample, level)
                 assert got.circle == want.circle
                 for name in ("z", "f", "fz"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -1066,19 +1069,59 @@ def test_step_root_rejects_a_polished_root_that_misses_or_jumps(monkeypatch):
     f = f_of("pow(z, 2) - x")
     loc = engine.select_radius(f, 0.25, 0.5 + 0j, 0.2)
     tol, x1, w = 1e-8, 0.26, 0.5 + 0j
-    w1, res1, streak, factor = engine._step_root(f, loc, x1, w, 0, tol)
-    assert w1 == pytest.approx(math.sqrt(x1), abs=1e-12) and res1 <= tol
-    assert streak == 0 and factor is not None
+    step = engine._step_root(f, loc, x1, w, 0, tol)
+    assert step.w == pytest.approx(math.sqrt(x1), abs=1e-12) and step.residual <= tol
+    assert step.streak == 0 and step.cert is not None
+    rejected = engine.Step(None, 0)
 
     def polished(value, residual):
         monkeypatch.setattr(engine, "polish_root", lambda *args: (value, residual))
         return engine._step_root(f, loc, x1, w, 0, tol)
 
-    assert polished(w1, tol)[0] == w1
-    assert polished(w1, math.nextafter(tol, 1.0)) == (None, 0.0, 0, None)
+    assert polished(step.w, tol).w == step.w
+    assert polished(step.w, math.nextafter(tol, 1.0)) == rejected
     assert loc.n == 1 and loc.z0 == w
-    assert polished(w + 0.99 * loc.r, 0.0)[0] == w + 0.99 * loc.r
+    assert polished(w + 0.99 * loc.r, 0.0).w == w + 0.99 * loc.r
     # a quarter turn off the real axis, the distance is exactly loc.r
     assert abs(w + 1j * loc.r - loc.z0) == loc.r
-    assert polished(w + 1j * loc.r, 0.0) == (None, 0.0, 0, None)
-    assert polished(w + 1.99 * loc.r, 0.0) == (None, 0.0, 0, None)
+    assert polished(w + 1j * loc.r, 0.0) == rejected
+    assert polished(w + 1.99 * loc.r, 0.0) == rejected
+
+
+def test_an_accepted_step_returns_the_certificate_at_x1(monkeypatch):
+    # the step record of an accepted proposal holds the certificate at x1:
+    # the factor at x1 on loc's circle, read from the Rouche check's one
+    # sample of F(x1), so the whole proposal makes one kernel call
+    f = f_of("pow(z, 2) - x")
+    loc = engine.select_radius(f, 0.25, 0.5 + 0j, 0.2)
+    tol, x1, w = 1e-8, 0.26, 0.5 + 0j
+    checks, calls = [], []
+    validate, kernel = engine.validate_step, f.kernel
+
+    def checking(*args):
+        checks.append(validate(*args))
+        return checks[-1]
+
+    def counting(x, z, **kw):
+        calls.append(x)
+        return kernel(x, z, **kw)
+
+    monkeypatch.setattr(engine, "validate_step", checking)
+    monkeypatch.setattr(f, "kernel", counting)
+    step = engine._step_root(f, loc, x1, w, 2, tol)
+    assert calls == [x1]
+    monkeypatch.undo()
+    (check,) = checks
+    cert = step.cert
+    assert (step.streak, step.excess) == (0, check.excess)
+    assert cert.x0 == x1 and cert.circle is loc.circle and cert.sample is check.sample
+    fresh = local_monic_factor(x1, sample_contour(f, x1, loc.circle))
+    assert fresh.about == cert.poly.about
+    assert np.array(fresh.coeffs).tobytes() == np.array(cert.poly.coeffs).tobytes()
+
+    # a rejection carries no certificate: a failed Rouche check keeps the
+    # ambiguity streak, an ambiguous match adds one to it
+    assert not engine.validate_step(f, loc, 0.5).accepted
+    assert engine._step_root(f, loc, 0.5, w, 2, tol) == engine.Step(None, 2)
+    monkeypatch.setattr(engine, "match_root", lambda *args: engine.RootMatch(None, True))
+    assert engine._step_root(f, loc, x1, w, 2, tol) == engine.Step(None, 3)

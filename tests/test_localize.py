@@ -30,9 +30,10 @@ from rootbranch import contour, engine, expressions, localize
 from rootbranch.localize import (
     CENTER_FRAC,
     SAFETY,
+    LocalFactorization,
     _hugs_center,
     _try_radius,
-    carry_certificate,
+    admits,
     ladder_radius,
 )
 
@@ -41,27 +42,41 @@ def f_of(text):
     return EntireFunction(parse_expression(text))
 
 
+def _same_certificate(got, want):
+    """got and want agree bit for bit: x0, poly and every sample array."""
+    assert (got.x0.hex(), got.circle) == (want.x0.hex(), want.circle)
+    assert got.poly.about == want.poly.about
+    assert np.array(got.poly.coeffs).tobytes() == np.array(want.poly.coeffs).tobytes()
+    assert got.sample.rings.tobytes() == want.sample.rings.tobytes()
+    for a, b in [(got.sample.coarse, want.sample.coarse), (got.sample.fine, want.sample.fine)]:
+        assert a.circle == b.circle
+        for name in ("z", "f", "fz"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_select_radius_simple_root():
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.4)
     assert loc.n == 1
     assert 0 < loc.r <= 0.4
-    assert loc.m > 0
+    assert loc.sample.coarse.min_abs_f > 0
     r = poly_roots(loc.poly)
     assert abs(r[0] - 0.5) < 1e-10
 
 
-def test_certificate_reads_z0_r_m_n_from_what_it_stores():
-    # a certificate stores x0, poly, circle and levels; the rest is read
-    # from those, so the search and the carry cannot build one that
-    # disagrees with itself
+def test_certificate_reads_circle_z0_r_n_from_what_it_stores():
+    # a certificate stores x0, poly and the one sample poly was read from;
+    # the rest is read from those, so the search and the step cannot build
+    # one that disagrees with itself
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.4)
-    assert [fl.name for fl in fields(loc)] == ["x0", "poly", "circle", "levels"]
+    assert [fl.name for fl in fields(loc)] == ["x0", "poly", "sample"]
+    assert loc.circle is loc.sample.circle
     assert (loc.z0, loc.r) == (loc.circle.center, loc.circle.radius) == (0.5, 0.4)
-    assert loc.m == loc.levels[0].min_abs_f == float(np.abs(loc.levels[0].f).min())
     assert loc.n == loc.poly.degree == 1
-    assert [d.circle for d in loc.levels] == [loc.circle, loc.circle.doubled()]
+    levels = (loc.sample.coarse, loc.sample.fine)
+    assert [d.circle for d in levels] == [loc.circle, loc.circle.doubled()]
+    assert all(d.min_abs_f > 0 for d in levels)
 
 
 def test_select_radius_double_root():
@@ -263,12 +278,12 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     assert [d.z.size for d in levels] == [m, 2 * m] and v.sample.rings.size == 2 * m
 
     calls.clear()
-    poly = local_monic_factor(f, x1, loc.circle, v.sample)
+    poly = local_monic_factor(x1, v.sample)
     assert calls == []
     monkeypatch.undo()
-    assert poly == local_monic_factor(f, x1, loc.circle)
+    assert poly == local_monic_factor(x1, sample_contour(f, x1, loc.circle))
 
-    kept = [d.f for d in loc.levels]
+    kept = [loc.sample.coarse.f, loc.sample.fine.f]
     kept += [a for d in levels for a in (d.z, d.f, d.fz)]
     assert not any(a.flags.writeable for a in kept + [v.sample.rings])
 
@@ -301,14 +316,12 @@ def test_circle_is_carried_exactly_where_the_radius_search_admits_it():
     for x1 in np.linspace(0.002, 0.028, 14).tolist():
         v = validate_step(f, loc, x1)
         assert v.accepted
-        poly = local_monic_factor(f, x1, loc.circle, v.sample)
-        kept = carry_certificate(loc, x1, poly, v.sample)
+        cert = LocalFactorization(x1, local_monic_factor(x1, v.sample), v.sample)
         fresh = _try_radius(f, x1, loc.z0, loc.r)
-        assert (kept is None) == (fresh is None), x1
-        if kept is not None:
+        assert admits(cert) == (fresh is not None), x1
+        if fresh is not None:
             kept_at.append(x1)
-            assert (kept.x0, kept.n, kept.m) == (fresh.x0, fresh.n, fresh.m)
-            assert kept.poly == fresh.poly
+            _same_certificate(cert, fresh)
     assert kept_at and max(kept_at) < 0.014 and len(kept_at) < 14
 
 
@@ -347,31 +360,27 @@ _coords = st.floats(-1.5, 1.5)
     c=st.builds(complex, _coords, _coords),
 )
 def test_a_carried_circle_equals_a_fresh_search_on_it(a, b, c):
-    # along the run, every carry the engine tries on a simple root agrees
-    # with _try_radius at that circle: the same None, or the same x0, n, m
-    # and poly bit for bit
+    # along the run, every certificate at x1 the engine asks admits of, on
+    # a simple root, agrees with _try_radius at that circle: refused by
+    # both, or the same x0, poly and samples bit for bit
     assume(_segment_distance(c, a, b) >= 0.3)
     a_, b_, c_ = (f"({v.real!r} + {v.imag!r}*i)" for v in (a, b, c))
     f = f_of(f"(z - {a_} - {b_}*x)*(z - {c_})")
     tried = []
 
-    def carry(loc, x1, poly, sample):
-        kept = carry_certificate(loc, x1, poly, sample)
-        fresh = _try_radius(f, x1, loc.z0, loc.r)
-        tried.append(x1)
-        assert loc.n == 1
-        assert (kept is None) == (fresh is None), x1
-        if kept is not None:
-            assert (kept.x0.hex(), kept.n, kept.m.hex()) == (
-                fresh.x0.hex(), fresh.n, fresh.m.hex())
-            assert kept.poly.about == fresh.poly.about
-            assert (np.array(kept.poly.coeffs).tobytes()
-                    == np.array(fresh.poly.coeffs).tobytes())
+    def carry(cert):
+        kept = admits(cert)
+        fresh = _try_radius(f, cert.x0, cert.z0, cert.r)
+        tried.append(cert.x0)
+        assert cert.n == 1
+        assert kept == (fresh is not None), cert.x0
+        if kept:
+            _same_certificate(cert, fresh)
         return kept
 
     dom = ParamDomain.interval()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "carry_certificate", carry)
+        mp.setattr(engine, "admits", carry)
         br = continue_branch(f, dom, dom.interval_point(0.0), a)
     assert br.completed and tried
 
@@ -411,18 +420,18 @@ def test_ladder_drops_nonfinite_rungs_and_keeps_ties():
 
 def test_refined_check_uses_the_2m_level_minimum():
     # the step check divides by min |F(x0)| over the 2M nodes, the
-    # certificate's own levels[1], for a searched and for a carried circle;
-    # the far zero sits off a node of M, so that minimum is not the M one
+    # certificate's own sample.fine, for a searched and for a carried
+    # circle; the far zero sits off a node of M, so that minimum is not the
+    # M one
     f = f_of("z * (z - 1.06*exp(0.02*i) + x)")
     searched = select_radius(f, 0.0, 0j, r_max=1.0)
     v = validate_step(f, searched, 0.002)
-    poly = local_monic_factor(f, 0.002, searched.circle, v.sample)
-    carried = carry_certificate(searched, 0.002, poly, v.sample)
-    assert carried is not None
+    carried = LocalFactorization(0.002, local_monic_factor(0.002, v.sample), v.sample)
+    assert admits(carried)
     for loc in (searched, carried):
-        coarse, fine = loc.levels
+        coarse, fine = loc.sample.coarse, loc.sample.fine
         m2 = float(np.abs(fine.f).min())
-        assert m2 < loc.m == float(np.abs(coarse.f).min())
+        assert m2 < coarse.min_abs_f == float(np.abs(coarse.f).min())
         x1 = loc.x0 + 0.01
         v = validate_step(f, loc, x1)
         f1 = sample_contour(f, x1, loc.circle).fine.f

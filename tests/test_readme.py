@@ -4,7 +4,8 @@ Every backticked ALL-CAPS name in README.md must be a name in some
 rootbranch module, and every `` `NAME` = value `` in its text (the value
 may follow on the next line) must equal that constant.  Every backticked
 call with keyword arguments, `` `name(..., kw=...)` ``, must name a
-rootbranch function or class whose signature takes each keyword.
+rootbranch function or class whose signature takes each keyword, and
+every backticked call that names one must bind to its signature.
 """
 
 import importlib
@@ -82,3 +83,46 @@ def test_readme_keyword_calls_match_signatures():
         params = inspect.signature(target).parameters
         for kw in kws:
             assert kw in params, f"README: {name}(..., {kw}=...), signature {params}"
+
+
+def _split_arguments(text: str) -> list[str]:
+    """text split at its top-level commas: series([X(), Const(0j)]) has one
+    argument.  An empty text has none."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            out.append(text[start:i])
+            start = i + 1
+    out.append(text[start:])
+    return [a.strip() for a in out if a.strip()]
+
+
+def test_readme_calls_bind_to_signatures():
+    defined = _module_names()
+    bound = 0
+    for name, args in CALL.findall(FENCED.sub("", README)):
+        target = _resolve(name, defined)
+        if target is None:
+            continue
+        positional, keywords = [], {}
+        for arg in _split_arguments(args):
+            kw = re.match(r"([A-Za-z_]\w*)\s*=(?!=)", arg)
+            if kw:
+                keywords[kw.group(1)] = arg
+            else:
+                positional.append(arg)
+        sig = inspect.signature(target)
+        owner = _resolve(name.rpartition(".")[0], defined) if "." in name else None
+        if inspect.isclass(owner) and inspect.isfunction(target):
+            # Class.method: the call names no self
+            sig = sig.replace(parameters=list(sig.parameters.values())[1:])
+        try:
+            sig.bind(*positional, **keywords)
+        except TypeError as e:
+            raise AssertionError(f"README: {name}({args}) against {sig}: {e}") from None
+        bound += 1
+    assert bound  # the pattern still finds README's calls
