@@ -45,6 +45,7 @@ class ProblemSyntaxError(SolverError):
     """Problem file or expression text failed to parse."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.reason = message  # without the position
         self.line = line
         self.col = col
         if line is not None:

@@ -86,43 +86,35 @@ __all__ = [
 # tokenizer
 
 
+# every character but whitespace starts a token, "bad" if nothing else;
+# finditer skips the whitespace, which matches nothing
 _TOKEN_RE = _re.compile(
     r"""
-    (?P<num>   (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+    (?P<num>   (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)? )
   | (?P<name>  [A-Za-z_][A-Za-z_0-9]* )
   | (?P<op>    [-+*();,] )
-  | (?P<ws>    [ \t\r\n]+ )
+  | (?P<bad>   [^ \t\r\n] )
     """,
     _re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    line: int
-    col: int
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """Line and column, from 1, of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tuples: "num", "name" or "op", then "end"."""
     out = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ProblemSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - bol + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":
-            out.append(_Token(kind, tok, line, pos - bol + 1))
-        line += tok.count("\n")
-        if "\n" in tok:
-            bol = pos + tok.rindex("\n") + 1
-        pos = m.end()
-    out.append(_Token("end", "", line, len(text) - bol + 1))
+        if kind == "bad":
+            raise ProblemSyntaxError(
+                f"unexpected character {m[0]!r}", *_where(text, m.start())
+            )
+        out.append((kind, m[0], m.start()))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -137,20 +129,21 @@ MAX_NESTING = 200
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0  # brackets and unary minus signs open here
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "end":
+        if t[0] != "end":
             self.i += 1
-        if t.text == "(":
+        if t[1] == "(":
             self.down()
-        elif t.text == ")":
+        elif t[1] == ")":
             self.depth -= 1
         return t
 
@@ -159,37 +152,41 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
-    def fail(self, msg: str, tok: Optional[_Token] = None):
+    def fail(self, msg: str, tok: Optional[tuple] = None):
         tok = tok or self.peek()
-        raise ProblemSyntaxError(msg, tok.line, tok.col)
+        raise ProblemSyntaxError(msg, *_where(self.text, tok[2]))
 
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t.text != text:
-            got = repr(t.text) if t.kind != "end" else "end of input"
+    def expect(self, text: str) -> tuple:
+        kind, got, _ = self.peek()
+        if got != text:
+            got = repr(got) if kind != "end" else "end of input"
             self.fail(f"expected {text!r}, got {got}")
         return self.take()
 
     # grammar -----------------------------------------------------------
+    # expr, term and unary step over their operator by index, as take()
+    # would: it is no bracket
 
     def expr(self) -> Expr:
+        toks = self.toks
         e = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
+        while (op := toks[self.i][1]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
             e = add(e, rhs) if op == "+" else sub(e, rhs)
         return e
 
     def term(self) -> Expr:
+        toks = self.toks
         e = self.unary()
-        while self.peek().text == "*":
-            self.take()
+        while toks[self.i][1] == "*":
+            self.i += 1
             e = mul(e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        if self.peek().text == "-":
-            self.take()
+        if self.toks[self.i][1] == "-":
+            self.i += 1
             self.down()
             e = neg(self.unary())
             self.depth -= 1
@@ -198,16 +195,16 @@ class _Parser:
 
     def atom(self) -> Expr:
         t = self.peek()
-        if t.kind == "num":
+        kind, name, _ = t
+        if kind == "num":
             return Const(complex(self.number()))
-        if t.text == "(":
+        if name == "(":
             self.take()
             e = self.expr()
             self.expect(")")
             return e
-        if t.kind == "name":
+        if kind == "name":
             self.take()
-            name = t.text
             if name == "x":
                 return X()
             if name == "z":
@@ -242,10 +239,10 @@ class _Parser:
 
     def signed_number(self) -> float:
         sign = 1.0
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.take()
             sign = -1.0
-        if self.peek().kind != "num":
+        if self.peek()[0] != "num":
             self.fail("expected a number")
         return sign * self.number()
 
@@ -253,9 +250,9 @@ class _Parser:
         """Take the number token here: too large for a float fails, and
         underflow reads as 0.0, as in JSON."""
         t = self.take()
-        v = float(t.text)
+        v = float(t[1])
         if math.isinf(v):
-            self.fail(f"number {t.text} does not fit a float", t)
+            self.fail(f"number {t[1]} does not fit a float", t)
         return v
 
     def signed_int(self) -> int:
@@ -267,13 +264,23 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Expr:
-    """Parse expression text into a tree; errors carry line and column."""
+    """Parse expression text into a tree; errors carry line and column
+    within the text."""
     p = _Parser(text)
     e = p.expr()
-    t = p.peek()
-    if t.kind != "end":
-        p.fail(f"unexpected trailing input {t.text!r}", t)
+    kind, rest, _ = p.peek()
+    if kind != "end":
+        p.fail(f"unexpected trailing input {rest!r}")
     return e
+
+
+def _parse_source(text: str, source: str) -> Expr:
+    """parse_expression, with a syntax error's message prefixed by where
+    in the document the text came from."""
+    try:
+        return parse_expression(text)
+    except ProblemSyntaxError as e:
+        raise ProblemSyntaxError(f"{source}: {e.reason}", e.line, e.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +471,21 @@ def parse_problem(data) -> ProblemSpec:
         text = data["function"]
         if not isinstance(text, str):
             raise ProblemValidationError("'function' must be expression text")
-        return ProblemSpec(function=text, expr=parse_expression(text), **rest)
+        return ProblemSpec(function=text, expr=_parse_source(text, "function"), **rest)
 
     coeffs = data["series"]
     if not isinstance(coeffs, list) or not coeffs:
         raise ProblemValidationError("'series' must be a nonempty list")
     texts, trees = [], []
     for k, c in enumerate(coeffs):
+        source = f"series coefficient {k}"
         if is_json_number(c):
-            c = repr(_as_float(c, f"series coefficient {k}"))
+            c = repr(_as_float(c, source))
         if not isinstance(c, str):
-            raise ProblemValidationError(
-                f"series coefficient {k} must be expression text or a number"
-            )
-        e = parse_expression(c)
+            raise ProblemValidationError(f"{source} must be expression text or a number")
+        e = _parse_source(c, source)
         if contains_z(e):
-            raise ProblemValidationError(f"series coefficient {k} mentions z")
+            raise ProblemValidationError(f"{source} mentions z")
         texts.append(c)
         trees.append(e)
     return ProblemSpec(series=tuple(texts), expr=series(trees), **rest)

@@ -272,23 +272,23 @@ def _interval_problem(function):
 
 
 @pytest.mark.parametrize(
-    "doc, col",
+    "doc, source, col",
     [
-        (_interval_problem("z - 1e999"), 5),
-        (_interval_problem("pow(z, 1e999) - 1"), 8),
-        (_interval_problem("guard(1e999; z; z)"), 7),
+        (_interval_problem("z - 1e999"), "function", 5),
+        (_interval_problem("pow(z, 1e999) - 1"), "function", 8),
+        (_interval_problem("guard(1e999; z; z)"), "function", 7),
         ({"series": ["1e999", "1"], "domain": {"kind": "interval"},
-          "seed": {"x": 0.5, "z": [0.0, 0.0]}}, 1),
+          "seed": {"x": 0.5, "z": [0.0, 0.0]}}, "series coefficient 0", 1),
     ],
     ids=["constant", "exponent", "guard point", "series coefficient"],
 )
-def test_number_too_large_for_a_float_is_a_syntax_error(tmp_path, capsys, doc, col):
+def test_number_too_large_for_a_float_is_a_syntax_error(tmp_path, capsys, doc, source, col):
     pf = tmp_path / "huge.json"
     pf.write_text(json.dumps(doc))
     assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == (
-        "rootbranch: syntax error: number 1e999 does not fit a float"
+        f"rootbranch: syntax error: {source}: number 1e999 does not fit a float"
         f" (line 1, col {col})\n"
     )
 

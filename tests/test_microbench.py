@@ -16,7 +16,7 @@ def test_microbenchmarks_run():
     pytest.importorskip("pytest_benchmark")
     cmd = [
         sys.executable, "-m", "pytest",
-        "tests/bench_certificate.py", "tests/bench_resample.py",
+        "tests/bench_certificate.py", "tests/bench_parse.py", "tests/bench_resample.py",
         "--benchmark-disable", "-q", "-p", "no:cacheprovider",
     ]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)

@@ -1,9 +1,12 @@
 import importlib
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootbranch import (
     EngineConfig,
@@ -11,6 +14,7 @@ from rootbranch import (
     ProblemSyntaxError,
     ProblemValidationError,
     build,
+    parse_expression,
     parse_problem,
     problem,
     render,
@@ -128,6 +132,104 @@ def test_syntax_error_has_position():
 def test_expression_errors_are_reported():
     with pytest.raises(ProblemSyntaxError):
         parse_problem(interval_problem(fn="pow(z, 0.5) - x"))
+
+
+def test_syntax_error_in_expression_text_names_its_source():
+    with pytest.raises(ProblemSyntaxError) as ei:
+        parse_problem(series_problem(["x", "1.0 +* x", "1.0"]))
+    assert str(ei.value) == (
+        "series coefficient 1: expected a number, name, or '(' (line 1, col 6)"
+    )
+    # line and column count within the function text, not the document
+    doc = json.dumps(interval_problem(fn="z -\n  * x"), indent=2)
+    with pytest.raises(ProblemSyntaxError) as ei:
+        parse_problem(doc)
+    assert str(ei.value) == "function: expected a number, name, or '(' (line 2, col 3)"
+    assert (ei.value.line, ei.value.col) == (2, 3)
+    # an error in the JSON itself keeps its document position and no prefix
+    with pytest.raises(ProblemSyntaxError) as ei:
+        parse_problem('{"function": "z - x",\n  "domain": }')
+    assert str(ei.value) == "Expecting value (line 2, col 13)"
+
+
+@pytest.mark.parametrize("text", ["٣*z", "１+z"])
+def test_number_is_ascii_digits(text):
+    # an Arabic-Indic three and a fullwidth one are decimal digits to \d
+    with pytest.raises(ProblemSyntaxError, match="unexpected character") as ei:
+        parse_expression(text)
+    assert (ei.value.line, ei.value.col) == (1, 1)
+
+
+# The tokenizer as it was before tokens became (kind, text, offset) tuples
+# read in one regex scan: one match per position and one _Token each, with
+# line and column counted as it goes.  It is the reference the scan must
+# agree with, token for token and error for error.
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<num>   (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+  | (?P<name>  [A-Za-z_][A-Za-z_0-9]* )
+  | (?P<op>    [-+*();,] )
+  | (?P<ws>    [ \t\r\n]+ )
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "num" | "name" | "op" | "end"
+    text: str
+    line: int
+    col: int
+
+
+def _reference_tokenize(text: str) -> list[_Token]:
+    out = []
+    pos, line, bol = 0, 1, 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ProblemSyntaxError(
+                f"unexpected character {text[pos]!r}", line, pos - bol + 1
+            )
+        kind = m.lastgroup
+        tok = m.group()
+        if kind != "ws":
+            out.append(_Token(kind, tok, line, pos - bol + 1))
+        line += tok.count("\n")
+        if "\n" in tok:
+            bol = pos + tok.rindex("\n") + 1
+        pos = m.end()
+    out.append(_Token("end", "", line, len(text) - bol + 1))
+    return out
+
+
+_TOKEN_CHARS = "0123456789.eE" + "xzipowsgulcbdEXZ_" + "+-*();," + " \t\r\n"
+_TEXTS = st.one_of(
+    st.text(st.sampled_from(_TOKEN_CHARS), max_size=40),
+    st.text(st.sampled_from(_TOKEN_CHARS + "$\xa0\x0b#"), max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+@example("")
+@example("  \n\t")
+@example("1.e5 .5E-3\r\n x2 .")
+@example("e.g")
+@example("(1 +\n\n  \xa0")
+def test_tokenizer_matches_the_reference(text):
+    try:
+        want = _reference_tokenize(text)
+    except ProblemSyntaxError as e:
+        with pytest.raises(ProblemSyntaxError) as ei:
+            problem._tokenize(text)
+        assert (str(ei.value), ei.value.line, ei.value.col) == (str(e), e.line, e.col)
+        return
+    got = problem._tokenize(text)
+    assert [(t.kind, t.text, t.line, t.col) for t in want] == [
+        (kind, tok, *problem._where(text, pos)) for kind, tok, pos in got
+    ]
 
 
 def test_exactly_one_source_required():
