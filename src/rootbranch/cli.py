@@ -101,12 +101,12 @@ def run(spec: ProblemSpec, out_dir: str | Path = ".", samples: int = 1200) -> in
     return EXIT_CODES[branch.status.kind]
 
 
-def _print_fixtures(file=None) -> None:
+def _print_fixtures() -> None:
     rows = [(fx.name, fx.expected_status, fx.description) for fx in list_fixtures()]
     wn = max(len(r[0]) for r in rows)
     ws = max(len(r[1]) for r in rows)
     for name, status, desc in rows:
-        print(f"{name:<{wn}}  {status:<{ws}}  {desc}", file=file or sys.stdout)
+        print(f"{name:<{wn}}  {status:<{ws}}  {desc}")
 
 
 def main(argv=None) -> int:
@@ -128,7 +128,13 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--list-fixtures", action="store_true", help="list built-in problems and exit"
     )
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, AsymptoticBlowup's code here
+        if e.code != 2:
+            raise
+        return 1
 
     if args.list_fixtures:
         _print_fixtures()

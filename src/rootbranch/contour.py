@@ -9,6 +9,12 @@ near machine accuracy once the contour is comfortably clear of zeros.
 Power sums are taken about a shift point (usually the circle center) so that
 large |z| branches never difference huge quantities: the Newton-identity
 coefficients are then for the polynomial in u = z - about.
+
+A circle is sampled once into a CircleSample: both node levels of that one
+circle (its M nodes and its 2M nodes) and its probe rings.  A factor is
+made from a sample one way, local_monic_factor: the windings of both
+levels settle the count n, which is s_0; s_1..s_n follow on the M level;
+and the cofactor probe reads the rings.
 """
 
 from __future__ import annotations
@@ -63,9 +69,10 @@ class _kept:
 class Circle:
     """Integration circle with equispaced trapezoid nodes.
 
-    samples must be a power of two (>= 16) so node sets nest under doubling.
-    A circle builds its doubling and its probe rings once, on first use,
-    and keeps them: a certificate's circle serves every step checked on it.
+    samples (M) must be a power of two (>= 16), so that the M nodes are
+    every other one of the 2M nodes a sample is taken at.  A circle builds
+    its probe rings once, on first use, and keeps them: a certificate's
+    circle serves every step checked on it.
     """
 
     center: complex
@@ -80,13 +87,6 @@ class Circle:
 
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * _unit_nodes(self.samples)
-
-    def doubled(self) -> "Circle":
-        return self._doubled
-
-    @_kept
-    def _doubled(self) -> "Circle":
-        return Circle(self.center, self.radius, 2 * self.samples)
 
     @_kept
     def probe_rings(self) -> np.ndarray:
@@ -105,7 +105,8 @@ class Circle:
 
 @dataclass(frozen=True)
 class ContourData:
-    """F and dF/dz sampled on a circle's nodes.
+    """F and dF/dz sampled on a circle's M nodes or on its 2M nodes; the
+    node count is z.size.
 
     The arrays are made read-only: certificates and step checks keep them
     and hand them on instead of sampling the same nodes again.  What the
@@ -160,10 +161,10 @@ class ContourData:
 @dataclass(frozen=True)
 class CircleSample:
     """F(x, .) sampled once on a circle: F and dF/dz on its M nodes
-    (coarse) and on its doubling's 2M nodes (fine), and F on its probe
-    rings (rings, unchecked), all read-only.  The count reads the two
-    levels, the factor the M level, the cofactor probe the rings and the
-    Rouche check the 2M level."""
+    (coarse) and on its 2M nodes (fine), both levels on the one circle,
+    and F on its probe rings (rings, unchecked), all read-only.  The count
+    reads the two levels, the factor the M level, the cofactor probe the
+    rings and the Rouche check the 2M level."""
 
     coarse: ContourData
     fine: ContourData
@@ -176,7 +177,7 @@ class CircleSample:
 
 def sample_contour(f: EntireFunction, x: float, circle: Circle) -> CircleSample:
     """The CircleSample of F(x, .) on circle, from one kernel call at the
-    doubling's 2M nodes and then circle.probe_rings; values may be
+    circle's 2M nodes and then circle.probe_rings; values may be
     non-finite (readers check with require_finite).
 
     The even 2M nodes are the circle's own M nodes, bit for bit, so the
@@ -184,12 +185,11 @@ def sample_contour(f: EntireFunction, x: float, circle: Circle) -> CircleSample:
     computes each point on its own, so every value has the bits that a
     call on its own points gives.
     """
-    doubled = circle.doubled()
-    z = doubled.nodes()
+    z = circle.center + circle.radius * _unit_nodes(2 * circle.samples)
     m = z.size
     fv, fz = f.kernel(x, np.concatenate((z, circle.probe_rings)))
     fv.flags.writeable = False
-    fine = ContourData(doubled, z, fv[:m], fz[:m])
+    fine = ContourData(circle, z, fv[:m], fz[:m])
     coarse = (np.ascontiguousarray(a[::2]) for a in (z, fine.f, fine.fz))
     return CircleSample(ContourData(circle, *coarse), fine, fv[m:])
 
@@ -221,7 +221,7 @@ def check_contour_clear(data: ContourData, margin: float = 1.0) -> None:
         raise ZeroOnContourError(
             f"min node |F| = {minf:.3e} below floor {floor:.3e}"
         )
-    spacing = 2.0 * np.pi * data.circle.radius / data.circle.samples
+    spacing = 2.0 * np.pi * data.circle.radius / data.z.size
     scale = margin * GUARD * spacing
     # every node passes when the smallest |F| passes the largest |F'|
     if minf >= scale * data.max_abs_fz:
@@ -237,21 +237,16 @@ def check_contour_clear(data: ContourData, margin: float = 1.0) -> None:
 
 
 def _power_sums_from(data: ContourData, n: int, about: complex) -> list[complex]:
-    """s_0..s_n from one node set, each the mean of (z - about)**k times
-    the winding integrand the count already built; NonIntegerWindingError
-    unless s_0 is within 0.5 of the expected count n."""
+    """[n, s_1, ..., s_n]: s_0 is the zero count n the winding settled on,
+    and each s_k the mean of (z - about)**k times the winding integrand
+    the count already built."""
     g = data.integrand
     u = data.z - about
-    s = []
+    s = [complex(n)]
     uk = np.ones_like(u)
-    for k in range(n + 1):
+    for _ in range(n):
+        uk = uk * u
         s.append(complex(np.add.reduce(uk * g) / g.size))
-        if k < n:
-            uk = uk * u
-    if abs(s[0] - n) > 0.5:
-        raise NonIntegerWindingError(
-            f"s_0 = {s[0]:.6f} inconsistent with count {n}"
-        )
     return s
 
 
@@ -279,20 +274,21 @@ class MonicPoly:
 def count_zeros(f: EntireFunction, x: float, circle: Circle) -> int:
     """Count zeros of z -> F(x, .) inside the circle, multiplicity included.
 
-    The trapezoid windings on the circle's M nodes and on its doubling's
-    2M nodes, from one sample_contour call, must land within WINDING_SLACK
+    The trapezoid windings on the circle's M nodes and on its 2M nodes,
+    from one sample_contour call, must land within WINDING_SLACK
     of the same integer; otherwise NonIntegerWindingError (the circle
     passes too close to a zero for the count to be read).
     ZeroOnContourError fires when either node set comes too close to a
     zero.
     """
     sample = sample_contour(f, x, circle)
-    return _count_zeros_data(x, sample.coarse, sample.fine)
+    return _count_zeros_data(x, sample)
 
 
-def _count_zeros_data(x: float, coarse: ContourData, fine: ContourData) -> int:
-    """The zero count that F sampled at x on a circle's M nodes (coarse)
-    and on its doubling's 2M nodes (fine) settles on; see count_zeros."""
+def _count_zeros_data(x: float, sample: CircleSample) -> int:
+    """The zero count that F sampled at x on a circle's M nodes and on its
+    2M nodes settles on; see count_zeros."""
+    coarse, fine = sample.coarse, sample.fine
     for data in (coarse, fine):
         # finite extremes of |F| and |F'| clear every node at once
         if not (math.isfinite(data.max_abs_f) and math.isfinite(data.max_abs_fz)):
@@ -400,33 +396,24 @@ def _polish_poly_root(c, dc, u):
     return best
 
 
-def local_factor_data(x: float, sample: CircleSample) -> MonicPoly:
-    """The monic factor of the zeros F(x, .) has inside sample's circle.
+def local_monic_factor(x: float, sample: CircleSample) -> MonicPoly:
+    """Monic polynomial carrying exactly the zeros of F(x, .) in the disk
+    of sample's circle: the one way a factor is made from a sample.
 
     The zero count n from the sample's two levels (see count_zeros), then
-    the power sums s_0..s_n on the M nodes about the circle center, then
-    newton_to_coeffs.
+    the power sums s_1..s_n on the M nodes about the circle center, then
+    newton_to_coeffs, then check_cofactor, so F/P is also certified free
+    of zeros inside the disk.  It reads only the sample (the radius
+    search's, or an accepted step's from validate_step), so it makes no
+    kernel call.
 
     Raises NoZerosInDiskError when the disk holds no zeros.
     """
-    n = _count_zeros_data(x, sample.coarse, sample.fine)
+    n = _count_zeros_data(x, sample)
     if n == 0:
         raise NoZerosInDiskError(f"no zeros of F({x}, .) inside {sample.circle}")
     about = sample.circle.center
-    return newton_to_coeffs(_power_sums_from(sample.coarse, n, about), about)
-
-
-def local_monic_factor(x: float, sample: CircleSample) -> MonicPoly:
-    """Monic polynomial carrying exactly the zeros of F(x, .) in the disk
-    of sample's circle.
-
-    local_factor_data followed by check_cofactor, so F/P is also certified
-    free of zeros inside the disk.  It reads only the sample (an accepted
-    step's is validate_step's), so it makes no kernel call.
-
-    Raises NoZerosInDiskError when the disk holds no zeros.
-    """
-    poly = local_factor_data(x, sample)
+    poly = newton_to_coeffs(_power_sums_from(sample.coarse, n, about), about)
     check_cofactor(x, poly, sample)
     return poly
 

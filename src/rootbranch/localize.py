@@ -13,10 +13,11 @@ ladder_radius compares a short ladder of radii at an accepted step, and
 the engine starts the next select_radius calls from the winner.
 
 A certificate is one record, made one way: the CircleSample of F(x0, .)
-on its circle and the factor read from it.  An accepted step's check
-samples F(x1) on the same circle, so the step's certificate at x1 is that
-sample with the factor at x1; admits, the radius search's own test past
-the count, says whether it stands as the next certificate.
+on its circle and the factor local_monic_factor reads from it, kept when
+admits passes it.  The radius search makes each try so, and an accepted
+step's check samples F(x1) on the same circle, so the step's certificate
+at x1 is that sample with local_monic_factor's factor at x1; the engine
+asks admits whether it stands as the next certificate.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .contour import (
     CircleSample,
     MonicPoly,
     check_contour_clear,
-    check_cofactor,
-    local_factor_data,
+    local_monic_factor,
 )
 from .errors import (
     CertificateError,
@@ -65,8 +65,9 @@ class LocalFactorization:
         on the circle's M nodes (coarse), where the count and the factor
         read them and ladder_radius compares, and on its 2M nodes (fine),
         which validate_step compares F(x1) with, against their own
-        min |F(x0)|.  A certificate that admits passes both levels clear
-        at CLEAR_MARGIN, so min |F| > 0 on each.
+        min |F(x0)|.  Both levels belong to the one circle.  A certificate
+        that admits passes both levels clear at CLEAR_MARGIN, so
+        min |F| > 0 on each.
 
     circle, z0, r and n are read from those: the sample's circle, its
     center (the tracked root) and radius, and poly's degree (the zero
@@ -150,29 +151,28 @@ def select_radius(
 
 
 def _try_radius(f, x0, z0, r):
-    """The certificate select_radius admits at radius r, or None.  The
-    circle is sampled once (sample_contour); its probe rings are read only
-    for a certificate that admits.  The ValueError is Circle's, at a
-    radius that underflowed to 0."""
+    """The certificate select_radius admits at radius r, or None: the
+    circle sampled once (sample_contour), the factor made from that sample
+    by local_monic_factor, as an accepted step makes it, and the
+    certificate kept if admits passes it.  The ValueError is Circle's, at
+    a radius that underflowed to 0."""
     try:
         sample = contour.sample_contour(f, x0, Circle(z0, r))
-        loc = LocalFactorization(float(x0), local_factor_data(x0, sample), sample)
-        if not admits(loc):
-            return None
-        check_cofactor(x0, loc.poly, sample)
-        return loc
+        poly = local_monic_factor(x0, sample)
     except (CertificateError, NonFiniteError, ValueError):
         return None
+    loc = LocalFactorization(float(x0), poly, sample)
+    return loc if admits(loc) else None
 
 
 def admits(loc: LocalFactorization) -> bool:
-    """Whether loc passes the radius search's tests past the count and
-    before the cofactor probe: its factor's roots lie within
-    CENTER_FRAC * r of the center, and both node levels of its sample are
-    clear of zeros at CLEAR_MARGIN.
+    """Whether loc passes the radius search's tests past the factor: its
+    factor's roots lie within CENTER_FRAC * r of the center, and both node
+    levels of its sample are clear of zeros at CLEAR_MARGIN.
 
-    The engine asks it of an accepted step's certificate at x1, whose
-    count, factor and cofactor probe the step already passed on that
+    The radius search asks it of each circle whose factor
+    local_monic_factor made, and the engine of an accepted step's
+    certificate at x1, whose factor the step made the same way on that
     sample; so a certificate at x1 that admits equals
     _try_radius(f, x1, loc.z0, loc.r) bit for bit, without a kernel call.
     """
@@ -216,7 +216,7 @@ def validate_step(
     """
     taken = contour.sample_contour(f, x1, loc.circle)
     fine, f1 = loc.sample.fine, taken.fine.f
-    resolution = fine.circle.samples
+    resolution = fine.z.size
     if not np.isfinite(f1).all():
         return StepValidation(False, float("inf"), resolution)
     diff = float(np.maximum.reduce(np.abs(f1 - fine.f)))

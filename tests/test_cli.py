@@ -434,6 +434,29 @@ def test_a_run_without_steps_reports_its_certify_counts(tmp_path, function, doma
     assert d["twin_segments"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "abc", "--fixture", "monic-sqrt"], "invalid int value: 'abc'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--problem", "a", "--fixture", "b"], "not allowed with argument"),
+    ],
+)
+def test_argparse_usage_error_exits_1(tmp_path, capsys, argv, message):
+    # argparse's own exit code, 2, is AsymptoticBlowup's
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rootbranch") and message in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rootbranch")
+
+
 def test_too_few_samples_is_a_usage_error(tmp_path, capsys):
     assert main(["--fixture", "remark-exp", "--samples", "1", "--out", str(tmp_path)]) == 1
     assert "--samples must be at least 2" in capsys.readouterr().err

@@ -29,7 +29,6 @@ from rootbranch.contour import (
     _unit_nodes,
     check_contour_clear,
     check_cofactor,
-    local_factor_data,
     sample_contour,
 )
 from rootbranch.errors import (
@@ -53,7 +52,6 @@ def poly_fn(coeffs):
 def test_circle_validation():
     c = Circle(0j, 1.0, 64)
     assert len(c.nodes()) == 64
-    assert c.doubled().samples == 128
     with pytest.raises(ValueError):
         Circle(0j, 1.0, 48)
     with pytest.raises(ValueError):
@@ -68,10 +66,10 @@ def _assert_sample_is_the_separate_calls(f, x, circle):
     read-only and contiguous."""
     sample = sample_contour(f, x, circle)
     assert sample.circle is circle
-    for got, circ in ((sample.coarse, circle), (sample.fine, circle.doubled())):
-        z = circ.nodes()
+    fine = Circle(circle.center, circle.radius, 2 * circle.samples)
+    for got, z in ((sample.coarse, circle.nodes()), (sample.fine, fine.nodes())):
         want = dict(zip(("f", "fz"), f.kernel(x, z)), z=z)
-        assert got.circle == circ
+        assert got.circle is circle
         for name in ("z", "f", "fz"):
             a = getattr(got, name)
             assert a.flags.c_contiguous and not a.flags.writeable
@@ -183,7 +181,8 @@ def test_count_reads_only_the_m_and_2m_levels(monkeypatch):
         count_zeros(f, 0.0, circle)
     with pytest.raises(NonIntegerWindingError, match="did not settle"):
         local_monic_factor(0.0, sample_contour(f, 0.0, circle))
-    points = np.concatenate((circle.doubled().nodes(), circle.probe_rings))
+    fine = Circle(circle.center, circle.radius, 2 * circle.samples)
+    points = np.concatenate((fine.nodes(), circle.probe_rings))
     assert [z.size for z in calls] == [64, 64]
     assert all(z.tobytes() == points.tobytes() for z in calls)
 
@@ -478,15 +477,11 @@ def test_certificate_arithmetic_keeps_its_bits(data, lead):
                 verdict = str(e)
             assert verdict == _old_contour_check(level, margin)
 
+        # s_0 is the count itself; s_1..s_n keep their bits
         old_s = _old_power_sums(z, circle.center, f, fz, n, about)
-        raised = abs(old_s[0] - n) > 0.5
-        try:
-            s = _power_sums_from(level, n, about)
-        except NonIntegerWindingError:
-            assert raised
-        else:
-            assert not raised
-            assert _bits(s) == _bits(old_s)
+        s = _power_sums_from(level, n, about)
+        assert len(s) == n + 1 and s[0] == n
+        assert _bits(s[1:]) == _bits(old_s[1:])
 
         # Newton's identities on these sums, with s_0 the count itself
         s = [complex(n)] + [complex(v) for v in old_s[1:]]
@@ -543,14 +538,13 @@ def test_nonfinite_level_fails_the_count_as_nonfinite(name, value):
     arrays[name][3] = complex(arrays[name][3].real, value)
     bad = ContourData(fine.circle, **arrays)
     with pytest.raises(NonFiniteError, match=r"z=\(0\.7"):
-        _count_zeros_data(0.0, coarse, bad)
+        _count_zeros_data(0.0, CircleSample(coarse, bad, sample.rings))
 
 
 def test_cofactor_probe_names_a_nonfinite_ring_point():
     f = f_of("pow(z, 2) - 0.25")
     sample = sample_contour(f, 0.0, Circle(0.5 + 0j, 0.3, 16))
-    poly = local_factor_data(0.0, sample)
-    check_cofactor(0.0, poly, sample)
+    poly = local_monic_factor(0.0, sample)  # passes the probe on the clean rings
     rings = sample.rings.copy()
     rings[21] = complex(np.nan, 0.0)
     bad = CircleSample(sample.coarse, sample.fine, rings)
@@ -568,7 +562,10 @@ def test_cofactor_probe_refuses_a_factor_missing_an_enclosed_zero():
     circle = Circle(0j, 1.5, 64)
     assert circle.probe_rings[0] == 0.5
     sample = sample_contour(f, 0.0, circle)
-    both = local_factor_data(0.0, sample)
+    # the factor read from the sample, before the cofactor probe that
+    # local_monic_factor would end with
+    n = _count_zeros_data(0.0, sample)
+    both = newton_to_coeffs(_power_sums_from(sample.coarse, n, 0j))
     assert np.allclose(both.coeffs, [1.0, -0.5, 0.0], atol=1e-12)
     check_cofactor(0.0, MonicPoly((1.0, -0.5, 0j)), sample)
     with pytest.raises(CofactorVanishesError, match="min"):

@@ -25,7 +25,7 @@ from rootbranch import (
     select_radius,
     validate_step,
 )
-from rootbranch.contour import CircleSample, MonicPoly, sample_contour
+from rootbranch.contour import Circle, CircleSample, MonicPoly, sample_contour
 from rootbranch import contour, engine, expressions, localize
 from rootbranch.localize import (
     CENTER_FRAC,
@@ -74,8 +74,11 @@ def test_certificate_reads_circle_z0_r_n_from_what_it_stores():
     assert loc.circle is loc.sample.circle
     assert (loc.z0, loc.r) == (loc.circle.center, loc.circle.radius) == (0.5, 0.4)
     assert loc.n == loc.poly.degree == 1
+    # both levels belong to the one circle, at its M and 2M nodes
+    m = loc.circle.samples
     levels = (loc.sample.coarse, loc.sample.fine)
-    assert [d.circle for d in levels] == [loc.circle, loc.circle.doubled()]
+    assert all(d.circle is loc.circle for d in levels)
+    assert [d.z.size for d in levels] == [m, 2 * m]
     assert all(d.min_abs_f > 0 for d in levels)
 
 
@@ -143,7 +146,7 @@ def test_a_certificate_failure_makes_the_radius_search_try_another(monkeypatch, 
     def fail(*args, **kwargs):
         raise error("this circle does not certify")
 
-    monkeypatch.setattr(localize, "local_factor_data", fail)
+    monkeypatch.setattr(localize, "local_monic_factor", fail)
     assert _try_radius(f, 0.25, 0.5, 0.2) is None
 
 
@@ -154,7 +157,7 @@ def test_a_failed_cofactor_probe_makes_the_radius_search_try_another(monkeypatch
     # the zero 0 of z*(z - 0.5) (whose zero 0.5 is a ring point of the
     # circle |z| = 1.5) with CofactorVanishesError: either way no certificate
     raised = []
-    probe = localize.check_cofactor
+    probe = contour.check_cofactor
 
     def recording(*args):
         try:
@@ -163,7 +166,7 @@ def test_a_failed_cofactor_probe_makes_the_radius_search_try_another(monkeypatch
             raised.append(type(e))
             raise
 
-    monkeypatch.setattr(localize, "check_cofactor", recording)
+    monkeypatch.setattr(contour, "check_cofactor", recording)
     if fault == "nonfinite ring":
         f, args, error = f_of("pow(z, 2) - x"), (0.25, 0.5, 0.2), NonFiniteError
         assert _try_radius(f, *args) is not None and raised == []
@@ -179,7 +182,7 @@ def test_a_failed_cofactor_probe_makes_the_radius_search_try_another(monkeypatch
     else:
         f, args, error = f_of("z*(z - 0.5)"), (0.0, 0j, 1.5), CofactorVanishesError
         monkeypatch.setattr(
-            localize, "local_factor_data", lambda x, s: MonicPoly((1.0, 0j))
+            contour, "newton_to_coeffs", lambda s, about: MonicPoly((1.0, 0j))
         )
     assert _try_radius(f, *args) is None
     assert raised == [error]
@@ -271,7 +274,8 @@ def test_accepted_step_reuses_the_check_samples(monkeypatch):
     assert v.accepted and v.resolution == 2 * m
     assert [(x, z.size) for x, z in calls] == [(x1, 2 * m + 2 * m)]
     (_, z), = calls
-    nodes, rings = loc.circle.doubled().nodes(), loc.circle.probe_rings
+    c, r = loc.circle.center, loc.circle.radius
+    nodes, rings = Circle(c, r, 2 * m).nodes(), loc.circle.probe_rings
     assert z.tobytes() == np.concatenate((nodes, rings)).tobytes()
     assert len(set(z.tolist())) == z.size
     levels = (v.sample.coarse, v.sample.fine)
