@@ -20,9 +20,8 @@ and the cofactor probe reads the rings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,25 +64,32 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True)
-class Circle:
+class _CircleFields(NamedTuple):
+    center: complex
+    radius: float
+    samples: int = 128  # M, the node count of every localization circle
+
+
+class Circle(_CircleFields):
     """Integration circle with equispaced trapezoid nodes.
 
     samples (M) must be a power of two (>= 16), so that the M nodes are
     every other one of the 2M nodes a sample is taken at.  A circle builds
     its probe rings once, on first use, and keeps them: a certificate's
-    circle serves every step checked on it.
+    circle serves every step checked on it.  A named tuple whose
+    constructor and _replace check the fields; it has a __dict__ for the
+    rings.
     """
 
-    center: complex
-    radius: float
-    samples: int = 128  # M, the node count of every localization circle
+    def __new__(cls, center: complex, radius: float, samples: int = 128):
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        if samples < 16 or not _is_pow2(samples):
+            raise ValueError(f"samples must be a power of two >= 16, got {samples}")
+        return tuple.__new__(cls, (center, radius, samples))
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.samples < 16 or not _is_pow2(self.samples):
-            raise ValueError(f"samples must be a power of two >= 16, got {self.samples}")
+    def _replace(self, **changes) -> "Circle":
+        return Circle(**{**self._asdict(), **changes})
 
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * _unit_nodes(self.samples)
@@ -103,27 +109,31 @@ class Circle:
         return rings
 
 
-@dataclass(frozen=True)
-class ContourData:
-    """F and dF/dz sampled on a circle's M nodes or on its 2M nodes; the
-    node count is z.size.
-
-    The arrays are made read-only: certificates and step checks keep them
-    and hand them on instead of sampling the same nodes again.  What the
-    checks read off them (|F|, |F'| and their extremes, the winding
-    integrand and its mean) is computed on first use and kept, so a level
-    that the count, the radius search, the carry and the Rouche check all
-    read is reduced once.
-    """
-
+class _ContourFields(NamedTuple):
     circle: Circle
     z: np.ndarray
     f: np.ndarray
     fz: np.ndarray
 
-    def __post_init__(self):
-        for a in (self.z, self.f, self.fz):
-            a.flags.writeable = False
+
+class ContourData(_ContourFields):
+    """F and dF/dz sampled on a circle's M nodes or on its 2M nodes; the
+    node count is z.size.
+
+    The constructor makes the arrays read-only: certificates and step
+    checks keep them and hand them on instead of sampling the same nodes
+    again.  What the checks read off them (|F|, |F'| and their extremes,
+    the winding integrand and its mean) is computed on first use and kept
+    in the record's __dict__, so a level that the count, the radius
+    search, the carry and the Rouche check all read is reduced once.
+    """
+
+    def __new__(cls, circle: Circle, z: np.ndarray, f: np.ndarray, fz: np.ndarray):
+        z.flags.writeable = f.flags.writeable = fz.flags.writeable = False
+        return tuple.__new__(cls, (circle, z, f, fz))
+
+    def _replace(self, **changes) -> "ContourData":
+        return ContourData(**{**self._asdict(), **changes})
 
     @_kept
     def abs_f(self) -> np.ndarray:
@@ -158,8 +168,7 @@ class ContourData:
         return complex(np.add.reduce(g) / g.size)
 
 
-@dataclass(frozen=True)
-class CircleSample:
+class CircleSample(NamedTuple):
     """F(x, .) sampled once on a circle: F and dF/dz on its M nodes
     (coarse) and on its 2M nodes (fine), both levels on the one circle,
     and F on its probe rings (rings, unchecked), all read-only.  The count
@@ -250,21 +259,28 @@ def _power_sums_from(data: ContourData, n: int, about: complex) -> list[complex]
     return s
 
 
-@dataclass(frozen=True)
-class MonicPoly:
-    """Monic polynomial in u = z - about, coefficients descending.
-
-    coeffs[0] is always 1.
-    """
-
+class _PolyFields(NamedTuple):
     coeffs: tuple[complex, ...]
     about: complex = 0j
 
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
+
+class MonicPoly(_PolyFields):
+    """Monic polynomial in u = z - about, coefficients descending.
+
+    coeffs[0] is always 1: the constructor and _replace check it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[complex, ...], about: complex = 0j):
+        if len(coeffs) < 2:
             raise ValueError("monic factor must have degree >= 1")
-        if self.coeffs[0] != 1:
+        if coeffs[0] != 1:
             raise ValueError("leading coefficient must be 1")
+        return tuple.__new__(cls, (coeffs, about))
+
+    def _replace(self, **changes) -> "MonicPoly":
+        return MonicPoly(**{**self._asdict(), **changes})
 
     @property
     def degree(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -24,8 +23,7 @@ from .errors import OutOfDomainError, ProblemValidationError
 _SEED = -1
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     length: float
@@ -249,8 +247,7 @@ class ParamDomain:
         ]
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One traversal of (part of) an edge, from t0 to t1 in edge-local units."""
 
     edge: int
@@ -259,14 +256,18 @@ class Piece:
     length: float
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """An injective arc in the domain: ordered pieces from a to b."""
-
+class _SegmentFields(NamedTuple):
     domain: ParamDomain
     a: DomainPoint
     b: DomainPoint
     pieces: tuple[Piece, ...]
+
+
+class PathSegment(_SegmentFields):
+    """An injective arc in the domain: ordered pieces from a to b.
+
+    A named tuple with a __dict__, where cum and profile are kept once
+    computed."""
 
     @cached_property
     def cum(self) -> tuple[float, ...]:
@@ -376,8 +377,7 @@ class PathSegment:
         return points, x
 
 
-@dataclass(frozen=True)
-class SweepSegment:
+class SweepSegment(NamedTuple):
     """A leaf-directed path, the arc where fresh (uncovered) ground starts,
     and the increasing arcs in (resume_arc, length) where later segments
     resume."""

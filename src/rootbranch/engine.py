@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
@@ -59,10 +58,18 @@ class Status(str, enum.Enum):
     SEED_INVALID = "SeedInvalid"
 
 
-@dataclass(frozen=True)
-class TerminationStatus:
+class _StatusFields(NamedTuple):
     kind: Status
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Optional[dict] = None
+
+
+class TerminationStatus(_StatusFields):
+    """A verdict and its diagnostics (a new empty dict by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: Status, diagnostics: Optional[dict] = None):
+        return tuple.__new__(cls, (kind, {} if diagnostics is None else diagnostics))
 
 
 class BranchSample(NamedTuple):
@@ -78,8 +85,7 @@ class BranchSample(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class RootBranch:
+class RootBranch(NamedTuple):
     """Continuation result: samples, classified termination, and location.
 
     samples holds the raw samples of the segments that ran.  twins holds a
@@ -104,8 +110,7 @@ class RootBranch:
         return max((s.residual for s in self.samples), default=None)
 
 
-@dataclass(frozen=True)
-class RootMatch:
+class RootMatch(NamedTuple):
     value: Optional[complex]
     ambiguous: bool
 
@@ -142,8 +147,7 @@ POLE_ORDER_MIN = 0.25
 BUDGET_EXHAUSTED = "step budget exhausted"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(NamedTuple):
     """Tuning knobs of the continuation. Defaults suit well-scaled problems.
 
     max_steps bounds ACCEPTED steps per segment; rejected proposals are
@@ -158,7 +162,7 @@ class EngineConfig:
     certify_steps: bool = False
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 AMBIGUITY_RATIO = 0.5  # match_root: nearest / runner-up distance must not exceed this
@@ -374,8 +378,7 @@ def _zero_counts() -> dict:
     )
 
 
-@dataclass
-class SegmentRun:
+class SegmentRun(NamedTuple):
     """extend_segment outcome: samples plus the termination if not completed.
 
     counts holds the segment's step counts: accepted_steps, the certified
@@ -389,7 +392,7 @@ class SegmentRun:
     samples: list[BranchSample]
     status: TerminationStatus
     location: Optional[DomainPoint]
-    counts: dict = field(default_factory=_zero_counts)
+    counts: dict
 
     @property
     def completed(self) -> bool:
@@ -461,7 +464,7 @@ def extend_segment(
     res = modulus(f.eval(cx, w))
     samples: list[BranchSample] = [BranchSample(seg_index, s, pt, w, res)]
     if s >= length:
-        return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None)
+        return SegmentRun(samples, TerminationStatus(Status.COMPLETED, {}), None, _zero_counts())
 
     endgame = Endgame(length, s, w)
     h = min(H0_FRAC * length, length - s)
@@ -900,9 +903,10 @@ def resample_branch(
     quota: dict[int, int] = {}
     if total_len > 0.0 and live:
         # spans and total_len scaled by one power of two (exact short of
-        # underflow), so total * span stays finite near the float limit
-        s = 2.0 ** -math.frexp(total_len)[1]
-        raw = {i: total * (spans[i][2] * s) / (total_len * s) for i in live}
+        # underflow), so total * span stays finite near the float limit;
+        # ldexp, since 2.0 ** e overflows for a subnormal total_len
+        e = -math.frexp(total_len)[1]
+        raw = {i: total * math.ldexp(spans[i][2], e) / math.ldexp(total_len, e) for i in live}
         quota = {i: max(2, int(raw[i])) for i in live}
         short = total - sum(quota.values())
         if short > 0:

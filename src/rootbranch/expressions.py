@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,11 +35,41 @@ class Expr:
     picks one side.  _Unary, _Binary and _Switch own their nodes' fields
     and children.
 
+    A node is a plain __slots__ object whose fields, named by its class's
+    _fields, are given positionally and are read-only.  Two nodes are
+    equal when they are of one class and their fields are equal in order;
+    the hash is that of the fields' tuple.  So Add(a, b) != Sub(a, b),
+    and a field-less X() or Z() is true.
+
     No walk over a tree recurses (see walk and _fold), so the height of a
     tree is bounded by memory, not by Python's recursion limit.
     """
 
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
     code = ""
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def dz(self) -> "Expr":
         """The symbolic derivative dF/dz of this tree."""
@@ -59,16 +88,15 @@ class Expr:
         return f"{type(self).__name__}({to_text(self)})"
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Expr):
-    value: complex
+    __slots__ = _fields = ("value",)
 
     def _dz(self):
         return Const(0j)
 
 
-@dataclass(frozen=True, repr=False)
 class X(Expr):
+    __slots__ = ()
     # the kernel's caller passes x already converted to complex
     code = "x"
 
@@ -76,30 +104,29 @@ class X(Expr):
         return Const(0j)
 
 
-@dataclass(frozen=True, repr=False)
 class Z(Expr):
+    __slots__ = ()
+
     def _dz(self):
         return Const(1 + 0j)
 
 
-@dataclass(frozen=True, repr=False)
 class _Unary(Expr):
-    a: Expr
+    __slots__ = _fields = ("a",)
 
     def children(self):
         return (self.a,)
 
 
-@dataclass(frozen=True, repr=False)
 class _Binary(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = _fields = ("a", "b")
 
     def children(self):
         return (self.a, self.b)
 
 
 class Add(_Binary):
+    __slots__ = ()
     code = "{0} + {1}"
 
     def _dz(self, da, db):
@@ -107,6 +134,7 @@ class Add(_Binary):
 
 
 class Sub(_Binary):
+    __slots__ = ()
     code = "{0} - {1}"
 
     def _dz(self, da, db):
@@ -114,6 +142,7 @@ class Sub(_Binary):
 
 
 class Mul(_Binary):
+    __slots__ = ()
     code = "{0} * {1}"
 
     def _dz(self, da, db):
@@ -121,13 +150,13 @@ class Mul(_Binary):
 
 
 class Neg(_Unary):
+    __slots__ = ()
     code = "-{0}"
 
     def _dz(self, da):
         return neg(da)
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
     """Integer power. Negative exponents are allowed and mean division.
 
@@ -135,9 +164,7 @@ class Pow(Expr):
     products of lower powers (see _Kernel._power), not by ``code``.
     """
 
-    base: Expr
-    n: int
-
+    __slots__ = _fields = ("base", "n")
     code = "asarray({0}, dtype=complex128) ** {n}"
 
     def _dz(self, dbase):
@@ -148,6 +175,7 @@ class Pow(Expr):
 
 
 class Exp(_Unary):
+    __slots__ = ()
     code = "exp({0})"
 
     def _dz(self, da):
@@ -155,6 +183,7 @@ class Exp(_Unary):
 
 
 class Sin(_Unary):
+    __slots__ = ()
     code = "sin({0})"
 
     def _dz(self, da):
@@ -162,13 +191,13 @@ class Sin(_Unary):
 
 
 class Cos(_Unary):
+    __slots__ = ()
     code = "cos({0})"
 
     def _dz(self, da):
         return neg(mul(Sin(self.a), da))
 
 
-@dataclass(frozen=True, repr=False)
 class _Switch(Expr):
     """Piecewise choice at the parameter point ``at``: ``a`` where the
     switch takes x, ``b`` elsewhere.
@@ -177,9 +206,7 @@ class _Switch(Expr):
     other side may be singular at ``at``.
     """
 
-    at: float
-    a: Expr
-    b: Expr
+    __slots__ = _fields = ("at", "a", "b")
 
     def takes(self, x: float) -> bool:
         raise NotImplementedError
@@ -195,6 +222,8 @@ class Guard(_Switch):
     """``a`` when x equals ``at`` exactly, ``b`` otherwise (the usual use:
     removable limits at a domain boundary)."""
 
+    __slots__ = ()
+
     def takes(self, x):
         return x == self.at
 
@@ -202,6 +231,8 @@ class Guard(_Switch):
 class Split(_Switch):
     """``a`` for x <= at and ``b`` beyond.  Problem validation checks the
     two sides agree at ``at`` so F stays continuous."""
+
+    __slots__ = ()
 
     def takes(self, x):
         return x <= self.at

@@ -8,13 +8,12 @@ termination classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Fixture", "get_fixture", "fixture_names", "list_fixtures"]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     expected_status: str

@@ -22,8 +22,7 @@ asks admits whether it stands as the next certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +51,13 @@ CLEAR_MARGIN = 2.0  # check_contour_clear's margin on an admitted certificate
 SAFETY = 0.5  # validate_step accepts max |F(x1) - F(x0)| <= SAFETY * m
 
 
-@dataclass(frozen=True, eq=False)
-class LocalFactorization:
+class _FactorizationFields(NamedTuple):
+    x0: float
+    poly: MonicPoly
+    sample: CircleSample
+
+
+class LocalFactorization(_FactorizationFields):
     """Zero-free circle, enclosed count, and local monic factor at x0.
 
     Fields
@@ -72,11 +76,19 @@ class LocalFactorization:
     circle, z0, r and n are read from those: the sample's circle, its
     center (the tracked root) and radius, and poly's degree (the zero
     count, multiplicity included).
+
+    A named tuple that, unlike one, equals only itself and hashes by
+    identity: two certificates are never compared by their arrays.
     """
 
-    x0: float
-    poly: MonicPoly
-    sample: CircleSample
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
     @property
     def circle(self) -> Circle:
@@ -95,8 +107,7 @@ class LocalFactorization:
         return self.poly.degree
 
 
-@dataclass(frozen=True)
-class StepValidation:
+class StepValidation(NamedTuple):
     """Outcome of a Rouche step check.
 
     excess is max |F(x1) - F(x0)| over the 2M contour nodes divided by

@@ -42,8 +42,7 @@ import json
 import math
 import re as _re
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -287,24 +286,40 @@ def _parse_source(text: str, source: str) -> Expr:
 # problem documents
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Validated, normalized problem document.
-
-    Exactly one of function/series/fixture is set.  domain and seed are
-    kept in their normalized JSON shapes so render/parse round-trips are
-    exact; build() turns the spec into solver objects.  expr is the
-    expression tree parse_problem read from function or series (None for
-    a fixture); it takes no part in equality.
-    """
-
+class _SpecFields(NamedTuple):
     function: Optional[str] = None
     series: Optional[tuple[str, ...]] = None
     fixture: Optional[str] = None
     domain: Optional[dict] = None
     seed: Optional[dict] = None
-    config: dict = field(default_factory=dict)
-    expr: Optional[Expr] = field(default=None, compare=False, repr=False)
+    config: Optional[dict] = None
+    expr: Optional[Expr] = None
+
+
+class ProblemSpec(_SpecFields):
+    """Validated, normalized problem document.
+
+    Exactly one of function/series/fixture is set.  domain and seed are
+    kept in their normalized JSON shapes so render/parse round-trips are
+    exact; build() turns the spec into solver objects.  config defaults to
+    a new empty dict.  expr is the expression tree parse_problem read from
+    function or series (None for a fixture); it takes no part in equality.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, function=None, series=None, fixture=None, domain=None,
+                seed=None, config=None, expr=None):
+        config = {} if config is None else config
+        return tuple.__new__(cls, (function, series, fixture, domain, seed, config, expr))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
 
 _TOP_KEYS = {"function", "series", "fixture", "domain", "seed", "config"}
@@ -356,12 +371,12 @@ def _engine_config(overrides: dict) -> EngineConfig:
     certify_steps takes a JSON bool, max_steps an integer >= 1, and the
     other knobs a finite number > 0.
     """
-    bad = set(overrides) - {f.name for f in fields(EngineConfig)}
+    bad = set(overrides) - set(EngineConfig._fields)
     if bad:
         raise ValueError(f"unknown config keys: {sorted(bad)}")
     coerced = {}
     for k, v in overrides.items():
-        default = getattr(EngineConfig, k)
+        default = EngineConfig._field_defaults[k]
         if isinstance(default, bool):
             ok, want = isinstance(v, bool), "true or false"
         elif isinstance(default, int):
@@ -373,7 +388,7 @@ def _engine_config(overrides: dict) -> EngineConfig:
         if not ok:
             raise ValueError(f"config {k!r} must be {want}, got {v!r}")
         coerced[k] = float(v) if isinstance(default, float) else v
-    return replace(EngineConfig(), **coerced)
+    return EngineConfig(**coerced)
 
 
 def _as_float(v, what: str) -> float:
@@ -582,7 +597,7 @@ def build(spec: ProblemSpec):
         from .fixtures import get_fixture
 
         base = parse_problem(get_fixture(spec.fixture).problem)
-        return build(replace(base, config={**base.config, **spec.config}))
+        return build(base._replace(config={**base.config, **spec.config}))
 
     dom = _build_domain(spec.domain)
     seed_pt = _build_seed_point(spec.seed, dom)

@@ -163,6 +163,26 @@ def test_tree_near_the_float_limit_runs(tmp_path):
     assert len(read_csv(tmp_path / "branch.csv")) == 1200
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, point",
+    [
+        (["a", "b"], [["a", "b", 1e-320]], {"vertex": "a"}),
+        (["a", "b", "c"], [["a", "b", 1e-320], ["b", "c", 1e-320]], {"edge": 0, "t": 0.5}),
+    ],
+)
+def test_tree_of_subnormal_length_runs(tmp_path, vertices, edges, point):
+    # the rows are shared out by span / total length, scaled by a power of
+    # two that is past the float range for a subnormal total length
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({
+        "function": "z - x",
+        "domain": {"kind": "tree", "vertices": vertices, "edges": edges},
+        "seed": {"point": point, "z": [0.0, 0.0]},
+    }))
+    assert main(["--problem", str(pf), "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "branch.csv")) == 1200
+
+
 def test_seed_past_the_float_range_is_blowup(tmp_path):
     # the seed root's parts are finite but its modulus is not: no circle
     # about it has finite nodes, so the run ends before its first step

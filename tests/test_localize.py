@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,7 +69,7 @@ def test_certificate_reads_circle_z0_r_n_from_what_it_stores():
     # one that disagrees with itself
     f = f_of("pow(z, 2) - x")
     loc = select_radius(f, 0.25, 0.5, r_max=0.4)
-    assert [fl.name for fl in fields(loc)] == ["x0", "poly", "sample"]
+    assert loc._fields == ("x0", "poly", "sample")
     assert loc.circle is loc.sample.circle
     assert (loc.z0, loc.r) == (loc.circle.center, loc.circle.radius) == (0.5, 0.4)
     assert loc.n == loc.poly.degree == 1

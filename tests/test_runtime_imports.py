@@ -24,3 +24,12 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert sources
     outside = {p.name: sorted(set(absolute_imports(p)) - ALLOWED) for p in sources}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a named tuple or a plain class, so importing the
+    # package generates no dataclass code
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    users = [p.name for p in sources if "dataclasses" in set(absolute_imports(p))]
+    assert users == []
