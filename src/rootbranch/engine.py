@@ -420,15 +420,15 @@ def extend_segment(
     the certificate loc at the frontier (None: localize first), the reason
     the frontier stalled (if it did) and the counters.  A pass either
     resolves a stall or proposes one step from the certificate.  A stall
-    (the step underflowed H_MIN, no radius was admissible, or the step
-    budget ran out) ends, in this order: Completed when _snap_to_end
-    snaps it onto the segment end; the budget verdict (below); a soft
-    AsymptoticBlowup when _blowup_evidence reads the last WINDOW samples
-    as a pole; DegenerateBarrier when degeneracy_probe finds
-    z -> F(x, z) constant at the frontier; NonConvergent when those
-    samples are wider than OSC_TOL.  Otherwise the window has converged
-    and the frontier is retried with fresh steps, STALL_RETRIES times,
-    before it ends NonConvergent with converged_window.
+    (the step underflowed H_MIN or moves the frontier not at all, no
+    radius was admissible, or the step budget ran out) ends, in this
+    order: Completed when _snap_to_end snaps it onto the segment end; the
+    budget verdict (below); a soft AsymptoticBlowup when _blowup_evidence
+    reads the last WINDOW samples as a pole; DegenerateBarrier when
+    degeneracy_probe finds z -> F(x, z) constant at the frontier;
+    NonConvergent when those samples are wider than OSC_TOL.  Otherwise
+    the window has converged and the frontier is retried with fresh steps,
+    STALL_RETRIES times, before it ends NonConvergent with converged_window.
 
     A rejection halves h and keeps loc, unless loc was kept from the step
     before: then the same h is proposed again from a fresh localization.
@@ -530,6 +530,10 @@ def extend_segment(
             counts["radius_tries"] += 1 + round(math.log2(start / loc.r))
 
         target = min(s + h, next((a for a in stops if a > s), length))
+        if target <= s:
+            # s + h rounds to s (h_max is 0.0 on a subnormal segment): a stall
+            stalled = "step size underflow"
+            continue
         pt1 = seg.point_at(target)
         cx1 = dom.coordinate(pt1)
         step = _step_root(f, loc, cx1, w, ambiguous_streak, cfg.residual_tol)

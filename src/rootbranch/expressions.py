@@ -36,7 +36,8 @@ class Expr:
     and children.
 
     A node is a plain __slots__ object whose fields, named by its class's
-    _fields, are given positionally and are read-only.  Two nodes are
+    _fields, are given positionally to the __init__ of its shape (Const,
+    _Unary, _Binary, _Switch or Pow) and are read-only.  Two nodes are
     equal when they are of one class and their fields are equal in order;
     the hash is that of the fields' tuple.  So Add(a, b) != Sub(a, b),
     and a field-less X() or Z() is true.
@@ -48,12 +49,6 @@ class Expr:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     code = ""
-
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
@@ -91,6 +86,9 @@ class Expr:
 class Const(Expr):
     __slots__ = _fields = ("value",)
 
+    def __init__(self, value, /):
+        _set_value(self, value)
+
     def _dz(self):
         return Const(0j)
 
@@ -114,12 +112,19 @@ class Z(Expr):
 class _Unary(Expr):
     __slots__ = _fields = ("a",)
 
+    def __init__(self, a, /):
+        _set_unary_a(self, a)
+
     def children(self):
         return (self.a,)
 
 
 class _Binary(Expr):
     __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a, b, /):
+        _set_binary_a(self, a)
+        _set_binary_b(self, b)
 
     def children(self):
         return (self.a, self.b)
@@ -167,6 +172,10 @@ class Pow(Expr):
     __slots__ = _fields = ("base", "n")
     code = "asarray({0}, dtype=complex128) ** {n}"
 
+    def __init__(self, base, n, /):
+        _set_base(self, base)
+        _set_n(self, n)
+
     def _dz(self, dbase):
         return mul(mul(Const(complex(self.n)), powi(self.base, self.n - 1)), dbase)
 
@@ -208,6 +217,11 @@ class _Switch(Expr):
 
     __slots__ = _fields = ("at", "a", "b")
 
+    def __init__(self, at, a, b, /):
+        _set_at(self, at)
+        _set_switch_a(self, a)
+        _set_switch_b(self, b)
+
     def takes(self, x: float) -> bool:
         raise NotImplementedError
 
@@ -238,52 +252,53 @@ class Split(_Switch):
         return x <= self.at
 
 
+# a node's __init__ sets each slot past Expr.__setattr__ by its own setter
+_set_value, _set_unary_a = Const.value.__set__, _Unary.a.__set__
+_set_binary_a, _set_binary_b = _Binary.a.__set__, _Binary.b.__set__
+_set_base, _set_n = Pow.base.__set__, Pow.n.__set__
+_set_at, _set_switch_a, _set_switch_b = _Switch.at.__set__, _Switch.a.__set__, _Switch.b.__set__
+
+
 # ---------------------------------------------------------------------------
 # smart constructors (fold constants so derivative trees stay small)
 
 
-def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
-
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.__class__ is Const and b.__class__ is Const:
         return Const(a.value + b.value)
-    if _is_const(a, 0):
+    if a.__class__ is Const and a.value == 0:
         return b
-    if _is_const(b, 0):
+    if b.__class__ is Const and b.value == 0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.__class__ is Const and b.__class__ is Const:
         return Const(a.value - b.value)
-    if _is_const(b, 0):
+    if b.__class__ is Const and b.value == 0:
         return a
-    if _is_const(a, 0):
+    if a.__class__ is Const and a.value == 0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    if a.__class__ is Const and b.__class__ is Const:
         return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if a.__class__ is Const and a.value == 0 or b.__class__ is Const and b.value == 0:
         return Const(0j)
-    if _is_const(a, 1):
+    if a.__class__ is Const and a.value == 1:
         return b
-    if _is_const(b, 1):
+    if b.__class__ is Const and b.value == 1:
         return a
     return Mul(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    if a.__class__ is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if a.__class__ is Neg:
         return a.a
     return Neg(a)
 
@@ -294,11 +309,11 @@ def powi(base: Expr, n: int) -> Expr:
         return Const(1 + 0j)
     if n == 1:
         return base
-    if _is_const(base) and (base.value != 0 or n > 0):
+    if base.__class__ is Const and (base.value != 0 or n > 0):
         try:
             return Const(base.value ** n)
-        except OverflowError:
-            pass  # complex ** int raises here; evaluation overflows to inf
+        except (OverflowError, ZeroDivisionError):
+            pass  # complex ** int raises past either end of the float range
     return Pow(base, n)
 
 

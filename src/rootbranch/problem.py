@@ -33,7 +33,9 @@ masked by a guard.
 
 Brackets and unary minus signs nest at most MAX_NESTING deep, and a JSON
 document no deeper than the json module decodes; deeper input is a syntax
-error.
+error.  The parser folds constant arithmetic on Python complex values as
+the smart constructors of expressions fold Const nodes, so it builds their
+tree with one Const per constant subexpression, such as (0.5 + -0.25*i).
 """
 
 from __future__ import annotations
@@ -85,181 +87,179 @@ __all__ = [
 # tokenizer
 
 
-# every character but whitespace starts a token, "bad" if nothing else;
-# finditer skips the whitespace, which matches nothing
+# every character but whitespace starts a token, a bad one if nothing
+# else (a character _BAD_RE matches, or a "." that starts no number);
+# findall skips the whitespace, which matches nothing
 _TOKEN_RE = _re.compile(
-    r"""
-    (?P<num>   (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)? )
-  | (?P<name>  [A-Za-z_][A-Za-z_0-9]* )
-  | (?P<op>    [-+*();,] )
-  | (?P<bad>   [^ \t\r\n] )
-    """,
-    _re.VERBOSE,
+    r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*();,]|[^ \t\r\n]"
 )
+_BAD_RE = _re.compile(r"[^0-9A-Za-z_+\-*();,. \t\r\n]")
+_NUMBER_START = frozenset("0123456789.")
 
 
-def _where(text: str, pos: int) -> tuple[int, int]:
-    """Line and column, from 1, of offset pos in text."""
+def _where(text: str, k: int) -> tuple[int, int]:
+    """Line and column, from 1, of text's token k (k past the last token:
+    the end), scanned again, as only an error needs them."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    pos = starts[k] if k < len(starts) else len(text)
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tuples: "num", "name" or "op", then "end"."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ProblemSyntaxError(
-                f"unexpected character {m[0]!r}", *_where(text, m.start())
-            )
-        out.append((kind, m[0], m.start()))
-    out.append(("end", "", len(text)))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens' texts from one regex scan, then "" for the end.  A
+    token's first character tells its kind: a digit or "." a number, a
+    letter or "_" a name, else an operator."""
+    toks = _TOKEN_RE.findall(text)
+    if "." in toks or _BAD_RE.search(text):
+        for k, tok in enumerate(toks):
+            if tok == "." or _BAD_RE.match(tok):
+                raise ProblemSyntaxError(f"unexpected character {tok!r}", *_where(text, k))
+    toks.append("")
+    return toks
 
 
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 
 # brackets and unary minus signs open at once: the parser recurses through
-# four Python frames per bracket, so this keeps it well inside the default
-# recursion limit
+# three Python frames per bracket (expr, term, unary) and one per minus
+# sign, so this keeps it well inside the default recursion limit
 MAX_NESTING = 200
+
+_CALLS = {"exp": Exp, "sin": Sin, "cos": Cos, "pow": Pow, "guard": Guard, "split": Split}
+
+
+def _node(v) -> Expr:
+    """A parse value as a tree: a constant (a complex) as a Const."""
+    return Const(v) if v.__class__ is complex else v
 
 
 class _Parser:
+    """Recursive descent over _tokenize's tokens.  Each rule returns a
+    constant as a Python complex, else a node: + - * and unary minus fold
+    two constants on their values, as add, sub, mul and neg fold two Const
+    nodes (and _powi as powi), and a constant becomes a Const only where
+    it meets a node, in the smart constructor.  So the tree is the one the
+    smart constructors build, and (a + b*i) is one node."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0  # brackets and unary minus signs open here
 
-    def peek(self) -> tuple:
-        return self.toks[self.i]
+    def fail(self, msg: str, k: Optional[int] = None):
+        """Raise at token k, by default the token here."""
+        raise ProblemSyntaxError(msg, *_where(self.text, self.i if k is None else k))
 
-    def take(self) -> tuple:
-        t = self.toks[self.i]
-        if t[0] != "end":
-            self.i += 1
-        if t[1] == "(":
-            self.down()
-        elif t[1] == ")":
-            self.depth -= 1
-        return t
+    def expect(self, text: str) -> None:
+        got = self.toks[self.i]
+        if got != text:
+            self.fail(f"expected {text!r}, got {repr(got) if got else 'end of input'}")
+        self.i += 1
 
     def down(self) -> None:
+        """Open the bracket or minus sign just stepped over."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
-    def fail(self, msg: str, tok: Optional[tuple] = None):
-        tok = tok or self.peek()
-        raise ProblemSyntaxError(msg, *_where(self.text, tok[2]))
-
-    def expect(self, text: str) -> tuple:
-        kind, got, _ = self.peek()
-        if got != text:
-            got = repr(got) if kind != "end" else "end of input"
-            self.fail(f"expected {text!r}, got {got}")
-        return self.take()
-
-    # grammar -----------------------------------------------------------
-    # expr, term and unary step over their operator by index, as take()
-    # would: it is no bracket
-
-    def expr(self) -> Expr:
+    def expr(self):
         toks = self.toks
         e = self.term()
-        while (op := toks[self.i][1]) in ("+", "-"):
+        while (op := toks[self.i]) == "+" or op == "-":
             self.i += 1
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            b = self.term()
+            if e.__class__ is complex and b.__class__ is complex:
+                e = e + b if op == "+" else e - b
+            else:
+                e = (add if op == "+" else sub)(_node(e), _node(b))
         return e
 
-    def term(self) -> Expr:
+    def term(self):
         toks = self.toks
         e = self.unary()
-        while toks[self.i][1] == "*":
+        while toks[self.i] == "*":
             self.i += 1
-            e = mul(e, self.unary())
+            b = self.unary()
+            if e.__class__ is complex and b.__class__ is complex:
+                e = e * b
+            else:
+                e = mul(_node(e), _node(b))
         return e
 
-    def unary(self) -> Expr:
-        if self.toks[self.i][1] == "-":
-            self.i += 1
+    def unary(self):
+        """'-' unary, or an atom."""
+        tok = self.toks[self.i]
+        if tok[:1] in _NUMBER_START:
+            return self.number(complex)
+        self.i += 1
+        if tok == "-":
             self.down()
-            e = neg(self.unary())
+            e = self.unary()
             self.depth -= 1
-            return e
-        return self.atom()
-
-    def atom(self) -> Expr:
-        t = self.peek()
-        kind, name, _ = t
-        if kind == "num":
-            return Const(complex(self.number()))
-        if name == "(":
-            self.take()
+            return -e if e.__class__ is complex else neg(e)
+        if tok == "x" or tok == "z":
+            return X() if tok == "x" else Z()
+        if tok == "i" or tok == "pi":
+            return 1j if tok == "i" else complex(math.pi)
+        if tok == "(":
+            self.down()
             e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "name":
-            self.take()
-            if name == "x":
-                return X()
-            if name == "z":
-                return Z()
-            if name == "i":
-                return Const(1j)
-            if name == "pi":
-                return Const(complex(math.pi))
-            if name in ("exp", "sin", "cos"):
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return {"exp": Exp, "sin": Sin, "cos": Cos}[name](arg)
-            if name == "pow":
-                self.expect("(")
+        else:
+            call = _CALLS.get(tok)
+            if call is None:
+                # an operator, or "" at the end (which is in every string)
+                if tok in "+*);,":
+                    self.fail("expected a number, name, or '('", self.i - 1)
+                self.fail(f"unknown identifier {tok!r}", self.i - 1)
+            self.expect("(")
+            self.down()
+            if call is Pow:
                 base = self.expr()
                 self.expect(",")
-                n = self.signed_int()
-                self.expect(")")
-                return powi(base, n)
-            if name in ("guard", "split"):
-                self.expect("(")
+                k = self.i
+                n = self.signed_number()
+                if n != int(n):
+                    self.fail("exponent must be an integer", k)
+                e = _powi(base, int(n))
+            elif call is Guard or call is Split:
                 at = self.signed_number()
                 self.expect(";")
-                a = self.expr()
+                a = _node(self.expr())
                 self.expect(";")
-                b = self.expr()
-                self.expect(")")
-                return {"guard": Guard, "split": Split}[name](at, a, b)
-            self.fail(f"unknown identifier {name!r}", t)
-        self.fail("expected a number, name, or '('", t)
+                e = call(at, a, _node(self.expr()))
+            else:
+                e = call(_node(self.expr()))
+        self.expect(")")
+        self.depth -= 1
+        return e
 
     def signed_number(self) -> float:
         sign = 1.0
-        if self.peek()[1] == "-":
-            self.take()
+        if self.toks[self.i] == "-":
+            self.i += 1
             sign = -1.0
-        if self.peek()[0] != "num":
+        if self.toks[self.i][:1] not in _NUMBER_START:
             self.fail("expected a number")
-        return sign * self.number()
+        return sign * self.number(float)
 
-    def number(self) -> float:
-        """Take the number token here: too large for a float fails, and
-        underflow reads as 0.0, as in JSON."""
-        t = self.take()
-        v = float(t[1])
-        if math.isinf(v):
-            self.fail(f"number {t[1]} does not fit a float", t)
+    def number(self, kind):
+        """The number here as a complex or a float: too large for a float
+        fails, and underflow reads as 0.0, as in JSON."""
+        tok = self.toks[self.i]
+        v = kind(tok)
+        if v == math.inf:
+            self.fail(f"number {tok} does not fit a float")
+        self.i += 1
         return v
 
-    def signed_int(self) -> int:
-        t0 = self.peek()
-        v = self.signed_number()
-        if v != int(v):
-            self.fail("exponent must be an integer", t0)
-        return int(v)
+
+def _powi(base, n: int):
+    """powi of a parse value; a constant it folds to is a constant again."""
+    e = powi(_node(base), n)
+    return e.value if e.__class__ is Const else e
 
 
 def parse_expression(text: str) -> Expr:
@@ -267,10 +267,9 @@ def parse_expression(text: str) -> Expr:
     within the text."""
     p = _Parser(text)
     e = p.expr()
-    kind, rest, _ = p.peek()
-    if kind != "end":
-        p.fail(f"unexpected trailing input {rest!r}")
-    return e
+    if p.toks[p.i]:
+        p.fail(f"unexpected trailing input {p.toks[p.i]!r}")
+    return _node(e)
 
 
 def _parse_source(text: str, source: str) -> Expr:
@@ -499,7 +498,8 @@ def parse_problem(data) -> ProblemSpec:
         if not isinstance(c, str):
             raise ProblemValidationError(f"{source} must be expression text or a number")
         e = _parse_source(c, source)
-        if contains_z(e):
+        # z is the one name with a z in it: no z in the text, none in e
+        if "z" in c and contains_z(e):
             raise ProblemValidationError(f"{source} mentions z")
         texts.append(c)
         trees.append(e)
@@ -534,41 +534,36 @@ _CONT_PROBES = np.array(
 )
 
 
-def _validate_entire(e: Expr) -> None:
-    """Reject a negative power of a z-dependent base: F has poles in z."""
-    for node in walk(e):
-        if isinstance(node, Pow) and node.n < 0 and contains_z(node.base):
+def _validate(expr: Expr, dom: ParamDomain) -> None:
+    """Check the tree in one walk: a negative power needs a base free of z
+    (F has no poles in z), a guard sits on a vertex coordinate, and a split
+    lies in the coordinate range with sides that agree there.  A bad power
+    is reported first, then the switches in walk order."""
+    switches = []
+    for node in walk(expr):
+        if node.__class__ is Pow and node.n < 0 and contains_z(node.base):
             raise ProblemValidationError(
-                f"{to_text(node)} is not entire in z:"
-                " a negative power needs a base free of z"
+                f"{to_text(node)} is not entire in z: a negative power needs a base free of z"
             )
-
-
-def _validate_piecewise(expr: Expr, dom: ParamDomain) -> None:
+        if node.__class__ is Guard or node.__class__ is Split:
+            switches.append(node)
     lo, hi = dom.coordinate_range()
     vertex_coords = {dom.coordinate(dom.vertex_point(i)) for i in range(len(dom.vertex_names))}
-    for node in walk(expr):
-        if isinstance(node, Guard):
-            if node.at not in vertex_coords:
-                raise ProblemValidationError(
-                    f"guard point {node.at} is not a domain vertex coordinate"
-                )
-        elif isinstance(node, Split):
-            if not (lo <= node.at <= hi):
-                raise ProblemValidationError(
-                    f"split point {node.at} outside coordinate range [{lo}, {hi}]"
-                )
-            (l,) = EntireFunction(node.a).kernel(node.at, _CONT_PROBES, dz=False)
-            (r,) = EntireFunction(node.b).kernel(node.at, _CONT_PROBES, dz=False)
-            scale = 1.0 + max(np.abs(l).max(), np.abs(r).max())
-            if not np.isfinite(l).all() or not np.isfinite(r).all():
-                raise ProblemValidationError(
-                    f"split at {node.at} is not finite on both sides"
-                )
-            if np.abs(l - r).max() > 1e-9 * scale:
-                raise ProblemValidationError(
-                    f"split at {node.at} is discontinuous (sides disagree)"
-                )
+    for node in switches:
+        at = node.at
+        if node.__class__ is Guard:
+            if at not in vertex_coords:
+                raise ProblemValidationError(f"guard point {at} is not a domain vertex coordinate")
+            continue
+        if not (lo <= at <= hi):
+            raise ProblemValidationError(f"split point {at} outside coordinate range [{lo}, {hi}]")
+        (l,) = EntireFunction(node.a).kernel(at, _CONT_PROBES, dz=False)
+        (r,) = EntireFunction(node.b).kernel(at, _CONT_PROBES, dz=False)
+        scale = 1.0 + max(np.abs(l).max(), np.abs(r).max())
+        if not np.isfinite(l).all() or not np.isfinite(r).all():
+            raise ProblemValidationError(f"split at {at} is not finite on both sides")
+        if np.abs(l - r).max() > 1e-9 * scale:
+            raise ProblemValidationError(f"split at {at} is discontinuous (sides disagree)")
 
 
 def _build_domain(domain: dict) -> ParamDomain:
@@ -606,6 +601,5 @@ def build(spec: ProblemSpec):
     x_range = dom.coordinate_range()
 
     expr = spec.expr if spec.expr is not None else parse_problem(render(spec)).expr
-    _validate_entire(expr)
-    _validate_piecewise(expr, dom)
+    _validate(expr, dom)
     return EntireFunction(expr, x_range=x_range), dom, seed_pt, z0, cfg

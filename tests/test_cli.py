@@ -373,8 +373,11 @@ def test_nesting_at_the_bound_reaches_the_solver(tmp_path):
         ("1e308*(z+1) + 1e308*i*(z+1)", 0.5, Status.SEED_INVALID),
         # the seed root itself has a modulus past the float range
         ("z - (1.5e308 + 1.5e308*i)", 1.5e308 + 1.5e308j, None),
+        # a constant power past the float range: (1e-320)**2 underflows to
+        # 0, so folding its inverse raised ZeroDivisionError
+        ("z - pow(1e-320, -2)*x", 0.0, Status.SEED_INVALID),
     ],
-    ids=["residual", "seed"],
+    ids=["residual", "seed", "inverse power"],
 )
 def test_moduli_past_the_float_range_end_in_a_status(tmp_path, capsys, function, z0, status):
     doc = {**_interval_problem(function), "seed": {"x": 0.0, "z": [z0.real, z0.imag]}}

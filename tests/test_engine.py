@@ -468,6 +468,24 @@ def test_tree_near_the_float_limit_resamples_every_row():
     assert max(r.residual for r in rows) <= cfg.residual_tol
 
 
+@pytest.mark.parametrize("length", [5e-324, 1e-323, 2e-323, 4e-323, 1e-320])
+def test_edge_of_subnormal_length_completes_in_a_few_steps(length):
+    # below about 4e-323 the first step and h_max round to 0.0: a step that
+    # cannot move the frontier is a stall, snapped onto the end, and not an
+    # accepted step (each took the whole 8000-step budget)
+    doc = {
+        "function": "z - x",
+        "domain": {"kind": "tree", "vertices": ["a", "b"], "edges": [["a", "b", length]]},
+        "seed": {"point": {"vertex": "a"}, "z": [0.0, 0.0]},
+    }
+    f, dom, pt, z0, cfg = build(parse_problem(doc))
+    br = continue_branch(f, dom, pt, z0, cfg)
+    assert br.status.kind is Status.COMPLETED
+    assert br.status.diagnostics["accepted_steps"] <= 16 and len(br.samples) <= 17
+    assert [s.w for s in br.samples] == [complex(dom.coordinate(s.point)) for s in br.samples]
+    assert br.samples[-1].w == length
+
+
 def test_x_range_narrower_than_the_domain_raises_before_evaluating(monkeypatch):
     calls = []
     kernel = EntireFunction.kernel

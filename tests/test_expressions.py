@@ -35,6 +35,7 @@ from rootbranch.expressions import (
 )
 from bench_resample import Y_TREE
 from test_engine import _linear_roots_series
+from test_parser import shape
 
 
 def f_of(text):
@@ -633,6 +634,49 @@ def test_parse_errors_carry_position():
         parse_expression("pow(z, 1.5)")  # exponent must be an integer
     with pytest.raises(ProblemSyntaxError):
         parse_expression("w + 1")
+
+
+# The smart constructors as they were, each test through one helper: the
+# reference that their inlined class checks must fold exactly as.
+def _is_const(e, value=None):
+    return isinstance(e, Const) and (value is None or e.value == value)
+
+
+def _ref_add(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value + b.value)
+    return b if _is_const(a, 0) else a if _is_const(b, 0) else Add(a, b)
+
+
+def _ref_sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value - b.value)
+    return a if _is_const(b, 0) else _ref_neg(b) if _is_const(a, 0) else Sub(a, b)
+
+
+def _ref_mul(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.value * b.value)
+    if _is_const(a, 0) or _is_const(b, 0):
+        return Const(0j)
+    return b if _is_const(a, 1) else a if _is_const(b, 1) else Mul(a, b)
+
+
+def _ref_neg(a):
+    return Const(-a.value) if _is_const(a) else a.a if isinstance(a, Neg) else Neg(a)
+
+
+def test_smart_constructors_fold_as_before():
+    operands = [
+        Const(0j), Const(-0.0 - 0j), Const(complex(0.0, -0.0)), Const(1 + 0j),
+        Const(complex(1.0, -0.0)), Const(2 - 1j), Const(1e308 + 0j),
+        X(), Z(), Neg(X()), Add(X(), Z()), Pow(Z(), 2),
+    ]
+    for a in operands:
+        assert shape(neg(a)) == shape(_ref_neg(a))
+        for b in operands:
+            for smart, ref in ((add, _ref_add), (sub, _ref_sub), (mul, _ref_mul)):
+                assert shape(smart(a, b)) == shape(ref(a, b)), (smart, a, b)
 
 
 def test_contains_flags():

@@ -160,10 +160,10 @@ def test_number_is_ascii_digits(text):
     assert (ei.value.line, ei.value.col) == (1, 1)
 
 
-# The tokenizer as it was before tokens became (kind, text, offset) tuples
-# read in one regex scan: one match per position and one _Token each, with
-# line and column counted as it goes.  It is the reference the scan must
-# agree with, token for token and error for error.
+# The tokenizer as it was before one regex scan read every token: one match
+# per position and one _Token each, with line and column counted as it
+# goes.  It is the reference the scan must agree with, token for token
+# (kind, text, line and column) and error for error.
 _REF_TOKEN_RE = re.compile(
     r"""
     (?P<num>   (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
@@ -228,8 +228,17 @@ def test_tokenizer_matches_the_reference(text):
         return
     got = problem._tokenize(text)
     assert [(t.kind, t.text, t.line, t.col) for t in want] == [
-        (kind, tok, *problem._where(text, pos)) for kind, tok, pos in got
+        (_kind(tok), tok, *problem._where(text, k)) for k, tok in enumerate(got)
     ]
+
+
+def _kind(tok: str) -> str:
+    """A token's kind, told by its first character as the parser tells it."""
+    if not tok:
+        return "end"
+    if tok[0] in "0123456789.":
+        return "num"
+    return "name" if tok[0].isalpha() or tok[0] == "_" else "op"
 
 
 def test_exactly_one_source_required():
